@@ -21,8 +21,8 @@ def main():
     rng = np.random.default_rng(1)
 
     # a cloud big enough that the library routes queries through the kd-tree
-    target = rng.standard_normal((6000, 3)).astype(np.float32)
-    queries = rng.standard_normal((2000, 3)).astype(np.float32)
+    target = rng.standard_normal((14000, 3)).astype(np.float32)
+    queries = rng.standard_normal((500, 3)).astype(np.float32)
 
     t0 = time.time()
     idx, d2 = geometry.nearest_neighbors(queries, target)

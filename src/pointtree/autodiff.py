@@ -130,19 +130,6 @@ class Tensor:
         return matmul(self, other)
 
 
-def constant(value, dtype=np.float32) -> Tensor:
-    """Non-differentiable tensor holding `value`."""
-    return Tensor(np.asarray(value, dtype=dtype))
-
-
-def zeros(shape, dtype=np.float32) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype))
-
-
-def ones(shape, dtype=np.float32) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype))
-
-
 class TapeEntry:
     """One recorded primitive application."""
 
@@ -511,11 +498,6 @@ _REGISTRY = {
     "transpose": (_fwd_transpose, _vjp_transpose),
     "gather_rows": (_fwd_gather_rows, _vjp_gather_rows),
 }
-
-
-def primitive_kinds() -> tuple:
-    """All registered op-kinds."""
-    return tuple(_REGISTRY)
 
 
 def apply_primitive(kind: str, inputs, **attrs) -> Tensor:

@@ -304,27 +304,7 @@ def _cmd_eval(args) -> int:
     for _ in range(args.n_generated):
         z = rng.standard_normal(params.config.latent_width).astype(params.dtype)
         generated.append(model.generate(z, params).leaf_points())
-    records = [
-        metrics.MetricRecord(
-            "mmd",
-            metrics.mmd(reference, generated, threads=args.threads),
-            len(reference),
-            len(generated),
-            times_1e4=True,
-        ),
-        metrics.MetricRecord(
-            "coverage",
-            metrics.coverage(reference, generated, threads=args.threads),
-            len(reference),
-            len(generated),
-        ),
-        metrics.MetricRecord(
-            "1-nna",
-            metrics.one_nna(reference, generated, threads=args.threads),
-            len(reference),
-            len(generated),
-        ),
-    ]
+    records = metrics.generation_metrics(reference, generated, threads=args.threads)
     print(metrics.render_records(records))
     return 0
 

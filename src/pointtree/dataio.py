@@ -367,8 +367,10 @@ def load_off(path) -> TriangleMesh:
         ]
     if not rows or rows[0] != "OFF":
         raise ValueError(f"{path}: missing OFF header")
-    counts = rows[1].split()
-    n_vertices, n_faces = int(counts[0]), int(counts[1])
+    try:
+        n_vertices, n_faces = (int(f) for f in rows[1].split()[:2])
+    except (IndexError, ValueError):
+        raise ValueError(f"{path}: missing or malformed OFF counts line") from None
     if len(rows) < 2 + n_vertices + n_faces:
         raise ValueError(f"{path}: truncated OFF file")
     vertices = np.array(
@@ -517,8 +519,11 @@ def read_ply(path):
     points = np.empty((n_vertex, 3), dtype=np.float32)
     colors = np.empty((n_vertex, 3), dtype=np.int64) if has_color else None
     for row in range(n_vertex):
-        fields = lines[body_at + row].split()
-        points[row] = [float(fields[want[c]]) for c in ("x", "y", "z")]
-        if has_color:
-            colors[row] = [int(fields[props.index(c)]) for c in ("red", "green", "blue")]
+        try:
+            fields = lines[body_at + row].split()
+            points[row] = [float(fields[want[c]]) for c in ("x", "y", "z")]
+            if has_color:
+                colors[row] = [int(fields[props.index(c)]) for c in ("red", "green", "blue")]
+        except (IndexError, ValueError):
+            raise ValueError(f"{path}: vertex {row} is missing, short or non-numeric") from None
     return points, colors

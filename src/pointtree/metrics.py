@@ -6,6 +6,14 @@ over all cloud pairs defines each metric; the implementations build exactly
 that pairwise matrix, optionally across a thread pool (cells are
 independent, so threading cannot change values).
 
+Chamfer distance is exactly symmetric (it adds two float means, and float
+addition commutes) and exactly 0.0 from a cloud to itself. So a matrix of a
+cloud list against itself computes only its upper triangle, mirrors each
+value, and never computes the diagonal. `generation_metrics` builds that
+matrix once over the union of both sets and reads all three metrics off its
+blocks, with the same values as `mmd`, `coverage` and `one_nna` called one
+by one.
+
 Values are kept in natural units; reporting helpers expose the customary
 x 10^4 scaling alongside.
 """
@@ -43,36 +51,64 @@ def _clouds(x) -> list:
 
 
 def cd_matrix(rows, cols, threads: int = 1) -> np.ndarray:
-    """Chamfer distance between every row cloud and every column cloud."""
+    """Chamfer distance between every row cloud and every column cloud.
+
+    When both sides hold the same cloud objects in the same order, only the
+    cells above the diagonal are computed; the rest are mirrored or 0.0.
+    """
     row_clouds = _clouds(rows)
     col_clouds = _clouds(cols)
-    out = np.empty((len(row_clouds), len(col_clouds)), dtype=np.float64)
+    symmetric = len(row_clouds) == len(col_clouds) and all(
+        r is c for r, c in zip(row_clouds, col_clouds)
+    )
+    out = np.zeros((len(row_clouds), len(col_clouds)), dtype=np.float64)
+    cells = [
+        (i, j)
+        for i in range(len(row_clouds))
+        for j in range(i + 1 if symmetric else 0, len(col_clouds))
+    ]
 
-    def fill(i):
-        for j, c in enumerate(col_clouds):
-            out[i, j] = chamfer_distance(row_clouds[i], c)[0]
+    def fill(cell):
+        i, j = cell
+        out[i, j] = chamfer_distance(row_clouds[i], col_clouds[j])[0]
+        if symmetric:
+            out[j, i] = out[i, j]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(len(row_clouds))))
+            list(pool.map(fill, cells))
     else:
-        for i in range(len(row_clouds)):
-            fill(i)
+        for cell in cells:
+            fill(cell)
     return out
+
+
+def _mmd(ref_by_gen: np.ndarray) -> float:
+    return float(np.mean(ref_by_gen.min(axis=1)))
+
+
+def _coverage(gen_by_ref: np.ndarray) -> float:
+    matched = np.unique(np.argmin(gen_by_ref, axis=1))
+    return float(matched.size) / gen_by_ref.shape[1]
+
+
+def _one_nna(union_matrix: np.ndarray, n_reference: int) -> float:
+    labels = np.arange(union_matrix.shape[0]) >= n_reference
+    masked = union_matrix.copy()
+    np.fill_diagonal(masked, np.inf)
+    nearest = np.argmin(masked, axis=1)
+    return float(np.mean(labels[nearest] == labels))
 
 
 def mmd(reference, generated, threads: int = 1) -> float:
     """Mean over reference clouds of the distance to the closest generated one."""
-    matrix = cd_matrix(reference, generated, threads=threads)
-    return float(np.mean(matrix.min(axis=1)))
+    return _mmd(cd_matrix(reference, generated, threads=threads))
 
 
 def coverage(reference, generated, threads: int = 1) -> float:
     """Fraction of reference clouds that are the nearest reference of at
     least one generated cloud. Ties resolve to the lowest reference index."""
-    matrix = cd_matrix(generated, reference, threads=threads)
-    matched = np.unique(np.argmin(matrix, axis=1))
-    return float(matched.size) / matrix.shape[1]
+    return _coverage(cd_matrix(generated, reference, threads=threads))
 
 
 def one_nna(reference, generated, threads: int = 1) -> float:
@@ -87,11 +123,25 @@ def one_nna(reference, generated, threads: int = 1) -> float:
     union = ref + gen
     if len(union) < 2:
         raise ValueError("need at least two clouds in total")
-    labels = np.array([0] * len(ref) + [1] * len(gen))
+    return _one_nna(cd_matrix(union, union, threads=threads), len(ref))
+
+
+def generation_metrics(reference, generated, threads: int = 1) -> list:
+    """MMD, coverage and 1-NNA as `MetricRecord`s, from one union matrix.
+
+    Each value equals the one `mmd`, `coverage` or `one_nna` returns; the
+    Chamfer distance of every pair of distinct union clouds is computed once.
+    """
+    ref = _clouds(reference)
+    gen = _clouds(generated)
+    union = ref + gen
     matrix = cd_matrix(union, union, threads=threads)
-    np.fill_diagonal(matrix, np.inf)
-    nearest = np.argmin(matrix, axis=1)
-    return float(np.mean(labels[nearest] == labels))
+    r = len(ref)
+    return [
+        MetricRecord("mmd", _mmd(matrix[:r, r:]), r, len(gen), times_1e4=True),
+        MetricRecord("coverage", _coverage(matrix[r:, :r]), r, len(gen)),
+        MetricRecord("1-nna", _one_nna(matrix, r), r, len(gen)),
+    ]
 
 
 def purity(predicted_labels, ground_truth_labels) -> float:

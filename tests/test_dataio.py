@@ -262,6 +262,15 @@ def test_load_off_rejects_quads(tmp_path):
         dataio.load_off(missing)
 
 
+def test_load_off_truncated_counts_raise_value_error_naming_path(tmp_path):
+    cases = (("hdr.off", "OFF\n"), ("one.off", "OFF\n4\n"), ("nan.off", "OFF\nfour 1 0\n"))
+    for name, text in cases:
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError, match=name):
+            dataio.load_off(path)
+
+
 def test_mesh_validation():
     with pytest.raises(ValueError, match="out of range"):
         dataio.TriangleMesh(np.zeros((3, 3)), [[0, 1, 5]])
@@ -452,3 +461,15 @@ def test_synth_then_save_load_preserves_labels(tmp_path):
     back = normalize_cloud(dataio.load_cloud(path))
     np.testing.assert_array_equal(back.labels, cloud.labels)
     np.testing.assert_allclose(back.points, cloud.points, atol=1e-6)
+
+
+def test_read_ply_truncated_body_raises_value_error_naming_path(tmp_path):
+    header = (
+        "ply\nformat ascii 1.0\nelement vertex 2\n"
+        "property float x\nproperty float y\nproperty float z\nend_header\n"
+    )
+    for name, body in (("short.ply", "0 0 0\n1 2\n"), ("missing.ply", "0 0 0\n")):
+        path = tmp_path / name
+        path.write_text(header + body)
+        with pytest.raises(ValueError, match=name):
+            dataio.read_ply(path)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pointtree import geometry
 from pointtree.geometry import (
     NearestNeighborIndex,
     PointCloud,
@@ -22,6 +23,19 @@ def nn_oracle(queries, target):
                 best_j = j
         idx[i] = best_j
         d2[i] = dd[best_j]
+    return idx, d2
+
+
+def summed_scan_oracle(queries, target):
+    # the earlier vectorized scan: one (block, m, 3) temporary summed over xyz
+    idx = np.empty(len(queries), dtype=np.int64)
+    d2 = np.empty(len(queries), dtype=np.result_type(queries.dtype, target.dtype))
+    for start in range(0, len(queries), geometry._QUERY_BLOCK):
+        block = queries[start : start + geometry._QUERY_BLOCK]
+        dd = ((block[:, np.newaxis, :] - target[np.newaxis, :, :]) ** 2).sum(axis=2)
+        best = np.argmin(dd, axis=1)
+        idx[start : start + len(block)] = best
+        d2[start : start + len(block)] = np.take_along_axis(dd, best[:, np.newaxis], axis=1)[:, 0]
     return idx, d2
 
 
@@ -126,14 +140,61 @@ def test_kdtree_handles_all_identical_points():
     np.testing.assert_allclose(got_d, 18.75)
 
 
-def test_large_target_routes_through_kdtree_and_stays_exact():
+def test_large_target_routes_through_kdtree_and_stays_exact(monkeypatch):
     rng = np.random.default_rng(13)
-    target = rng.normal(size=(5000, 3))  # beyond the exhaustive-path cutoff
+    target = rng.normal(size=(geometry._EXHAUSTIVE_MAX_TARGET + 1000, 3))
     queries = rng.normal(size=(25, 3))
+    monkeypatch.setattr(geometry, "_exhaustive_nn", None)  # any call would fail
     got_i, got_d = nearest_neighbors(queries, target)
     want_i, want_d = nn_oracle(queries, target)
     np.testing.assert_array_equal(got_i, want_i)
     np.testing.assert_array_equal(got_d, want_d)
+
+
+@pytest.mark.parametrize(
+    "query_dtype, target_dtype",
+    [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)],
+)
+def test_exhaustive_scan_bit_identical_to_summed_scan(query_dtype, target_dtype):
+    rng = np.random.default_rng(29)
+    block = geometry._QUERY_BLOCK
+    for n_queries in (1, block - 1, block + 37, 2 * block + 1):
+        for n_target in (1, 2, 97, 700):
+            queries = rng.normal(size=(n_queries, 3)).astype(query_dtype)
+            target = rng.normal(size=(n_target, 3)).astype(target_dtype)
+            # coarse-grid twins: duplicate targets and exact ties everywhere
+            grid_queries = (rng.integers(0, 3, size=(n_queries, 3)) * 0.1).astype(query_dtype)
+            grid_target = (rng.integers(0, 3, size=(n_target, 3)) * 0.1).astype(target_dtype)
+            for q, t in ((queries, target), (grid_queries, grid_target)):
+                got_i, got_d = geometry._exhaustive_nn(q, t)
+                want_i, want_d = summed_scan_oracle(q, t)
+                assert got_d.dtype == want_d.dtype
+                assert np.array_equal(got_i, want_i)
+                assert np.array_equal(got_d, want_d)
+
+
+def test_exhaustive_scan_duplicate_targets_go_to_lowest_index():
+    target = np.array([[0.5, 0, 0], [1.0, 1, 1], [0.5, 0, 0], [-0.5, 0, 0], [1.0, 1, 1]])
+    queries = np.array([[0.5, 0, 0], [1.0, 1, 1], [0.0, 0, 0], [0.9, 0.9, 0.9]])
+    idx, d2 = geometry._exhaustive_nn(queries, target)
+    np.testing.assert_array_equal(idx, [0, 1, 0, 1])
+    assert d2[0] == 0.0 and d2[1] == 0.0 and d2[2] == 0.25
+
+
+def test_engines_agree_bitwise_at_the_cutoff():
+    rng = np.random.default_rng(31)
+    queries = rng.normal(size=(60, 3)).astype(np.float32)
+    for n_target in (geometry._EXHAUSTIVE_MAX_TARGET, geometry._EXHAUSTIVE_MAX_TARGET + 1):
+        target = rng.normal(size=(n_target, 3)).astype(np.float32)
+        target[-20:] = target[:20]  # duplicates: ties must resolve to the first copy
+        queries[:10] = target[-10:]
+        got_i, got_d = nearest_neighbors(queries, target)
+        tree_i, tree_d = NearestNeighborIndex(target).query(queries)
+        scan_i, scan_d = geometry._exhaustive_nn(queries, target)
+        for i, d in ((tree_i, tree_d), (scan_i, scan_d)):
+            assert np.array_equal(got_i, i)
+            assert np.array_equal(got_d, d)
+        assert np.all(got_i[:10] < 20)
 
 
 def test_translation_covariance_of_assignments():

@@ -108,6 +108,57 @@ def test_threading_does_not_change_values():
     assert metrics.mmd(ref, gen, threads=3) == metrics.mmd(ref, gen)
     assert metrics.coverage(ref, gen, threads=3) == metrics.coverage(ref, gen)
     assert metrics.one_nna(ref, gen, threads=3) == metrics.one_nna(ref, gen)
+    union = ref + gen
+    assert np.array_equal(
+        metrics.cd_matrix(union, union, threads=3), metrics.cd_matrix(union, union)
+    )
+
+
+def counting_chamfer(monkeypatch):
+    calls = []
+
+    def counted(p, q):
+        calls.append((id(p), id(q)))
+        return chamfer_distance(p, q)
+
+    monkeypatch.setattr(metrics, "chamfer_distance", counted)
+    return calls
+
+
+def test_union_matrix_computes_each_distinct_pair_once(monkeypatch):
+    rng = np.random.default_rng(8)
+    clouds = random_set(rng, 7)
+    full = np.array([[chamfer_distance(p, q)[0] for q in clouds] for p in clouds])
+    calls = counting_chamfer(monkeypatch)
+    matrix = metrics.cd_matrix(clouds, clouds)
+    assert len(calls) == 7 * 6 // 2
+    assert len(set(frozenset(c) for c in calls)) == len(calls)
+    assert np.array_equal(matrix, matrix.T)
+    assert np.all(np.diag(matrix) == 0.0)
+    assert np.array_equal(matrix, full)
+
+
+def test_generation_metrics_equal_separate_metrics(monkeypatch):
+    rng = np.random.default_rng(9)
+    for n_ref, n_gen in ((2, 2), (5, 3), (1, 4)):
+        ref = random_set(rng, n_ref, n_points=int(rng.integers(8, 65)))
+        gen = random_set(rng, n_gen, n_points=int(rng.integers(8, 65)))
+        ref[-1] = gen[0]  # a cloud in both sets: a zero off the diagonal
+        want = [
+            metrics.mmd(ref, gen),
+            metrics.coverage(ref, gen),
+            metrics.one_nna(ref, gen),
+        ]
+        calls = counting_chamfer(monkeypatch)
+        records = metrics.generation_metrics(ref, gen)
+        n = n_ref + n_gen
+        assert len(calls) == n * (n - 1) // 2
+        assert [r.name for r in records] == ["mmd", "coverage", "1-nna"]
+        assert [r.value for r in records] == want
+        assert all((r.n_reference, r.n_generated) == (n_ref, n_gen) for r in records)
+        threaded = metrics.generation_metrics(ref, gen, threads=3)
+        assert [r.value for r in threaded] == want
+        monkeypatch.undo()
 
 
 def test_metric_ranges():
