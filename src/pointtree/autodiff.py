@@ -11,8 +11,9 @@ Scope is deliberately small:
 * float32 (training default) and float64 (verification) only, never mixed
   inside one operation;
 * broadcasting is limited to scalar-vs-tensor (an operand with exactly one
-  element); anything batched is expressed with explicit stacked matrices or
-  `gather_rows`;
+  element) and row-vs-matrix (a (w,) operand against an (n, w) one, which is
+  how a bias joins a batch); anything else batched is expressed with
+  explicit stacked matrices or `gather_rows`;
 * no higher-order derivatives, no in-place mutation of tensors that are on
   a tape.
 
@@ -213,13 +214,22 @@ def _binary_out_shape(kind, a, b):
         return a.shape
     if a.size == 1 or b.size == 1:
         return b.shape if a.size == 1 else a.shape
-    _shape_error(kind, (a, b), "shapes must match or one operand must be scalar")
+    if a.ndim == 2 and b.shape == a.shape[1:]:
+        return a.shape
+    if b.ndim == 2 and a.shape == b.shape[1:]:
+        return b.shape
+    _shape_error(kind, (a, b), "shapes must match, or one operand must be scalar or a row")
 
 
 def _unbroadcast(grad, shape):
-    # reduce a full-shape gradient back onto a scalar-like operand
+    # reduce a full-shape gradient back onto a row or scalar-like operand.
+    # Rows add in index order (cumsum, not the pairwise sum), the order a
+    # gather_rows scatter would use; the row rule comes first so that a (1,)
+    # row against (n, 1) is summed that way too
     if grad.shape == shape:
         return grad
+    if grad.ndim == 2 and shape == grad.shape[1:]:
+        return np.cumsum(grad, axis=0)[-1] if len(grad) else np.zeros(shape, grad.dtype)
     return grad.sum().reshape(shape) if np.prod(shape, dtype=int) == 1 else grad.reshape(shape)
 
 

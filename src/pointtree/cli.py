@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -64,28 +65,6 @@ def _load_config_file(path) -> dict:
     return raw
 
 
-_GENERATOR_FLAGS = {
-    "k_schedule": "k_schedule",
-    "latent_width": "latent_width",
-    "embed_width": "embed_width",
-    "mlp_hidden": "mlp_hidden",
-    "vae": "vae_mode",
-}
-
-_TRAIN_FLAGS = {
-    "epochs": "epochs",
-    "batch_size": "batch_size",
-    "learning_rate": "learning_rate",
-    "final_lr_fraction": "final_lr_fraction",
-    "weight_decay": "weight_decay",
-    "reg_weight": "reg_weight",
-    "kl_weight": "kl_weight",
-    "kl_warmup_fraction": "kl_warmup_fraction",
-    "seed": "seed",
-    "save_every": "save_every",
-}
-
-
 def resolve_configs(args) -> tuple:
     """Merge preset, config file, and flags into the two config objects."""
     file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
@@ -95,16 +74,15 @@ def resolve_configs(args) -> tuple:
         else GeneratorConfig().to_dict()
     )
     gen.update(file_cfg.get("generator", {}))
-    for flag, field in _GENERATOR_FLAGS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            gen[field] = value
     train = TrainConfig().to_dict()
     train.update(file_cfg.get("train", {}))
-    for flag, field in _TRAIN_FLAGS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            train[field] = value
+    # each flag's dest is the config field it sets; fields with no flag keep
+    # their default or file value
+    for cls, resolved in ((GeneratorConfig, gen), (TrainConfig, train)):
+        for f in fields(cls):
+            value = getattr(args, f.name, None)
+            if value is not None:
+                resolved[f.name] = value
     return GeneratorConfig.from_dict(gen), TrainConfig.from_dict(train)
 
 
@@ -345,7 +323,7 @@ def _add_config_flags(sub):
     sub.add_argument("--latent-width", dest="latent_width", type=int)
     sub.add_argument("--embed-width", dest="embed_width", type=int)
     sub.add_argument("--mlp-hidden", dest="mlp_hidden", type=_int_tuple)
-    sub.add_argument("--vae", dest="vae", action=argparse.BooleanOptionalAction)
+    sub.add_argument("--vae", dest="vae_mode", action=argparse.BooleanOptionalAction)
     sub.add_argument("--epochs", type=int)
     sub.add_argument("--batch-size", dest="batch_size", type=int)
     sub.add_argument("--learning-rate", dest="learning_rate", type=float)

@@ -374,15 +374,30 @@ def load_off(path) -> TriangleMesh:
     if len(rows) < 2 + n_vertices + n_faces:
         raise ValueError(f"{path}: truncated OFF file")
     vertices = np.array(
-        [[float(f) for f in rows[2 + i].split()[:3]] for i in range(n_vertices)]
+        [_numbers(path, f"vertex {i}", rows[2 + i].split(), float, 3)
+         for i in range(n_vertices)]
     )
     triangles = []
     for i in range(n_faces):
-        fields = rows[2 + n_vertices + i].split()
-        if int(fields[0]) != 3:
+        count, *corners = _numbers(path, f"face {i}", rows[2 + n_vertices + i].split(), int, 4)
+        if count != 3:
             raise ValueError(f"{path}: face {i} is not a triangle; only triangles load")
-        triangles.append([int(f) for f in fields[1:4]])
-    return TriangleMesh(vertices, np.array(triangles, dtype=np.int64))
+        triangles.append(corners)
+    try:
+        return TriangleMesh(vertices, np.array(triangles, dtype=np.int64))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _numbers(path, what, fields, convert, width):
+    """The first `width` of a row's fields as numbers; errors name the file."""
+    try:
+        values = [convert(f) for f in fields[:width]]
+    except ValueError:
+        values = []
+    if len(values) != width:
+        raise ValueError(f"{path}: malformed {what}: {' '.join(fields)!r}")
+    return values
 
 
 def sample_mesh(mesh: TriangleMesh, n_points: int, seed: int = 0) -> PointCloud:
@@ -500,11 +515,13 @@ def read_ply(path):
         if not fields:
             continue
         if fields[0] == "format":
-            if fields[1] != "ascii":
+            if fields[1:2] != ["ascii"]:
                 raise ValueError(f"{path}: only ascii PLY is supported")
         elif fields[0] == "element":
-            if fields[1] == "vertex":
-                n_vertex = int(fields[2])
+            if fields[1:2] == ["vertex"]:
+                (n_vertex,) = _numbers(path, "vertex count", fields[2:], int, 1)
+                if n_vertex < 0:
+                    raise ValueError(f"{path}: negative vertex count {n_vertex}")
             elif n_vertex is not None and body_at is None:
                 raise ValueError(f"{path}: non-vertex elements are not supported")
         elif fields[0] == "property" and n_vertex is not None:
@@ -514,6 +531,9 @@ def read_ply(path):
             break
     if n_vertex is None or body_at is None:
         raise ValueError(f"{path}: malformed header")
+    missing = [c for c in ("x", "y", "z") if c not in props]
+    if missing:
+        raise ValueError(f"{path}: vertex element has no {'/'.join(missing)} property")
     want = {name: props.index(name) for name in ("x", "y", "z")}
     has_color = all(c in props for c in ("red", "green", "blue"))
     points = np.empty((n_vertex, 3), dtype=np.float32)

@@ -22,7 +22,7 @@ permutation invariant, not approximately so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -70,13 +70,7 @@ class GeneratorConfig:
         return sizes
 
     def to_dict(self) -> dict:
-        return {
-            "k_schedule": list(self.k_schedule),
-            "latent_width": self.latent_width,
-            "embed_width": self.embed_width,
-            "mlp_hidden": list(self.mlp_hidden),
-            "vae_mode": self.vae_mode,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorConfig":
@@ -191,12 +185,6 @@ def init_parameters(config: GeneratorConfig, seed: int = 0, dtype=np.float32) ->
     return Parameters(config, tensors)
 
 
-def _broadcast_rows(vec: ad.Tensor, n: int) -> ad.Tensor:
-    """Repeat a (w,) vector into n identical rows, staying differentiable."""
-    row = ad.reshape(vec, (1, vec.size))
-    return ad.gather_rows(row, np.zeros(n, dtype=np.int64))
-
-
 def _as_tensor(x, dtype) -> ad.Tensor:
     if isinstance(x, ad.Tensor):
         if x.dtype != dtype:
@@ -216,12 +204,9 @@ def encode(cloud, params: Parameters):
     pts = np.asarray(getattr(cloud, "points", cloud))
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
         raise ValueError(f"expected N x 3 points, got shape {pts.shape}")
-    n = pts.shape[0]
     h = ad.Tensor(pts.astype(params.dtype, copy=False))
     for i in range(len(ENCODER_WIDTHS)):
-        w = params[f"enc.pp{i}.w"]
-        b = params[f"enc.pp{i}.b"]
-        h = ad.leaky_relu(ad.add(ad.matmul(h, w), _broadcast_rows(b, n)))
+        h = ad.leaky_relu(ad.add(ad.matmul(h, params[f"enc.pp{i}.w"]), params[f"enc.pp{i}.b"]))
     pooled = ad.max_reduce(ad.transpose(h))  # (features,)
     if params.config.vae_mode:
         mu = ad.add(ad.matmul(pooled, params["enc.mu.w"]), params["enc.mu.b"])
@@ -231,12 +216,23 @@ def encode(cloud, params: Parameters):
 
 
 def extract_substructure(s, h, params: Parameters) -> ad.Tensor:
-    """Representation handed to the children of a point: tanh(Ms s + Mh h)."""
+    """Representation handed to the children of a point: tanh(Ms s + Mh h).
+
+    Takes one point, s (3,) with h (U,), or one per row, s (n, 3) with
+    h (n, U). Each row is bit-identical to the one-point call: `s @ Ms^T`
+    forms the products of `Ms @ s` and adds them in the same order.
+    """
     s = _as_tensor(s, params.dtype)
     h = _as_tensor(h, params.dtype)
-    if s.shape != (3,) or h.shape != (params.config.latent_width,):
-        raise ValueError(f"expected shapes (3,) and ({params.config.latent_width},)")
-    return ad.tanh(ad.add(ad.matmul(params["sub.ms"], s), ad.matmul(params["sub.mh"], h)))
+    u = params.config.latent_width
+    if s.ndim not in (1, 2) or s.shape[-1] != 3 or h.shape != s.shape[:-1] + (u,):
+        raise ValueError(f"expected shapes (3,) and ({u},), or (n, 3) and (n, {u})")
+    return ad.tanh(
+        ad.add(
+            ad.matmul(s, ad.transpose(params["sub.ms"])),
+            ad.matmul(h, ad.transpose(params["sub.mh"])),
+        )
+    )
 
 
 def _expand_stage(points, reps, scales, stage: int, params: Parameters):
@@ -250,32 +246,24 @@ def _expand_stage(points, reps, scales, stage: int, params: Parameters):
     n = points.shape[0]
     dtype = params.dtype
 
-    sub = ad.tanh(
-        ad.add(
-            ad.matmul(points, ad.transpose(params["sub.ms"])),
-            ad.matmul(reps, ad.transpose(params["sub.mh"])),
-        )
-    )
-
     parent_idx = np.repeat(np.arange(n, dtype=np.int64), k)
+    sub = extract_substructure(points, reps, params)
     child_reps = ad.gather_rows(sub, parent_idx)  # siblings share one row
     embeds = ad.gather_rows(params[f"emb.d{stage}"], np.tile(np.arange(k, dtype=np.int64), n))
 
     t = ad.concat([embeds, child_reps], axis=1)
     for i in range(len(config.mlp_hidden)):
-        w = params[f"exp.l{i}.w"]
-        b = params[f"exp.l{i}.b"]
-        t = ad.leaky_relu(ad.add(ad.matmul(t, w), _broadcast_rows(b, n * k)))
-    offsets = ad.add(ad.matmul(t, params["exp.offset.w"]), _broadcast_rows(params["exp.offset.b"], n * k))
-    raw_scale = ad.add(ad.matmul(t, params["exp.scale.w"]), _broadcast_rows(params["exp.scale.b"], n * k))
+        t = ad.leaky_relu(ad.add(ad.matmul(t, params[f"exp.l{i}.w"]), params[f"exp.l{i}.b"]))
+    offsets = ad.add(ad.matmul(t, params["exp.offset.w"]), params["exp.offset.b"])
+    raw_scale = ad.add(ad.matmul(t, params["exp.scale.w"]), params["exp.scale.b"])
 
     child_scales = ad.mul(ad.sigmoid(raw_scale), ad.gather_rows(scales, parent_idx))
 
     # normalize offsets by the largest sibling offset so the farthest child
-    # lands exactly on its shrunken radius and the rest stay inside it
-    sibling_max = ad.max_reduce(ad.reshape(ad.norm(offsets), (n, k)))
+    # lands exactly on its shrunken radius and the rest stay inside it; the
+    # floor sits last, so a tie still routes the gradient to the sibling
     floor = ad.Tensor(np.full((n, 1), OFFSET_NORM_FLOOR, dtype=dtype))
-    clamped = ad.max_reduce(ad.concat([ad.reshape(sibling_max, (n, 1)), floor], axis=1))
+    clamped = ad.max_reduce(ad.concat([ad.reshape(ad.norm(offsets), (n, k)), floor], axis=1))
     denom = ad.gather_rows(ad.reshape(clamped, (n, 1)), parent_idx)
     denom3 = ad.concat([denom, denom, denom], axis=1)
     radius3 = ad.concat([child_scales, child_scales, child_scales], axis=1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,21 +51,7 @@ class TrainConfig:
             raise ValueError("final_lr_fraction must lie in (0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "reg_weight": self.reg_weight,
-            "kl_weight": self.kl_weight,
-            "kl_warmup_fraction": self.kl_warmup_fraction,
-            "learning_rate": self.learning_rate,
-            "final_lr_fraction": self.final_lr_fraction,
-            "batch_size": self.batch_size,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_eps": self.adam_eps,
-            "weight_decay": self.weight_decay,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "save_every": self.save_every,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":

@@ -41,6 +41,43 @@ def test_binary_elementwise_gradients(op):
     s = np.array([1.7])
     check_grads(proj_build(lambda ts: op(ts[0], ts[1]), (3, 4)), [a, s.reshape(1)])
     check_grads(proj_build(lambda ts: op(ts[0], ts[1]), (3, 4)), [s, np.abs(a) + 0.5])
+    # row-vs-matrix broadcast, both directions
+    r = np.abs(rng.normal(size=(4,))) + 0.5
+    check_grads(proj_build(lambda ts: op(ts[0], ts[1]), (3, 4)), [a, r])
+    check_grads(proj_build(lambda ts: op(ts[0], ts[1]), (3, 4)), [r, b])
+
+
+@pytest.mark.parametrize("width", [1, 3, 256])
+def test_row_bias_gradient_adds_rows_in_index_order(width):
+    # the bias gradient of a direct row add must be bit-identical to the
+    # explicit route it replaces: reshape to (1, w), gather n copies, add.
+    # At width 1, 2048 float32 rows are enough for a pairwise sum to round
+    # differently from the in-order scatter
+    rng = np.random.default_rng(width)
+    x = ad.Tensor(rng.normal(size=(2048, 5)).astype(np.float32))
+    weight = ad.Tensor(rng.normal(size=(5, width)).astype(np.float32), requires_grad=True)
+    proj = ad.Tensor(rng.normal(size=(2048, width)).astype(np.float32))
+    b = ad.Tensor(rng.normal(size=(width,)).astype(np.float32), requires_grad=True)
+
+    def bias_grad(route):
+        with ad.Tape() as tape:
+            y = ad.add(ad.matmul(x, weight), route(b))
+            loss = ad.tensor_sum(ad.mul(ad.tanh(y), proj))
+        return ad.backward(loss, tape, leaves=[b])[b].data
+
+    direct = bias_grad(lambda b: b)
+    gathered = bias_grad(
+        lambda b: ad.gather_rows(ad.reshape(b, (1, width)), np.zeros(2048, dtype=np.int64))
+    )
+    assert direct.shape == (width,) and direct.dtype == np.float32
+    np.testing.assert_array_equal(direct, gathered)
+
+
+def test_row_broadcast_over_zero_rows_has_zero_gradient():
+    b = ad.Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
+    with ad.Tape() as tape:
+        loss = ad.tensor_sum(ad.add(ad.Tensor(np.ones((0, 3))), b))
+    np.testing.assert_array_equal(ad.backward(loss, tape, leaves=[b])[b].data, np.zeros(3))
 
 
 def test_scale_gradient():
@@ -139,11 +176,8 @@ def test_composite_graph_gradients():
 
     def build(ts):
         xx, ww1, bb1, ww2 = ts
-        # row-broadcast bias through gather_rows of a (1, h) reshape,
-        # the same pattern the model uses
-        brow = ad.reshape(bb1, (1, 8))
-        bias = ad.gather_rows(brow, np.zeros(5, dtype=np.int64))
-        h = ad.leaky_relu(ad.add(ad.matmul(xx, ww1), bias))
+        # (h,) bias added straight onto the (n, h) rows, as the model does
+        h = ad.leaky_relu(ad.add(ad.matmul(xx, ww1), bb1))
         t = ad.tanh(ad.matmul(h, ww2))
         pooled = ad.max_reduce(ad.transpose(t))  # per-feature max over rows
         return ad.add(ad.tensor_sum(ad.norm(pooled)), ad.tensor_mean(ad.square(h)))
@@ -235,6 +269,11 @@ def test_error_paths():
         ad.apply_primitive("softmax", (f32,))
     with pytest.raises(ad.ShapeMismatchError):
         ad.add(f32, ad.Tensor(np.ones(4, dtype=np.float32)))
+    # a row must match the matrix's last axis and be 1-D
+    for sa, sb in (((3, 4), (3,)), ((3, 4), (1, 4)), ((3, 3), (3, 1))):
+        for x, y in ((sa, sb), (sb, sa)):
+            with pytest.raises(ad.ShapeMismatchError):
+                ad.add(ad.Tensor(np.ones(x)), ad.Tensor(np.ones(y)))
     with pytest.raises(ad.ShapeMismatchError):
         ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((4, 2))))
     with pytest.raises(ad.ShapeMismatchError):

@@ -113,6 +113,29 @@ def test_config_precedence_file_over_default_flag_over_file(tmp_path):
     assert gen2.latent_width == 16
 
 
+def test_every_config_flag_sets_its_field():
+    flags = [
+        "--k-schedule", "3,2", "--latent-width", "9", "--embed-width", "5",
+        "--mlp-hidden", "7,6", "--vae", "--epochs", "3", "--batch-size", "2",
+        "--learning-rate", "0.5", "--final-lr-fraction", "0.25", "--weight-decay", "0.125",
+        "--reg-weight", "2.5", "--kl-weight", "1.5", "--kl-warmup-fraction", "0.75",
+        "--seed", "11", "--save-every", "4",
+    ]
+    gen, train = cli.resolve_configs(_parse(["train", "--data", "d", "--out", "o", *flags]))
+    assert gen.to_dict() == {
+        "k_schedule": (3, 2), "latent_width": 9, "embed_width": 5,
+        "mlp_hidden": (7, 6), "vae_mode": True,
+    }
+    defaults = cli.TrainConfig()
+    assert train.to_dict() == {
+        **defaults.to_dict(), "epochs": 3, "batch_size": 2, "learning_rate": 0.5,
+        "final_lr_fraction": 0.25, "weight_decay": 0.125, "reg_weight": 2.5,
+        "kl_weight": 1.5, "kl_warmup_fraction": 0.75, "seed": 11, "save_every": 4,
+    }
+    gen, _ = cli.resolve_configs(_parse(["train", "--data", "d", "--out", "o", "--no-vae"]))
+    assert gen.vae_mode is False
+
+
 def test_config_preset_under_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"generator": {"latent_width": 24}}))
@@ -366,10 +389,14 @@ def test_help_and_version_exit_0(capsys):
 
 
 def test_module_entrypoint_subprocess(plain_ckpt):
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "pointtree", "inspect", "--ckpt", str(plain_ckpt)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "k_schedule" in proc.stdout

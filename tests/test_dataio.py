@@ -263,7 +263,17 @@ def test_load_off_rejects_quads(tmp_path):
 
 
 def test_load_off_truncated_counts_raise_value_error_naming_path(tmp_path):
-    cases = (("hdr.off", "OFF\n"), ("one.off", "OFF\n4\n"), ("nan.off", "OFF\nfour 1 0\n"))
+    tri = "0 0 0\n1 0 0\n0 1 0\n"
+    cases = (
+        ("hdr.off", "OFF\n"),
+        ("one.off", "OFF\n4\n"),
+        ("nan.off", "OFF\nfour 1 0\n"),
+        ("xy.off", "OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n"),
+        ("word.off", "OFF\n3 1 0\n0 0 0\n1 zero 0\n0 1 0\n3 0 1 2\n"),
+        ("xface.off", "OFF\n3 1 0\n" + tri + "x 0 1 2\n"),
+        ("short.off", "OFF\n3 1 0\n" + tri + "3 0 1\n"),
+        ("range.off", "OFF\n3 1 0\n" + tri + "3 0 1 3\n"),
+    )
     for name, text in cases:
         path = tmp_path / name
         path.write_text(text)
@@ -472,4 +482,16 @@ def test_read_ply_truncated_body_raises_value_error_naming_path(tmp_path):
         path = tmp_path / name
         path.write_text(header + body)
         with pytest.raises(ValueError, match=name):
+            dataio.read_ply(path)
+    # malformed headers: no x property, a non-numeric, absent or negative count
+    malformed = (
+        ("nox.ply", header.replace("property float x\n", ""), "no x property"),
+        ("word.ply", header.replace("vertex 2", "vertex x"), "vertex count"),
+        ("bare.ply", header.replace("vertex 2", "vertex"), "vertex count"),
+        ("neg.ply", header.replace("vertex 2", "vertex -2"), "negative"),
+    )
+    for name, text, what in malformed:
+        path = tmp_path / name
+        path.write_text(text + "0 0 0\n1 2 3\n")
+        with pytest.raises(ValueError, match=f"{name}.*{what}"):
             dataio.read_ply(path)

@@ -108,6 +108,20 @@ def test_substructure_zero_case_and_range():
         assert np.abs(out.data).max() < 1.0
 
 
+def test_substructure_batched_rows_match_single_point_calls():
+    params = tiny_params()
+    rng = np.random.default_rng(17)
+    s = rng.normal(size=(5, 3)).astype(np.float32)
+    h = rng.normal(size=(5, 8)).astype(np.float32)
+    batched = m.extract_substructure(s, h, params).data
+    assert batched.shape == (5, 8)
+    for i in range(5):
+        np.testing.assert_array_equal(batched[i], m.extract_substructure(s[i], h[i], params).data)
+    for bad_s, bad_h in ((s, h[:4]), (s[0], h), (s[:, :2], h), (s[None], h[None])):
+        with pytest.raises(ValueError):
+            m.extract_substructure(bad_s, bad_h, params)
+
+
 def test_substructure_gradients_match_finite_differences():
     params = tiny_params(dtype=np.float64)
     rng = np.random.default_rng(13)
