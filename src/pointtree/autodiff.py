@@ -22,8 +22,10 @@ It accumulates rank-1 updates in index order, so each output element's
 value is independent of the other array extents and of row position. That
 costs throughput but makes batched computation bit-identical to per-row
 computation, which turns several model guarantees (exact permutation
-invariance, exact isolated path replay) from approximate into exact.
-Gradients still use BLAS: they only need determinism at fixed shapes.
+invariance, exact isolated path replay) from approximate into exact. The
+output is filled in cache-sized row blocks; a block changes which rows are
+in flight together, never the order of any element's adds. Gradients
+still use BLAS: they only need determinism at fixed shapes.
 
 A tape may be consumed by `backward` any number of times; it is a pure
 record, not a one-shot resource.
@@ -34,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 LEAKY_SLOPE = 0.2  # fixed negative slope for leaky_relu
+_MATMUL_BLOCK = 65536  # output elements per matmul row block (256 KB of float32)
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -287,6 +290,13 @@ def _fwd_matmul(arrays, attrs):
     # which several structural guarantees of the generator lean on (exact
     # encoder permutation invariance, exact isolated replay of one point's
     # expansion path). BLAS would not give that.
+    #
+    # The 2-D x 2-D case runs one row block at a time (_MATMUL_BLOCK output
+    # elements, which stay in L2 between updates) instead of streaming the
+    # whole output through memory once per contraction index. Inside a
+    # block the first product is written straight into the output and every
+    # later one goes through one reused scratch block, so each element still
+    # gets the same multiply-then-add chain in index order, bit for bit.
     a, b = arrays
     if a.ndim not in (1, 2) or b.ndim not in (1, 2):
         _shape_error("matmul", arrays, "operands must be 1-D or 2-D")
@@ -296,9 +306,16 @@ def _fwd_matmul(arrays, attrs):
     if inner == 0:
         _shape_error("matmul", arrays, "empty contraction axis")
     if a.ndim == 2 and b.ndim == 2:
-        out = a[:, 0:1] * b[0, :]
-        for k in range(1, inner):
-            out += a[:, k : k + 1] * b[k, :]
+        out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+        rows = max(1, _MATMUL_BLOCK // max(1, b.shape[1]))
+        scratch = np.empty((min(rows, len(out)), b.shape[1]), dtype=out.dtype)
+        for start in range(0, len(out), rows):
+            blk, o = a[start : start + rows], out[start : start + rows]
+            t = scratch[: len(o)]
+            np.multiply(blk[:, 0:1], b[0], out=o)
+            for k in range(1, inner):
+                np.multiply(blk[:, k : k + 1], b[k], out=t)
+                o += t
     elif a.ndim == 2:
         out = a[:, 0] * b[0]
         for k in range(1, inner):

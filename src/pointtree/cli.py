@@ -96,7 +96,7 @@ def _write_manifest(path, command, inputs, output_dir, generator=None, train=Non
         "version": __version__,
     }
     payload.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
+    with dataio.atomic_write(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -130,7 +130,7 @@ def _cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     params, log = training.fit(dataset, gen_config, train_config, out_dir=args.out)
     log_path = os.path.join(args.out, "log.csv")
-    with open(log_path, "w", encoding="utf-8") as fh:
+    with dataio.atomic_write(log_path) as fh:
         fh.write("epoch,cd,reg,kl,total\n")
         for entry in log:
             fh.write(

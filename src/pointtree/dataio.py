@@ -16,7 +16,9 @@ segmentation quality is measurable against a known answer.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import secrets
 import struct
 from dataclasses import dataclass
 
@@ -49,6 +51,33 @@ PALETTE = (
 )
 
 SHAPE_KINDS = ("sphere", "box", "cylinder", "table", "tee")
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def atomic_write(path, binary: bool = False):
+    """Open a file object whose contents replace `path` only once complete.
+
+    Writes go to a temp file in the same directory, which `os.replace`
+    renames over `path` when the block exits normally. If the block raises,
+    the temp file is removed and any previous file at `path` is untouched,
+    so no reader ever sees a half-written file.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
+    # O_EXCL never opens an existing file; mode 0o666 leaves the umask in charge
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") if binary else open(fd, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +154,12 @@ def save_cloud(path, cloud: PointCloud, binary: bool = False):
     """Write a cloud; binary is lossless, text round-trips float32 via %.9g."""
     pts = cloud.points.astype(np.float32, copy=False)
     if binary:
-        with open(path, "wb") as fh:
+        with atomic_write(path, binary=True) as fh:
             fh.write(CLOUD_MAGIC)
             fh.write(struct.pack("<III", CLOUD_VERSION, pts.shape[0], 0))
             fh.write(np.ascontiguousarray(pts, dtype="<f4").tobytes())
         return
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for i, (x, y, z) in enumerate(pts):
             line = f"{x:.9g} {y:.9g} {z:.9g}"
             if cloud.labels is not None:
@@ -449,7 +478,7 @@ def interpolate_latents(z_start, z_end, steps: int) -> list:
 
 def _write_ply(path, points, colors):
     points = np.asarray(points, dtype=np.float32)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("ply\nformat ascii 1.0\n")
         fh.write(f"element vertex {len(points)}\n")
         fh.write("property float x\nproperty float y\nproperty float z\n")

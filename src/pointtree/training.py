@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import geometry
+from .dataio import atomic_write
 from .model import GeneratorConfig, Parameters, expansion_graph, encode, init_parameters
 
 CHECKPOINT_MAGIC = b"RPGK"
@@ -256,7 +257,8 @@ def fit(dataset, gen_config: GeneratorConfig, config: TrainConfig, out_dir=None)
 # payload of raw little-endian float32, one slab per manifest entry.
 # The header carries both configs, the optimizer step, and the manifest
 # (name, shape, byte offset). Optimizer moments are stored as extra
-# manifest entries named opt.m.<param> / opt.v.<param>.
+# manifest entries named opt.m.<param> / opt.v.<param>. The payload ends
+# with the last slab; a file with bytes after it is rejected on load.
 # ---------------------------------------------------------------------------
 
 
@@ -279,7 +281,7 @@ def save_checkpoint(path, params: Parameters, opt_state=None, train_config=None,
         "manifest": manifest,
     }
     blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(blob)))
@@ -307,6 +309,7 @@ def load_checkpoint(path):
     )
 
     arrays = {}
+    payload_end = 0
     for entry in header["manifest"]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
@@ -315,6 +318,11 @@ def load_checkpoint(path):
         if end > len(body):
             raise ValueError(f"{path}: truncated payload at {entry['name']}")
         arrays[entry["name"]] = np.frombuffer(body[start:end], dtype="<f4").reshape(shape).copy()
+        payload_end = max(payload_end, end)
+    if len(body) > payload_end:
+        raise ValueError(
+            f"{path}: {len(body) - payload_end} trailing bytes after the last manifest slab"
+        )
 
     from .model import parameter_spec
 

@@ -30,6 +30,60 @@ def test_matmul_gradients_all_rank_combos():
         check_grads(proj_build(lambda ts: ad.matmul(ts[0], ts[1]), so), [a, b])
 
 
+def _matmul_index_order(a, b):
+    # reference kernel: one full-size rank-1 update per contraction index
+    out = a[:, 0:1] * b[0, :]
+    for k in range(1, a.shape[1]):
+        out += a[:, k : k + 1] * b[k, :]
+    return out
+
+
+def _with_zeros(x):
+    # signed zeros make an element's bytes depend on which products it sums
+    x[::5] = 0.0
+    x[1::7] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("m", [1, 3, 257])
+def test_blocked_matmul_is_byte_equal_to_index_order_loop(dtype, m):
+    rng = np.random.default_rng(m)
+    rows = max(1, ad._MATMUL_BLOCK // m)  # rows per block
+    for n in (0, 1, rows - 1, rows, rows + 1, 3 * rows + 7):
+        for inner in (1, 2, 17):
+            a = _with_zeros(rng.normal(size=(n, inner)).astype(dtype))
+            b = rng.normal(size=(inner, m)).astype(dtype)
+            b[:, 0] = np.abs(b[:, 0])  # a -0.0 row of a keeps -0.0 in column 0
+            b[-1, 1:] = -0.0
+            out, _ = ad._fwd_matmul([a, b], {})
+            ref = _matmul_index_order(a, b)
+            assert out.dtype == ref.dtype and out.shape == ref.shape
+            assert out.tobytes() == ref.tobytes(), (n, inner)
+
+
+def test_matmul_row_is_independent_of_batch():
+    # a row's bytes do not depend on the batch around it: computed alone
+    # (2-D and 1-D), at any position in a batch spanning several blocks,
+    # or after the batch is permuted
+    rng = np.random.default_rng(21)
+    w = ad.Tensor(rng.normal(size=(37, 257)).astype(np.float32))
+    rows = ad._MATMUL_BLOCK // 257
+    batch = _with_zeros(rng.normal(size=(3 * rows + 5, 37)).astype(np.float32))
+    full = ad.matmul(ad.Tensor(batch), w).data
+    positions = (0, rows - 1, rows, 2 * rows + 3, len(batch) - 1)
+    for i in positions:
+        row = batch[i]
+        assert ad.matmul(ad.Tensor(row[None]), w).data.tobytes() == full[i].tobytes()
+        assert ad.matmul(ad.Tensor(row), w).data.tobytes() == full[i].tobytes()
+        for j in positions:
+            moved = batch[::-1].copy()
+            moved[j] = row
+            assert ad.matmul(ad.Tensor(moved), w).data[j].tobytes() == full[i].tobytes()
+    perm = rng.permutation(len(batch))
+    assert ad.matmul(ad.Tensor(batch[perm]), w).data.tobytes() == full[perm].tobytes()
+
+
 @pytest.mark.parametrize("op", [ad.add, ad.mul, ad.div])
 def test_binary_elementwise_gradients(op):
     rng = np.random.default_rng(7)

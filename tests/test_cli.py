@@ -181,6 +181,15 @@ def test_inspect_missing_checkpoint(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_inspect_rejects_trailing_bytes(plain_ckpt, tmp_path, capsys):
+    padded = tmp_path / "padded.rpgk"
+    padded.write_bytes(plain_ckpt.read_bytes() + b"junk")
+    assert cli.main(["inspect", "--ckpt", str(padded)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {padded}: 4 trailing bytes after the last manifest slab\n"
+
+
 # ---------------------------------------------------------------------------
 # reconstruct
 # ---------------------------------------------------------------------------

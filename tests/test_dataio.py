@@ -5,13 +5,14 @@ bug shared by reader and writer cannot hide. Sampling distributions are
 checked with chi-square statistics against area-derived expectations.
 """
 
+import json
 import os
 import struct
 
 import numpy as np
 import pytest
 
-from pointtree import dataio, model
+from pointtree import dataio, model, training
 from pointtree.geometry import PointCloud, normalize_cloud
 
 
@@ -495,3 +496,116 @@ def test_read_ply_truncated_body_raises_value_error_naming_path(tmp_path):
         path.write_text(text + "0 0 0\n1 2 3\n")
         with pytest.raises(ValueError, match=f"{name}.*{what}"):
             dataio.read_ply(path)
+
+
+# ---------------------------------------------------------------------------
+# truncated files and interrupted writes
+# ---------------------------------------------------------------------------
+
+
+def _small_checkpoint(path):
+    config = model.GeneratorConfig(
+        k_schedule=(2,), latent_width=2, embed_width=1, mlp_hidden=(2,)
+    )
+    training.save_checkpoint(path, model.init_parameters(config, seed=0), step=3)
+
+
+_LABELLED = PointCloud(
+    np.array([[0.5, -1.0, 0.25], [1.0, 2.0, -3.5]], dtype=np.float32), labels=np.array([0, 1])
+)
+
+# kind -> (writer, reader) for every file format a command reads
+_FORMATS = {
+    "rpgp": (lambda p: dataio.save_cloud(p, _LABELLED, binary=True), dataio.load_cloud),
+    "xyz": (lambda p: dataio.save_cloud(p, _LABELLED), dataio.load_cloud),
+    "ply": (lambda p: dataio.export_ply(_LABELLED, p), dataio.read_ply),
+    "off": (lambda p: p.write_text(UNIT_SQUARE_OFF), dataio.load_off),
+    "rpgk": (_small_checkpoint, training.load_checkpoint),
+}
+
+
+def _prefix_lengths(kind, raw):
+    if kind != "rpgk":
+        return range(len(raw))
+    # every cut inside the header, cuts on and beside each slab edge, and a
+    # stride through the payload (the float32 slabs are over 100 KB)
+    (header_len,) = struct.unpack_from("<I", raw, 8)
+    body = 12 + header_len
+    manifest = json.loads(raw[12:body])["manifest"]
+    edges = {body + e["offset"] + d for e in manifest for d in (-1, 0, 1, 2)}
+    return sorted(set(range(body + 8)) | edges | set(range(body, len(raw), 509)))
+
+
+@pytest.mark.parametrize("kind", sorted(_FORMATS))
+def test_every_prefix_loads_or_raises_value_error(tmp_path, kind):
+    writer, reader = _FORMATS[kind]
+    full = tmp_path / f"full.{kind}"
+    writer(full)
+    raw = full.read_bytes()
+    reader(full)
+    cut = tmp_path / f"cut.{kind}"
+    for n in _prefix_lengths(kind, raw):
+        cut.write_bytes(raw[:n])
+        try:
+            reader(cut)
+        except ValueError:
+            pass
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_atomic_write_keeps_previous_file_until_complete(tmp_path, binary):
+    path = tmp_path / "out.dat"
+    path.write_bytes(b"previous\n")
+    plain_mode = os.stat(path).st_mode
+    with pytest.raises(KeyboardInterrupt):
+        with dataio.atomic_write(path, binary=binary) as fh:
+            fh.write(b"partial" if binary else "partial")
+            fh.flush()
+            raise KeyboardInterrupt
+    assert path.read_bytes() == b"previous\n"
+    assert os.listdir(tmp_path) == ["out.dat"]
+    with dataio.atomic_write(path, binary=binary) as fh:
+        fh.write(b"done\n" if binary else "done\n")
+    assert path.read_bytes() == b"done\n"
+    assert os.listdir(tmp_path) == ["out.dat"]
+    assert os.stat(path).st_mode == plain_mode  # as a plain open() would create it
+
+
+@pytest.mark.parametrize("kind", ["ply", "rpgk", "rpgp", "xyz"])
+def test_writers_replace_whole_files_or_nothing(tmp_path, monkeypatch, kind):
+    writer, _ = _FORMATS[kind]
+    fresh, path = tmp_path / "fresh", tmp_path / "out"
+    writer(fresh)
+    path.write_bytes(b"previous\n")
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        writer(path)
+    assert path.read_bytes() == b"previous\n"
+    assert sorted(os.listdir(tmp_path)) == ["fresh", "out"]
+    monkeypatch.undo()
+    writer(path)
+    assert path.read_bytes() == fresh.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["fresh", "out"]
+
+
+def test_binary_writers_interrupted_mid_write_keep_previous_file(tmp_path, monkeypatch):
+    # struct.pack runs after the magic bytes have gone out
+    writers = {tmp_path / "c.rpgp": _FORMATS["rpgp"][0], tmp_path / "c.rpgk": _small_checkpoint}
+    for path, writer in writers.items():
+        writer(path)
+    before = {path: path.read_bytes() for path in writers}
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(struct, "pack", interrupt)
+    for path, writer in writers.items():
+        with pytest.raises(KeyboardInterrupt):
+            writer(path)
+    monkeypatch.undo()
+    assert {path: path.read_bytes() for path in writers} == before
+    assert sorted(os.listdir(tmp_path)) == ["c.rpgk", "c.rpgp"]

@@ -298,6 +298,11 @@ def test_checkpoint_error_paths(tmp_path):
     with pytest.raises(ValueError, match="truncated"):
         training.load_checkpoint(truncated)
 
+    trailing = tmp_path / "trailing.rpgk"
+    trailing.write_bytes(bytes(raw) + b"\0\0\0\0")
+    with pytest.raises(ValueError, match="trailing.rpgk: 4 trailing bytes"):
+        training.load_checkpoint(trailing)
+
     # rewrite the header to claim a wider latent code: named shape mismatch
     import json
 
