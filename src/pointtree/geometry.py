@@ -2,14 +2,12 @@
 
 Nearest-neighbour queries are exact and deterministic: they return the same
 (index, squared distance) pairs as an exhaustive scan, with ties broken
-toward the lowest point index. Two interchangeable engines sit behind
-`nearest_neighbors`: a blocked scan for targets up to
-`_EXHAUSTIVE_MAX_TARGET` points and a kd-tree for larger ones. The scan
-fills a (query block, target) matrix of squared distances one coordinate
-at a time, adding in the order (dx² + dy²) + dz²; its cost depends only on
-the sizes. The kd-tree's cost depends on the data, and it beat the scan
-only beyond about 12k target points (2048 queries, 2-core Xeon). Both
-produce bit-identical results, so callers never observe which one ran.
+toward the lowest point index. One engine, `NearestNeighborIndex`, answers
+every query. It scans blocks of nearby targets against blocks of nearby
+queries, filling each (query block, target block) matrix of squared
+distances one coordinate at a time in the order (dx² + dy²) + dz², and
+skips a target block only when a bounding-box lower bound proves it holds
+no closer or tied point. Skipping changes the cost, never the result.
 """
 
 from __future__ import annotations
@@ -17,9 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 NORM_EPS = 1e-12  # divisor clamp for degenerate clouds
-DEFAULT_LEAF_SIZE = 16
+DEFAULT_LEAF_SIZE = 512  # target block size
 
-_EXHAUSTIVE_MAX_TARGET = 12288  # measured scan/kd-tree crossover
 _QUERY_BLOCK = 256
 
 _CENTROID_TOL = 1e-5
@@ -55,7 +52,7 @@ class PointCloud:
         self.labels = labels
         self.normalized = bool(normalized)
         if self.normalized:
-            centroid = self.points.mean(axis=0)
+            centroid = self.points.mean(axis=0, dtype=np.float64)
             radius = np.sqrt((self.points**2).sum(axis=1)).max()
             if np.abs(centroid).max() > _CENTROID_TOL or radius > 1.0 + _RADIUS_TOL:
                 raise ValueError(
@@ -94,45 +91,57 @@ def _as_points(cloud) -> np.ndarray:
     return pts
 
 
-def _exhaustive_nn(queries: np.ndarray, target: np.ndarray):
-    n = queries.shape[0]
-    dtype = np.result_type(queries.dtype, target.dtype)
-    columns = [np.ascontiguousarray(target[:, axis]) for axis in range(3)]
-    rows = min(n, _QUERY_BLOCK)
-    d2_buf = np.empty((rows, target.shape[0]), dtype=dtype)
-    term_buf = np.empty_like(d2_buf)
-    out_idx = np.empty(n, dtype=np.int64)
-    out_d2 = np.empty(n, dtype=dtype)
-    for start in range(0, n, _QUERY_BLOCK):
-        block = queries[start : start + _QUERY_BLOCK]
-        b = block.shape[0]
-        d2, term = d2_buf[:b], term_buf[:b]
-        # Accumulate as (dx² + dy²) + dz², the order in which a sum over a
-        # trailing xyz axis adds. Float addition is not associative, so any
-        # other order can move the last bit and flip an exact tie; the
-        # kd-tree leaf scan sums the same way, which keeps both engines
-        # bit-identical.
-        np.subtract(block[:, 0:1], columns[0], out=d2)
-        np.square(d2, out=d2)
-        for axis in (1, 2):
-            np.subtract(block[:, axis : axis + 1], columns[axis], out=term)
-            np.square(term, out=term)
-            d2 += term
-        idx = np.argmin(d2, axis=1)  # first occurrence: lowest index on ties
-        out_idx[start : start + b] = idx
-        out_d2[start : start + b] = d2[np.arange(b), idx]
-    return out_idx, out_d2
+def _median_blocks(points: np.ndarray, size: int) -> list:
+    """Index blocks of at most `size` rows, each from median splits on its
+    widest axis (argpartition at n // 2), indices sorted within a block."""
+    blocks, pending = [], [np.arange(points.shape[0], dtype=np.int64)]
+    while pending:
+        idx = pending.pop()
+        if idx.size <= size:
+            blocks.append(np.sort(idx))
+            continue
+        pts = points[idx]
+        axis = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
+        mid = idx.size // 2
+        order = np.argpartition(pts[:, axis], mid)
+        pending += [idx[order[mid:]], idx[order[:mid]]]
+    return blocks
+
+
+def _exhaustive_nn(queries: np.ndarray, columns):
+    """First-occurrence argmin and minimum of the squared distances from
+    each query row to the targets given as x, y and z columns."""
+    # Accumulate as (dx² + dy²) + dz², the order in which a sum over a
+    # trailing xyz axis adds. Float addition is not associative, so any
+    # other order can move the last bit and flip an exact tie.
+    d2 = np.square(queries[:, 0:1] - columns[0])
+    for axis in (1, 2):
+        term = queries[:, axis : axis + 1] - columns[axis]
+        d2 += np.square(term, out=term)
+    idx = np.argmin(d2, axis=1)  # first occurrence: lowest index on ties
+    return idx, d2[np.arange(d2.shape[0]), idx]
 
 
 class NearestNeighborIndex:
-    """Exact kd-tree over a fixed target cloud.
+    """Exact nearest-neighbour search over a fixed target cloud.
 
-    Median split on the widest axis (argpartition at n // 2), leaves hold up
-    to `leaf_size` points with their original indices kept sorted so that a
-    first-occurrence argmin lands on the lowest index. A branch is pruned
-    only when the squared distance to its splitting plane strictly exceeds
-    the current best, which preserves lowest-index tie-breaking across
-    branches.
+    The target is cut by median splits on the widest axis into blocks of at
+    most `leaf_size` points, each keeping its original indices sorted; the
+    queries are cut the same way into blocks of `_QUERY_BLOCK` rows. Each
+    query block scans target blocks in ascending order of a bounding-box
+    lower bound and stops at the first block whose bound is strictly above
+    the block's worst current best. Equality must still scan: that block
+    may hold a tied, lower index.
+
+    The bound is exact, with no slack. It is computed in the scan's dtype
+    and operation order, (gx² + gy²) + gz², from per-axis box gaps clamped
+    at 0. Each gap is a rounded difference of two coordinates at least as
+    close as any query/target pair of the two boxes, and IEEE
+    round-to-nearest is monotone, so every rounded step of the bound is at
+    most the matching step of every pair distance in the block. That holds
+    in float32, float64, mixed dtypes (the float32 side widens exactly) and
+    under underflow. A skipped target therefore never beats or ties a
+    query's best.
     """
 
     def __init__(self, target, leaf_size: int = DEFAULT_LEAF_SIZE):
@@ -140,56 +149,45 @@ class NearestNeighborIndex:
         if leaf_size < 1:
             raise ValueError("leaf_size must be >= 1")
         self.leaf_size = int(leaf_size)
-        self._root = self._build(np.arange(self.points.shape[0], dtype=np.int64))
-
-    # nodes: ("leaf", sorted_indices) | ("split", axis, plane, left, right)
-    def _build(self, idx: np.ndarray):
-        if idx.size <= self.leaf_size:
-            return ("leaf", np.sort(idx))
-        pts = self.points[idx]
-        extents = pts.max(axis=0) - pts.min(axis=0)
-        axis = int(np.argmax(extents))
-        coords = pts[:, axis]
-        mid = idx.size // 2
-        order = np.argpartition(coords, mid)
-        plane = float(coords[order[mid]])
-        return (
-            "split",
-            axis,
-            plane,
-            self._build(idx[order[:mid]]),
-            self._build(idx[order[mid:]]),
-        )
+        self._blocks = _median_blocks(self.points, self.leaf_size)
+        self._columns = [np.ascontiguousarray(self.points[b].T) for b in self._blocks]
+        self._lo = np.array([c.min(axis=1) for c in self._columns])
+        self._hi = np.array([c.max(axis=1) for c in self._columns])
 
     def query(self, queries):
-        """(index, squared distance) of the closest target point per query row."""
-        q = _as_points(queries)
-        n = q.shape[0]
-        out_idx = np.empty(n, dtype=np.int64)
-        out_d2 = np.empty(n, dtype=np.result_type(q.dtype, self.points.dtype))
-        for i in range(n):
-            best = [np.inf, -1]
-            self._search(self._root, q[i], best)
-            out_idx[i] = best[1]
-            out_d2[i] = best[0]
-        return out_idx, out_d2
+        """(index, squared distance) of the closest target point per query row.
 
-    def _search(self, node, q, best):
-        if node[0] == "leaf":
-            idx = node[1]
-            d2 = ((self.points[idx] - q) ** 2).sum(axis=1)
-            j = int(np.argmin(d2))
-            if d2[j] < best[0] or (d2[j] == best[0] and idx[j] < best[1]):
-                best[0] = d2[j]
-                best[1] = int(idx[j])
-            return
-        _, axis, plane, left, right = node
-        delta = q[axis] - plane
-        near, far = (left, right) if delta <= 0 else (right, left)
-        self._search(near, q, best)
-        # equality must still visit: the far side may hold a tied, lower index
-        if delta * delta <= best[0]:
-            self._search(far, q, best)
+        Ties break to the lowest target index. A query row with a NaN
+        coordinate gets a NaN distance and an in-range index, and NaN
+        target points never put an index out of range either.
+        """
+        q = _as_points(queries)
+        out_idx = np.empty(q.shape[0], dtype=np.int64)
+        out_d2 = np.empty(q.shape[0], dtype=np.result_type(q.dtype, self.points.dtype))
+        for rows in _median_blocks(q, _QUERY_BLOCK):
+            block = q[rows]
+            gap = np.maximum(self._lo - block.max(axis=0), block.min(axis=0) - self._hi)
+            np.maximum(gap, 0, out=gap)
+            np.square(gap, out=gap)
+            bound = (gap[:, 0] + gap[:, 1]) + gap[:, 2]
+            order = np.argsort(bound, kind="stable")
+            best_i = best_d = None
+            worst = np.inf
+            for j, lower in zip(order.tolist(), bound[order].tolist()):
+                if lower > worst:
+                    break
+                local, d = _exhaustive_nn(block, self._columns[j])
+                found = self._blocks[j][local]
+                if best_d is None:
+                    best_i, best_d = found, d
+                else:
+                    take = (d < best_d) | ((d == best_d) & (found < best_i))
+                    best_i = np.where(take, found, best_i)
+                    best_d = np.where(take, d, best_d)
+                worst = float(best_d.max())
+            out_idx[rows] = best_i
+            out_d2[rows] = best_d
+        return out_idx, out_d2
 
 
 def nearest_neighbors(queries, target):
@@ -198,11 +196,7 @@ def nearest_neighbors(queries, target):
     Returns (indices, squared distances); ties break to the lowest target
     index.
     """
-    q = _as_points(queries)
-    t = _as_points(target)
-    if t.shape[0] <= _EXHAUSTIVE_MAX_TARGET:
-        return _exhaustive_nn(q, t)
-    return NearestNeighborIndex(t).query(q)
+    return NearestNeighborIndex(target).query(queries)
 
 
 def chamfer_distance(p, q):

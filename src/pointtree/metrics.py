@@ -28,23 +28,8 @@ import numpy as np
 from .geometry import chamfer_distance, nearest_neighbors
 
 
-@dataclass
-class CloudSet:
-    """A list of clouds plus the role it plays in an evaluation."""
-
-    clouds: list
-    role: str = "reference"  # or "generated"
-
-    def __post_init__(self):
-        if len(self.clouds) == 0:
-            raise ValueError("empty cloud set")
-
-    def __len__(self):
-        return len(self.clouds)
-
-
 def _clouds(x) -> list:
-    out = list(x.clouds) if isinstance(x, CloudSet) else list(x)
+    out = list(x)
     if len(out) == 0:
         raise ValueError("empty cloud set")
     return out

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pointtree import geometry
+from pointtree.dataio import synth_shape
 from pointtree.geometry import (
     NearestNeighborIndex,
     PointCloud,
@@ -39,6 +40,20 @@ def summed_scan_oracle(queries, target):
     return idx, d2
 
 
+def row_scan_oracle(queries, target):
+    # one query row at a time, summed over xyz: cheap in memory for big targets
+    idx = np.empty(len(queries), dtype=np.int64)
+    d2 = np.empty(len(queries), dtype=np.result_type(queries.dtype, target.dtype))
+    for i, row in enumerate(queries):
+        dd = ((row - target) ** 2).sum(axis=1)
+        idx[i] = np.argmin(dd)
+        d2[i] = dd[idx[i]]
+    return idx, d2
+
+
+LEAF_SIZES = (1, 7, geometry.DEFAULT_LEAF_SIZE)
+
+
 def cd_oracle(p, q):
     _, d2_pq = nn_oracle(p, q)
     _, d2_qp = nn_oracle(q, p)
@@ -58,6 +73,19 @@ def test_pointcloud_validation():
         PointCloud(np.full((3, 3), 9.0), normalized=True)  # flag is a lie
     c = PointCloud(np.eye(3, dtype=np.float32), labels=[0, 1, 2])
     assert len(c) == 3 and c.labels.dtype == np.int64
+
+
+def test_normalized_flag_measures_centroid_with_float64_accumulator():
+    # float32 surfaces whose float32 running mean drifts past 1e-5 although
+    # their true centroid is about 1e-9
+    for kind, seed in (("tee", 0), ("tee", 2), ("tee", 3), ("table", 2)):
+        cloud = synth_shape(kind, 50000, seed=seed)
+        assert cloud.normalized and cloud.points.dtype == np.float32
+    unit = normalize_cloud(PointCloud(np.random.default_rng(3).normal(size=(500, 3))))
+    half = unit.points * 0.5  # far inside the unit ball: only the centroid can fail
+    PointCloud(half, normalized=True)
+    with pytest.raises(ValueError, match="centroid"):
+        PointCloud(half + [2e-5, 0.0, 0.0], normalized=True)
 
 
 def test_normalize_hand_case():
@@ -140,17 +168,6 @@ def test_kdtree_handles_all_identical_points():
     np.testing.assert_allclose(got_d, 18.75)
 
 
-def test_large_target_routes_through_kdtree_and_stays_exact(monkeypatch):
-    rng = np.random.default_rng(13)
-    target = rng.normal(size=(geometry._EXHAUSTIVE_MAX_TARGET + 1000, 3))
-    queries = rng.normal(size=(25, 3))
-    monkeypatch.setattr(geometry, "_exhaustive_nn", None)  # any call would fail
-    got_i, got_d = nearest_neighbors(queries, target)
-    want_i, want_d = nn_oracle(queries, target)
-    np.testing.assert_array_equal(got_i, want_i)
-    np.testing.assert_array_equal(got_d, want_d)
-
-
 @pytest.mark.parametrize(
     "query_dtype, target_dtype",
     [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)],
@@ -166,35 +183,119 @@ def test_exhaustive_scan_bit_identical_to_summed_scan(query_dtype, target_dtype)
             grid_queries = (rng.integers(0, 3, size=(n_queries, 3)) * 0.1).astype(query_dtype)
             grid_target = (rng.integers(0, 3, size=(n_target, 3)) * 0.1).astype(target_dtype)
             for q, t in ((queries, target), (grid_queries, grid_target)):
-                got_i, got_d = geometry._exhaustive_nn(q, t)
                 want_i, want_d = summed_scan_oracle(q, t)
-                assert got_d.dtype == want_d.dtype
-                assert np.array_equal(got_i, want_i)
-                assert np.array_equal(got_d, want_d)
+                for leaf_size in LEAF_SIZES:
+                    got_i, got_d = NearestNeighborIndex(t, leaf_size=leaf_size).query(q)
+                    assert got_d.dtype == want_d.dtype
+                    assert np.array_equal(got_i, want_i)
+                    assert np.array_equal(got_d, want_d)
 
 
 def test_exhaustive_scan_duplicate_targets_go_to_lowest_index():
     target = np.array([[0.5, 0, 0], [1.0, 1, 1], [0.5, 0, 0], [-0.5, 0, 0], [1.0, 1, 1]])
     queries = np.array([[0.5, 0, 0], [1.0, 1, 1], [0.0, 0, 0], [0.9, 0.9, 0.9]])
-    idx, d2 = geometry._exhaustive_nn(queries, target)
-    np.testing.assert_array_equal(idx, [0, 1, 0, 1])
-    assert d2[0] == 0.0 and d2[1] == 0.0 and d2[2] == 0.25
+    for leaf_size in LEAF_SIZES:
+        idx, d2 = NearestNeighborIndex(target, leaf_size=leaf_size).query(queries)
+        np.testing.assert_array_equal(idx, [0, 1, 0, 1])
+        assert d2[0] == 0.0 and d2[1] == 0.0 and d2[2] == 0.25
 
 
-def test_engines_agree_bitwise_at_the_cutoff():
-    rng = np.random.default_rng(31)
-    queries = rng.normal(size=(60, 3)).astype(np.float32)
-    for n_target in (geometry._EXHAUSTIVE_MAX_TARGET, geometry._EXHAUSTIVE_MAX_TARGET + 1):
-        target = rng.normal(size=(n_target, 3)).astype(np.float32)
-        target[-20:] = target[:20]  # duplicates: ties must resolve to the first copy
-        queries[:10] = target[-10:]
-        got_i, got_d = nearest_neighbors(queries, target)
-        tree_i, tree_d = NearestNeighborIndex(target).query(queries)
-        scan_i, scan_d = geometry._exhaustive_nn(queries, target)
-        for i, d in ((tree_i, tree_d), (scan_i, scan_d)):
-            assert np.array_equal(got_i, i)
-            assert np.array_equal(got_d, d)
-        assert np.all(got_i[:10] < 20)
+def box_surface(n, seed):
+    return synth_shape("box", n, seed=seed).points
+
+
+def sphere_surface(n, seed):
+    v = np.random.default_rng(seed).normal(size=(n, 3))
+    return (v / np.linalg.norm(v, axis=1, keepdims=True)).astype(np.float32)
+
+
+@pytest.mark.parametrize("leaf_size", LEAF_SIZES)
+@pytest.mark.parametrize("surface", [box_surface, sphere_surface])
+def test_engine_matches_oracle_on_20000_point_surfaces(surface, leaf_size):
+    # interior queries are far from every target, so few blocks prune;
+    # near-surface queries prune almost everything
+    rng = np.random.default_rng(37)
+    target = surface(20000, seed=5)
+    interior = rng.uniform(-0.3, 0.3, size=(150, 3)).astype(np.float32)
+    near = target[rng.integers(0, len(target), 150)] + rng.normal(scale=1e-3, size=(150, 3))
+    queries = np.concatenate([interior, near.astype(np.float32)])
+    got_i, got_d = NearestNeighborIndex(target, leaf_size=leaf_size).query(queries)
+    want_i, want_d = row_scan_oracle(queries, target)
+    assert np.array_equal(got_i, want_i)
+    assert np.array_equal(got_d, want_d)
+
+
+@pytest.mark.parametrize("leaf_size", LEAF_SIZES)
+def test_engine_duplicates_split_across_blocks_go_to_lowest_index(leaf_size):
+    rng = np.random.default_rng(41)
+    copies = 2 * leaf_size + 3  # more copies than a block holds
+    target = rng.normal(size=(copies + 200, 3)).astype(np.float32)
+    spot = rng.permutation(len(target))[:copies]
+    target[spot] = target[spot[0]]
+    queries = np.concatenate([target[spot[:5]], target[spot[:5]] + 1e-3, rng.normal(size=(40, 3))])
+    queries = queries.astype(np.float32)
+    got_i, got_d = NearestNeighborIndex(target, leaf_size=leaf_size).query(queries)
+    want_i, want_d = row_scan_oracle(queries, target)
+    assert np.array_equal(got_i, want_i)
+    assert np.array_equal(got_d, want_d)
+    assert np.all(got_i[:5] == spot.min())
+
+
+@pytest.mark.parametrize("leaf_size", LEAF_SIZES)
+def test_engine_keeps_float32_underflow_tie_across_blocks(leaf_size):
+    # (1e-23)² underflows to 0 in float32, so target 0 ties the exact copy
+    # of the query at index leaf_size; the two sit in different blocks, and
+    # the bound of target 0's block must not exceed 0
+    target = np.zeros((2 * leaf_size, 3), dtype=np.float32)
+    target[:leaf_size, 0] = np.float32(1e-23)
+    tree = NearestNeighborIndex(target, leaf_size=leaf_size)
+    got_i, got_d = tree.query(np.zeros((1, 3), dtype=np.float32))
+    assert got_i[0] == 0 and got_d[0] == 0.0
+    assert np.array_equal(got_i, row_scan_oracle(np.zeros((1, 3), np.float32), target)[0])
+    # in float64 the same gap is a distance, so the exact copy wins
+    got_i, got_d = NearestNeighborIndex(target.astype(np.float64), leaf_size).query(np.zeros((1, 3)))
+    assert got_i[0] == leaf_size and got_d[0] == 0.0
+
+
+@pytest.mark.parametrize("leaf_size", LEAF_SIZES)
+@pytest.mark.parametrize(
+    "query_dtype, target_dtype",
+    [(np.float64, np.float64), (np.float32, np.float64), (np.float64, np.float32)],
+)
+def test_engine_matches_oracle_in_float64_and_mixed_dtypes(query_dtype, target_dtype, leaf_size):
+    rng = np.random.default_rng(43)
+    surface = box_surface(3000, seed=2).astype(target_dtype)
+    grid = (rng.integers(0, 5, size=(3000, 3)) * 0.1).astype(target_dtype)
+    for target in (surface, grid):
+        queries = np.concatenate([
+            rng.uniform(-0.3, 0.3, size=(100, 3)),
+            target[rng.integers(0, len(target), 200)] + rng.normal(scale=1e-4, size=(200, 3)),
+            (rng.integers(0, 5, size=(100, 3)) * 0.1),
+        ]).astype(query_dtype)
+        got_i, got_d = NearestNeighborIndex(target, leaf_size=leaf_size).query(queries)
+        want_i, want_d = row_scan_oracle(queries, target)
+        assert got_d.dtype == np.float64
+        assert np.array_equal(got_i, want_i)
+        assert np.array_equal(got_d, want_d)
+
+
+@pytest.mark.parametrize("leaf_size", LEAF_SIZES)
+def test_engine_nan_rows_get_in_range_indices(leaf_size):
+    rng = np.random.default_rng(47)
+    target = rng.normal(size=(600, 3)).astype(np.float32)
+    queries = rng.normal(size=(300, 3)).astype(np.float32)
+    queries[::7, 1] = np.nan
+    nan_rows = np.isnan(queries).any(axis=1)
+    got_i, got_d = NearestNeighborIndex(target, leaf_size=leaf_size).query(queries)
+    assert np.all((got_i >= 0) & (got_i < len(target)))
+    assert np.all(np.isnan(got_d[nan_rows]))
+    want_i, want_d = row_scan_oracle(queries[~nan_rows], target)
+    assert np.array_equal(got_i[~nan_rows], want_i)
+    assert np.array_equal(got_d[~nan_rows], want_d)
+    # NaN targets, as the leaves of a diverged generator are in the
+    # data-to-leaves direction of the Chamfer loss
+    got_i, _ = NearestNeighborIndex(queries, leaf_size=leaf_size).query(target)
+    assert np.all((got_i >= 0) & (got_i < len(queries)))
 
 
 def test_translation_covariance_of_assignments():

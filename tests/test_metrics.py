@@ -168,6 +168,8 @@ def test_metric_ranges():
     assert metrics.mmd(ref, gen) >= 0
     assert 0 < metrics.coverage(ref, gen) <= 1
     assert 0 <= metrics.one_nna(ref, gen) <= 1
+    with pytest.raises(ValueError, match="empty cloud set"):
+        metrics.mmd([], [point(0.0)])
 
 
 def test_purity_cases():
@@ -188,17 +190,6 @@ def test_reconstruction_cd_identity_stub():
     assert mean == 0.0
     shifted, mean2 = metrics.reconstruction_cd(dataset, lambda c: c.points + 1.0)
     assert all(v > 0 for v in shifted) and mean2 > 0
-
-
-def test_cloudset_and_validation():
-    with pytest.raises(ValueError):
-        metrics.CloudSet([])
-    rng = np.random.default_rng(7)
-    cs = metrics.CloudSet(random_set(rng, 3), role="generated")
-    assert len(cs) == 3
-    assert metrics.mmd(cs, cs) == 0.0
-    with pytest.raises(ValueError):
-        metrics.mmd([], [point(0.0)])
 
 
 def test_record_rendering():

@@ -23,6 +23,14 @@ def small_dataset(n_clouds=3, n_points=16, seed=0, dtype=np.float32):
     ]
 
 
+def test_diverged_fit_stops_with_non_finite_loss():
+    # a huge step drives the leaves to NaN; nearest-neighbour lookups on
+    # them must still give in-range indices so the loss check is reached
+    config = training.TrainConfig(learning_rate=1e30, epochs=5, batch_size=3)
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="non-finite loss"):
+        training.fit(small_dataset(), tiny_config(), config)
+
+
 def test_chamfer_loss_self_is_zero_and_matches_geometry():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(20, 3))
