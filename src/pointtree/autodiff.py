@@ -24,8 +24,11 @@ costs throughput but makes batched computation bit-identical to per-row
 computation, which turns several model guarantees (exact permutation
 invariance, exact isolated path replay) from approximate into exact. The
 output is filled in cache-sized row blocks; a block changes which rows are
-in flight together, never the order of any element's adds. Gradients
-still use BLAS: they only need determinism at fixed shapes.
+in flight together, never the order of any element's adds. A matmul
+applied with the `shared_rows` hint computes each run of bit-identical
+consecutive rows of its left operand once and copies the result down the
+run, which is the same bytes the full product gives. Gradients still use
+BLAS: they only need determinism at fixed shapes.
 
 A tape may be consumed by `backward` any number of times; it is a pure
 record, not a one-shot resource.
@@ -297,6 +300,13 @@ def _fwd_matmul(arrays, attrs):
     # block the first product is written straight into the output and every
     # later one goes through one reused scratch block, so each element still
     # gets the same multiply-then-add chain in index order, bit for bit.
+    #
+    # With the `shared_rows` hint, each run of consecutive rows of `a` that
+    # are equal bit for bit is multiplied once and the result repeated down
+    # the run. Rows are independent and equal input bits give equal output
+    # bits, so that is the full product byte for byte. Rows are compared as
+    # unsigned ints: a float compare would merge 0.0 with -0.0, whose
+    # products can differ in sign, and never find a NaN row equal to itself.
     a, b = arrays
     if a.ndim not in (1, 2) or b.ndim not in (1, 2):
         _shape_error("matmul", arrays, "operands must be 1-D or 2-D")
@@ -305,6 +315,13 @@ def _fwd_matmul(arrays, attrs):
     inner = a.shape[-1]
     if inner == 0:
         _shape_error("matmul", arrays, "empty contraction axis")
+    runs = None
+    if attrs.get("shared_rows") and a.ndim == 2 and len(a) > 1:
+        bits = a.view(f"u{a.itemsize}")
+        starts = np.flatnonzero(np.r_[True, np.any(bits[1:] != bits[:-1], axis=1)])
+        if len(starts) < len(a):
+            runs = np.diff(np.r_[starts, len(a)])
+            a = a[starts]
     if a.ndim == 2 and b.ndim == 2:
         out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
         rows = max(1, _MATMUL_BLOCK // max(1, b.shape[1]))
@@ -328,7 +345,7 @@ def _fwd_matmul(arrays, attrs):
         out = a[0] * b[0]
         for k in range(1, inner):
             out = out + a[k] * b[k]
-    return out, None
+    return (out if runs is None else np.repeat(out, runs, axis=0)), None
 
 
 def _vjp_matmul(grad, arrays, saved, attrs):
@@ -532,7 +549,8 @@ def apply_primitive(kind: str, inputs, **attrs) -> Tensor:
 
     Recording happens only when a tape is active and at least one input has
     `requires_grad`. Attribute arguments (`axis`, `shape`, `indices`,
-    `factor`) parameterize the primitive and are never differentiated.
+    `factor`, `shared_rows`) parameterize the primitive and are never
+    differentiated.
     """
     if kind not in _REGISTRY:
         raise UnknownPrimitiveError(
@@ -601,7 +619,15 @@ def backward(loss: Tensor, tape: Tape, leaves=None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a, b):
+def matmul(a, b, shared_rows: bool = False):
+    """`a @ b`; `shared_rows` hints that `a` repeats rows in runs.
+
+    The hint only saves work: runs are found by an exact bitwise row
+    compare, so the output bytes, the tape entry and the gradient are the
+    same with or without it.
+    """
+    if shared_rows:
+        return apply_primitive("matmul", (a, b), shared_rows=True)
     return apply_primitive("matmul", (a, b))
 
 

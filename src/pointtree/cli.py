@@ -54,15 +54,47 @@ def _int_tuple(text: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+_CONFIG_SECTIONS = {"generator": GeneratorConfig, "train": TrainConfig}
+
+
 def _load_config_file(path) -> dict:
+    """Read a config file; each bad section or value is named as `section.key`."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config root must be a JSON object")
-    unknown = set(raw) - {"generator", "train"}
+    unknown = set(raw) - set(_CONFIG_SECTIONS)
     if unknown:
         raise ValueError(f"{path}: unknown config sections {sorted(unknown)}")
+    for name, section in raw.items():
+        if not isinstance(section, dict):
+            raise ValueError(f"{path}: config section {name!r} must be a JSON object")
+        cls = _CONFIG_SECTIONS[name]
+        defaults = {f.name: f.default for f in fields(cls)}
+        for key, value in section.items():
+            where = f"{path}: {name}.{key}"
+            if key not in defaults:
+                raise ValueError(f"{where}: unknown key; known keys are {sorted(defaults)}")
+            default = defaults[key]
+            if not _fits(value, default):
+                want = type(default).__name__
+                if isinstance(default, tuple):
+                    want = f"a list of {type(default[0]).__name__}"
+                raise ValueError(f"{where}: expected {want}, got {json.dumps(value)}")
+            try:
+                cls(**{key: value})  # the range checks of __post_init__, key by key
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     return raw
+
+
+def _fits(value, default) -> bool:
+    """Whether a JSON value has the type of a config field's default."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    return isinstance(value, int) or (isinstance(default, float) and isinstance(value, float))
 
 
 def resolve_configs(args) -> tuple:

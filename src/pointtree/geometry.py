@@ -73,13 +73,22 @@ def normalize_cloud(raw: PointCloud) -> PointCloud:
     """Zero-center and scale so the farthest point sits on the unit sphere.
 
     A degenerate cloud (all points identical) maps to all zeros via the
-    divisor clamp.
+    divisor clamp. Float32 input is centred with a float32 mean, which far
+    from the origin can leave a residual centroid above the tolerance;
+    only then is the whole pass redone in float64 and cast once, so every
+    cloud that centres well keeps its one-pass bytes.
     """
     pts = raw.points
+    scaled = _centre_and_scale(pts).astype(pts.dtype)
+    if np.abs(scaled.mean(axis=0, dtype=np.float64)).max() > _CENTROID_TOL:
+        scaled = _centre_and_scale(pts.astype(np.float64)).astype(pts.dtype)
+    return PointCloud(scaled, labels=raw.labels, normalized=True)
+
+
+def _centre_and_scale(pts: np.ndarray) -> np.ndarray:
     centered = pts - pts.mean(axis=0)
     radius = np.sqrt((centered**2).sum(axis=1)).max()
-    scaled = centered / max(float(radius), NORM_EPS)
-    return PointCloud(scaled.astype(pts.dtype), labels=raw.labels, normalized=True)
+    return centered / max(float(radius), NORM_EPS)
 
 
 def _as_points(cloud) -> np.ndarray:

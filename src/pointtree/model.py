@@ -220,7 +220,9 @@ def extract_substructure(s, h, params: Parameters) -> ad.Tensor:
 
     Takes one point, s (3,) with h (U,), or one per row, s (n, 3) with
     h (n, U). Each row is bit-identical to the one-point call: `s @ Ms^T`
-    forms the products of `Ms @ s` and adds them in the same order.
+    forms the products of `Ms @ s` and adds them in the same order. Past
+    the root, h arrives in runs of identical sibling rows, so `h @ Mh^T`
+    computes each run once and copies it (the `shared_rows` hint).
     """
     s = _as_tensor(s, params.dtype)
     h = _as_tensor(h, params.dtype)
@@ -230,7 +232,7 @@ def extract_substructure(s, h, params: Parameters) -> ad.Tensor:
     return ad.tanh(
         ad.add(
             ad.matmul(s, ad.transpose(params["sub.ms"])),
-            ad.matmul(h, ad.transpose(params["sub.mh"])),
+            ad.matmul(h, ad.transpose(params["sub.mh"]), shared_rows=True),
         )
     )
 

@@ -84,6 +84,69 @@ def test_matmul_row_is_independent_of_batch():
     assert ad.matmul(ad.Tensor(batch[perm]), w).data.tobytes() == full[perm].tobytes()
 
 
+def _runs(rng, lengths, width, dtype):
+    # consecutive runs of identical rows, one random row per run
+    rows = rng.normal(size=(len(lengths), width)).astype(dtype)
+    return np.ascontiguousarray(np.repeat(rows, lengths, axis=0))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_shared_rows_product_is_byte_equal_to_plain_product(dtype):
+    rng = np.random.default_rng(41)
+    m = 257
+    block = ad._MATMUL_BLOCK // m  # rows per block
+    b = rng.normal(size=(33, m)).astype(dtype)
+    nan_row = np.full(33, np.nan, dtype=dtype)
+    nan_row.view(f"u{nan_row.itemsize}")[:] |= 5  # one payload, not the default NaN
+    other_nan = nan_row.copy()
+    other_nan.view(f"u{nan_row.itemsize}")[0] ^= 2  # the first product carries its payload
+    one_apart = _runs(rng, [4], 33, dtype)
+    one_apart[2:, 7] += 1  # rows 2 and 3 differ from rows 0 and 1 in one element
+    crossing = _runs(rng, [block - 3, 7, 1, 4], 33, dtype)  # a run spans rows block-3 .. block+3
+    cases = {
+        "unique": _runs(rng, [1] * 9, 33, dtype),
+        "runs of k": _runs(rng, [4] * 6, 33, dtype),
+        "mixed": _runs(rng, [1, 3, 1, 1, 5, 2, 1], 33, dtype),
+        "crosses a block edge": crossing,
+        "all equal": _runs(rng, [2 * block + 5], 33, dtype),
+        "nan rows": np.vstack([nan_row, nan_row, other_nan, nan_row, _runs(rng, [2], 33, dtype)]),
+        "signed zeros": _with_zeros(_runs(rng, [3, 1, 2], 33, dtype)),
+        "one element apart": one_apart,
+    }
+    for name, a in cases.items():
+        plain, _ = ad._fwd_matmul([a, b], {})
+        shared, _ = ad._fwd_matmul([a, b], {"shared_rows": True})
+        assert shared.dtype == plain.dtype and shared.shape == plain.shape, name
+        assert shared.tobytes() == plain.tobytes(), name
+        vec, _ = ad._fwd_matmul([a, b[:, 0].copy()], {"shared_rows": True})
+        assert vec.tobytes() == ad._fwd_matmul([a, b[:, 0].copy()], {})[0].tobytes(), name
+
+
+def test_shared_rows_keeps_signed_zero_rows_apart():
+    # 0.0 == -0.0 as floats, but a positive b sends an all -0.0 row to
+    # -0.0 and an all 0.0 row to 0.0, so the two rows are not one run
+    b = np.abs(np.random.default_rng(43).normal(size=(6, 5))).astype(np.float32) + 0.5
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        a = np.array([[first] * 6, [second] * 6, [second] * 6], dtype=np.float32)
+        out = ad.matmul(ad.Tensor(a), ad.Tensor(b), shared_rows=True).data
+        assert np.all(out == 0.0)
+        assert np.signbit(out).tolist() == [[np.signbit(v)] * 5 for v in (first, second, second)]
+
+
+def test_shared_rows_hint_is_recorded_and_replays():
+    rng = np.random.default_rng(47)
+    h = ad.Tensor(_runs(rng, [3, 1, 4], 6, np.float32), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(6, 6)).astype(np.float32), requires_grad=True)
+    with ad.Tape() as tape:
+        ad.tensor_sum(ad.tanh(ad.add(ad.matmul(h, w, shared_rows=True), ad.matmul(h, w))))
+    hinted, plain = (e for e in tape.entries if e.kind == "matmul")
+    assert hinted.attrs == {"shared_rows": True} and plain.attrs == {}
+    assert hinted.output.data.tobytes() == plain.output.data.tobytes()
+    assert tape.replay()
+    h.data[0, 0] += 1.0  # breaks the first run; the product must follow
+    assert not tape.replay()
+
+
 @pytest.mark.parametrize("op", [ad.add, ad.mul, ad.div])
 def test_binary_elementwise_gradients(op):
     rng = np.random.default_rng(7)

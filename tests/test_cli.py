@@ -148,13 +148,26 @@ def test_config_preset_under_file(tmp_path):
 
 
 def test_config_unknown_section_rejected(tmp_path, capsys):
+    # every bad section or value is reported with the file and `section.key`
+    cases = [
+        ({"model": {}}, "unknown config sections"),
+        ({"train": 3}, "config section 'train' must be a JSON object"),
+        ({"generator": {"nope": 1}}, "generator.nope: unknown key"),
+        ({"generator": {"k_schedule": 5}}, "generator.k_schedule: expected a list of int, got 5"),
+        ({"generator": {"k_schedule": [2, 0]}}, "generator.k_schedule: branching factors"),
+        ({"generator": {"vae_mode": 1}}, "generator.vae_mode: expected bool"),
+        ({"train": {"epochs": "x"}}, 'train.epochs: expected int, got "x"'),
+        ({"train": {"seed": 1.5}}, "train.seed: expected int, got 1.5"),
+        ({"train": {"batch_size": 0}}, "train.batch_size: batch_size and epochs must be positive"),
+    ]
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"model": {}}))
-    code = cli.main(
-        ["train", "--data", "d", "--out", "o", "--config", str(cfg), *TINY_FLAGS]
-    )
-    assert code == 2
-    assert "unknown config sections" in capsys.readouterr().err
+    for content, message in cases:
+        cfg.write_text(json.dumps(content))
+        code = cli.main(
+            ["train", "--data", "d", "--out", "o", "--config", str(cfg), *TINY_FLAGS]
+        )
+        assert code == 2, content
+        assert f"{cfg}: {message}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pointtree import autodiff as ad
+from pointtree import dataio, training
 from pointtree import model as m
 from gradcheck import check_grads, check_param_grads
 
@@ -240,6 +241,43 @@ def test_generate_is_deterministic():
     for sa, sb in zip(a.stages, b.stages):
         np.testing.assert_array_equal(sa.points, sb.points)
         np.testing.assert_array_equal(sa.scales, sb.scales)
+
+
+def _hint_ignored(monkeypatch):
+    # the matmul forward as it was before sibling runs were shared
+    fwd, vjp = ad._REGISTRY["matmul"]
+    monkeypatch.setitem(ad._REGISTRY, "matmul", (lambda arrays, attrs: fwd(arrays, {}), vjp))
+
+
+def test_shared_sibling_rows_leave_every_generate_stage_unchanged(monkeypatch):
+    params = m.init_parameters(m.preset("2048"), seed=5)
+    z = np.random.default_rng(53).normal(size=512).astype(np.float32)
+    shared = m.generate(z, params)
+    _hint_ignored(monkeypatch)
+    full = m.generate(z, params)
+    for a, b in zip(shared.stages, full.stages, strict=True):
+        assert a.points.tobytes() == b.points.tobytes()
+        assert a.reps.tobytes() == b.reps.tobytes()
+        assert a.scales.tobytes() == b.scales.tobytes()
+
+
+def test_shared_sibling_rows_leave_the_gradient_unchanged(monkeypatch):
+    # the acceptance overfit generator on three of its 24-point shapes
+    config = m.GeneratorConfig(k_schedule=(4, 4, 4), latent_width=64, embed_width=32,
+                               mlp_hidden=(128, 128))
+    params = m.init_parameters(config, seed=0)
+    batch = [dataio.synth_shape(kind, 24, seed=s) for kind, s in
+             (("sphere", 10), ("box", 11), ("table", 13))]
+
+    def gradient():
+        with ad.Tape() as tape:
+            loss, _ = training.total_loss(params, batch, training.TrainConfig(reg_weight=5e-5))
+        grads = ad.backward(loss, tape, leaves=[t for _, t in params.items()])
+        return len(tape), [g.data.tobytes() for g in grads.values()]
+
+    shared = gradient()
+    _hint_ignored(monkeypatch)
+    assert gradient() == shared
 
 
 def test_isolated_path_replay_reproduces_representations_bitwise():
