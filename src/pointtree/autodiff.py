@@ -25,10 +25,11 @@ computation, which turns several model guarantees (exact permutation
 invariance, exact isolated path replay) from approximate into exact. The
 output is filled in cache-sized row blocks; a block changes which rows are
 in flight together, never the order of any element's adds. A matmul
-applied with the `shared_rows` hint computes each run of bit-identical
-consecutive rows of its left operand once and copies the result down the
-run, which is the same bytes the full product gives. Gradients still use
-BLAS: they only need determinism at fixed shapes.
+applied with the `groups` hint (rows in consecutive groups, such as a
+point's siblings) forms each rounded product that is bit-equal across a
+group, or across groups slot by slot, once and adds it by broadcast; every
+element keeps its chain, so the bytes are those of the full product.
+Gradients still use BLAS: they only need determinism at fixed shapes.
 
 A tape may be consumed by `backward` any number of times; it is a pure
 record, not a one-shot resource.
@@ -294,19 +295,9 @@ def _fwd_matmul(arrays, attrs):
     # encoder permutation invariance, exact isolated replay of one point's
     # expansion path). BLAS would not give that.
     #
-    # The 2-D x 2-D case runs one row block at a time (_MATMUL_BLOCK output
-    # elements, which stay in L2 between updates) instead of streaming the
-    # whole output through memory once per contraction index. Inside a
-    # block the first product is written straight into the output and every
-    # later one goes through one reused scratch block, so each element still
-    # gets the same multiply-then-add chain in index order, bit for bit.
-    #
-    # With the `shared_rows` hint, each run of consecutive rows of `a` that
-    # are equal bit for bit is multiplied once and the result repeated down
-    # the run. Rows are independent and equal input bits give equal output
-    # bits, so that is the full product byte for byte. Rows are compared as
-    # unsigned ints: a float compare would merge 0.0 with -0.0, whose
-    # products can differ in sign, and never find a NaN row equal to itself.
+    # With the `groups` hint (rows of `a` in consecutive groups of that
+    # size) the same chains are computed with each rounded product formed
+    # once per value it can take; see _grouped_matmul.
     a, b = arrays
     if a.ndim not in (1, 2) or b.ndim not in (1, 2):
         _shape_error("matmul", arrays, "operands must be 1-D or 2-D")
@@ -315,24 +306,14 @@ def _fwd_matmul(arrays, attrs):
     inner = a.shape[-1]
     if inner == 0:
         _shape_error("matmul", arrays, "empty contraction axis")
-    runs = None
-    if attrs.get("shared_rows") and a.ndim == 2 and len(a) > 1:
-        bits = a.view(f"u{a.itemsize}")
-        starts = np.flatnonzero(np.r_[True, np.any(bits[1:] != bits[:-1], axis=1)])
-        if len(starts) < len(a):
-            runs = np.diff(np.r_[starts, len(a)])
-            a = a[starts]
+    groups = attrs.get("groups", 1)
+    if groups > 1:
+        if a.ndim != 2 or len(a) % groups:
+            _shape_error("matmul", arrays, f"rows of a do not split into groups of {groups}")
+        out = _grouped_matmul(a, b.reshape(inner, -1), groups)
+        return out.reshape(out.shape[:1] + b.shape[1:]), None
     if a.ndim == 2 and b.ndim == 2:
-        out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-        rows = max(1, _MATMUL_BLOCK // max(1, b.shape[1]))
-        scratch = np.empty((min(rows, len(out)), b.shape[1]), dtype=out.dtype)
-        for start in range(0, len(out), rows):
-            blk, o = a[start : start + rows], out[start : start + rows]
-            t = scratch[: len(o)]
-            np.multiply(blk[:, 0:1], b[0], out=o)
-            for k in range(1, inner):
-                np.multiply(blk[:, k : k + 1], b[k], out=t)
-                o += t
+        out = _rows_matmul(a, b)
     elif a.ndim == 2:
         out = a[:, 0] * b[0]
         for k in range(1, inner):
@@ -345,7 +326,108 @@ def _fwd_matmul(arrays, attrs):
         out = a[0] * b[0]
         for k in range(1, inner):
             out = out + a[k] * b[k]
-    return (out if runs is None else np.repeat(out, runs, axis=0)), None
+    return out, None
+
+
+def _rows_matmul(a, b):
+    # The 2-D x 2-D index-order loop, run one row block at a time
+    # (_MATMUL_BLOCK output elements, which stay in L2 between updates)
+    # instead of streaming the whole output through memory once per
+    # contraction index. Inside a block the first product is written
+    # straight into the output and every later one goes through one reused
+    # scratch block, so each element still gets the same multiply-then-add
+    # chain in index order, bit for bit.
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    rows = max(1, _MATMUL_BLOCK // max(1, b.shape[1]))
+    scratch = np.empty((min(rows, len(out)), b.shape[1]), dtype=out.dtype)
+    for start in range(0, len(out), rows):
+        blk, o = a[start : start + rows], out[start : start + rows]
+        t = scratch[: len(o)]
+        np.multiply(blk[:, 0:1], b[0], out=o)
+        for k in range(1, a.shape[1]):
+            np.multiply(blk[:, k : k + 1], b[k], out=t)
+            o += t
+    return out
+
+
+def _column_kinds(a, groups):
+    """How each column of the 2-D `a` repeats over row groups of size `groups`.
+
+    "within": one value inside every group; "across": not within, but every
+    group holds the same value in the same slot; "neither". Values are
+    compared as unsigned ints: a float compare would merge 0.0 with -0.0,
+    whose products can differ in sign, and never find a NaN equal to itself.
+    """
+    bits = a.view(f"u{a.itemsize}").reshape(-1, groups, a.shape[1])
+    within = (bits == bits[:, :1]).all(axis=(0, 1))
+    across = np.zeros_like(within)
+    rest = np.flatnonzero(~within)
+    if len(rest):
+        part = bits[:, :, rest]
+        across[rest] = (part == part[:1]).all(axis=(0, 1))
+    return ["within" if w else "across" if c else "neither"
+            for w, c in zip(within.tolist(), across.tolist())]
+
+
+def _grouped_matmul(a, b, r):
+    # a @ b for 2-D operands whose rows of `a` come in consecutive groups of
+    # r, with every output element's multiply-then-add chain unchanged.
+    # Equal input bits give equal rounded products, so a "within" column's
+    # product is formed once per group and an "across" column's once per
+    # slot (per block of groups), then added by broadcast in index order.
+    # The leading run of within or across columns runs its whole chain at
+    # one row per group or at r rows and is copied into each block; when
+    # every column is within (rows that are full copies) the chain runs
+    # once per group and is repeated down the rows.
+    #
+    # A block accumulates slot-major, (r, groups, width), so a per-group
+    # product is added to r contiguous runs rather than broadcast row by
+    # row, and is copied back row-major once per block.
+    n, inner = a.shape
+    width = b.shape[1]
+    kinds = _column_kinds(a, r)
+    head_kind = kinds[0]
+    lead = 1
+    while lead < inner and kinds[lead] == head_kind:
+        lead += 1
+    if head_kind == "within":
+        head = _rows_matmul(a[::r, :lead], b[:lead])
+        if lead == inner:
+            return np.repeat(head, r, axis=0)
+        head = head[None]  # one row per group, the same in every slot
+    elif head_kind == "across":
+        head = _rows_matmul(a[:r, :lead], b[:lead])[:, None]  # one row per slot
+    else:
+        lead = 1
+    rest = list(zip(range(lead, inner), kinds[lead:]))
+    a3 = a.reshape(n // r, r, inner)
+    out = np.empty((n, width), dtype=np.result_type(a, b))
+    out3 = out.reshape(n // r, r, width)
+    per_block = max(1, _MATMUL_BLOCK // max(1, r * width))  # groups per block
+    acc_block = np.empty((r, min(per_block, len(a3)), width), dtype=out.dtype)
+    scratch = np.empty_like(acc_block)
+    for g0 in range(0, len(a3), per_block):
+        blk = a3[g0 : g0 + per_block]
+        acc, t_full = acc_block[:, : len(blk)], scratch[:, : len(blk)]
+        t_group, t_slot = t_full[0], t_full[:, 0]
+        if head_kind == "within":
+            acc[...] = head[:, g0 : g0 + len(blk)]
+        elif head_kind == "across":
+            acc[...] = head
+        else:
+            np.multiply(blk[:, :, 0].T[:, :, None], b[0], out=acc)
+        for k, kind in rest:
+            if kind == "within":
+                np.multiply(blk[:, 0, k : k + 1], b[k], out=t_group)
+                acc += t_group
+            elif kind == "across":
+                np.multiply(a3[0, :, k : k + 1], b[k], out=t_slot)
+                acc += t_slot[:, None]
+            else:
+                np.multiply(blk[:, :, k].T[:, :, None], b[k], out=t_full)
+                acc += t_full
+        out3[g0 : g0 + len(blk)] = acc.transpose(1, 0, 2)
+    return out
 
 
 def _vjp_matmul(grad, arrays, saved, attrs):
@@ -549,7 +631,7 @@ def apply_primitive(kind: str, inputs, **attrs) -> Tensor:
 
     Recording happens only when a tape is active and at least one input has
     `requires_grad`. Attribute arguments (`axis`, `shape`, `indices`,
-    `factor`, `shared_rows`) parameterize the primitive and are never
+    `factor`, `groups`) parameterize the primitive and are never
     differentiated.
     """
     if kind not in _REGISTRY:
@@ -619,15 +701,17 @@ def backward(loss: Tensor, tape: Tape, leaves=None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a, b, shared_rows: bool = False):
-    """`a @ b`; `shared_rows` hints that `a` repeats rows in runs.
+def matmul(a, b, groups: int = 1):
+    """`a @ b`; `groups` hints that the rows of `a` come in consecutive groups.
 
-    The hint only saves work: runs are found by an exact bitwise row
-    compare, so the output bytes, the tape entry and the gradient are the
-    same with or without it.
+    With the hint, a column that is constant inside every group, or that
+    repeats slot by slot from group to group, has each rounded product
+    formed once and shared. Columns are classified by an exact bitwise
+    compare, so the output bytes and the gradient are the same with or
+    without the hint; the rows of a 2-D `a` must split into whole groups.
     """
-    if shared_rows:
-        return apply_primitive("matmul", (a, b), shared_rows=True)
+    if groups > 1:
+        return apply_primitive("matmul", (a, b), groups=int(groups))
     return apply_primitive("matmul", (a, b))
 
 

@@ -215,14 +215,15 @@ def encode(cloud, params: Parameters):
     return ad.add(ad.matmul(pooled, params["enc.head.w"]), params["enc.head.b"])
 
 
-def extract_substructure(s, h, params: Parameters) -> ad.Tensor:
+def extract_substructure(s, h, params: Parameters, groups: int = 1) -> ad.Tensor:
     """Representation handed to the children of a point: tanh(Ms s + Mh h).
 
     Takes one point, s (3,) with h (U,), or one per row, s (n, 3) with
     h (n, U). Each row is bit-identical to the one-point call: `s @ Ms^T`
     forms the products of `Ms @ s` and adds them in the same order. Past
-    the root, h arrives in runs of identical sibling rows, so `h @ Mh^T`
-    computes each run once and copies it (the `shared_rows` hint).
+    the root, h arrives in groups of `groups` identical sibling rows, so
+    `h @ Mh^T` computes each group's row once and repeats it (the matmul
+    `groups` hint), with the same bytes.
     """
     s = _as_tensor(s, params.dtype)
     h = _as_tensor(h, params.dtype)
@@ -232,16 +233,24 @@ def extract_substructure(s, h, params: Parameters) -> ad.Tensor:
     return ad.tanh(
         ad.add(
             ad.matmul(s, ad.transpose(params["sub.ms"])),
-            ad.matmul(h, ad.transpose(params["sub.mh"]), shared_rows=True),
+            ad.matmul(h, ad.transpose(params["sub.mh"]), groups=groups),
         )
     )
 
 
-def _expand_stage(points, reps, scales, stage: int, params: Parameters):
+def _expand_stage(points, reps, scales, stage: int, params: Parameters, rep_groups: int = 1):
     """Split every point of one stage into its k(stage) children.
 
     points (n,3), reps (n,U), scales (n,1) -> child triple plus the parent
     index per child. Children of point i occupy slots [i*k, (i+1)*k).
+    `rep_groups` says that reps come in groups of that many identical
+    sibling rows (k(stage - 1) when they are the previous stage's output).
+
+    Sibling work is shared through the matmul `groups` hint, bit for bit:
+    `h @ Mh^T` runs once per group of `rep_groups` rows, and exp.l0 sees
+    `concat([embeds, child_reps])` in groups of k, whose embedding columns
+    repeat slot by slot and whose rep columns are constant per group, so
+    only the adds of its rep products are made per sibling.
     """
     config = params.config
     k = config.k_schedule[stage]
@@ -249,13 +258,14 @@ def _expand_stage(points, reps, scales, stage: int, params: Parameters):
     dtype = params.dtype
 
     parent_idx = np.repeat(np.arange(n, dtype=np.int64), k)
-    sub = extract_substructure(points, reps, params)
+    sub = extract_substructure(points, reps, params, groups=rep_groups)
     child_reps = ad.gather_rows(sub, parent_idx)  # siblings share one row
     embeds = ad.gather_rows(params[f"emb.d{stage}"], np.tile(np.arange(k, dtype=np.int64), n))
 
     t = ad.concat([embeds, child_reps], axis=1)
     for i in range(len(config.mlp_hidden)):
-        t = ad.leaky_relu(ad.add(ad.matmul(t, params[f"exp.l{i}.w"]), params[f"exp.l{i}.b"]))
+        w = params[f"exp.l{i}.w"]
+        t = ad.leaky_relu(ad.add(ad.matmul(t, w, groups=k if i == 0 else 1), params[f"exp.l{i}.b"]))
     offsets = ad.add(ad.matmul(t, params["exp.offset.w"]), params["exp.offset.b"])
     raw_scale = ad.add(ad.matmul(t, params["exp.scale.w"]), params["exp.scale.b"])
 
@@ -332,7 +342,8 @@ def expansion_graph(z, params: Parameters):
     parents = [None]
     for stage in range(config.stage_count):
         cp, cr, cs, parent_idx = _expand_stage(
-            points[-1], reps[-1], scales[-1], stage, params
+            points[-1], reps[-1], scales[-1], stage, params,
+            rep_groups=config.k_schedule[stage - 1] if stage else 1,
         )
         points.append(cp)
         reps.append(cr)

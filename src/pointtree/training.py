@@ -50,6 +50,10 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if not 0.0 < self.final_lr_fraction <= 1.0:
             raise ValueError("final_lr_fraction must lie in (0, 1]")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be non-negative")
+        if self.save_every < 0:
+            raise ValueError("save_every must be non-negative; 0 writes only the final checkpoint")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -308,17 +312,26 @@ def load_checkpoint(path):
         TrainConfig.from_dict(header["train"]) if header["train"] is not None else None
     )
 
+    # the slabs must tile the payload in manifest order, each name once, so
+    # no entry can read another's bytes or skip any
     arrays = {}
     payload_end = 0
     for entry in header["manifest"]:
+        name, start = entry["name"], entry["offset"]
+        if type(start) is not int or start != payload_end:
+            raise ValueError(
+                f"{path}: manifest entry {name} starts at offset {start!r}, "
+                f"expected {payload_end} (slabs must follow each other)"
+            )
+        if name in arrays:
+            raise ValueError(f"{path}: manifest entry {name} appears twice")
         shape = tuple(entry["shape"])
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = entry["offset"]
         end = start + 4 * count
         if end > len(body):
-            raise ValueError(f"{path}: truncated payload at {entry['name']}")
-        arrays[entry["name"]] = np.frombuffer(body[start:end], dtype="<f4").reshape(shape).copy()
-        payload_end = max(payload_end, end)
+            raise ValueError(f"{path}: truncated payload at {name}")
+        arrays[name] = np.frombuffer(body[start:end], dtype="<f4").reshape(shape).copy()
+        payload_end = end
     if len(body) > payload_end:
         raise ValueError(
             f"{path}: {len(body) - payload_end} trailing bytes after the last manifest slab"

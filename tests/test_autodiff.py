@@ -90,8 +90,77 @@ def _runs(rng, lengths, width, dtype):
     return np.ascontiguousarray(np.repeat(rows, lengths, axis=0))
 
 
+def _grouped(rng, kinds, groups, r, dtype):
+    # `groups` groups of r rows; column c is constant inside every group
+    # ("w"), repeats slot by slot from group to group ("a"), or is free ("n")
+    cols = {
+        "w": lambda: np.repeat(rng.normal(size=groups), r),
+        "a": lambda: np.tile(rng.normal(size=r), groups),
+        "n": lambda: rng.normal(size=groups * r),
+    }
+    return np.ascontiguousarray(np.stack([cols[c]() for c in kinds], axis=1).astype(dtype))
+
+
+_KIND_NAMES = {"w": "within", "a": "across", "n": "neither"}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("r", [1, 2, 4, 8])
+def test_grouped_matmul_is_byte_equal_to_index_order_loop(dtype, r):
+    rng = np.random.default_rng(59 + r)
+    m = 257
+    per_block = max(1, ad._MATMUL_BLOCK // (r * m))  # groups per row block
+    orders = ["wan", "wna", "awn", "anw", "nwa", "naw", "aawwnwa", "wwwann", "www", "aaa", "nnn"]
+    for groups in (1, 2, per_block - 1, per_block, per_block + 1, 2 * per_block + 3):
+        for kinds in orders:
+            a = _grouped(rng, kinds, groups, r, dtype)
+            b = rng.normal(size=(len(kinds), m)).astype(dtype)
+            b[-1, 1:] = -0.0
+            out, _ = ad._fwd_matmul([a, b], {"groups": r})
+            ref = _matmul_index_order(a, b)
+            assert out.dtype == ref.dtype and out.shape == ref.shape
+            assert out.tobytes() == ref.tobytes(), (groups, kinds)
+            if groups > 1 and r > 1:  # one group or one slot makes every column both
+                assert ad._column_kinds(a, r) == [_KIND_NAMES[c] for c in kinds]
+            col = ad._fwd_matmul([a, b[:, :1].copy()], {"groups": r})[0]  # a 1-column b
+            assert col.tobytes() == ref[:, :1].tobytes(), (groups, kinds)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_grouped_matmul_never_merges_unequal_bits(dtype):
+    # a column that looks constant in a group but is not, bit for bit, must
+    # not share a product: one element apart, 0.0 against -0.0, and NaNs
+    # with different payloads
+    rng = np.random.default_rng(61)
+    r, groups, kinds = 4, 9, "awwnw"
+    b = np.abs(rng.normal(size=(len(kinds), 33))).astype(dtype) + 0.5  # keeps signs visible
+    nan = np.array(np.nan, dtype=dtype)
+    other_nan = nan.copy()
+    other_nan.view(f"u{nan.itemsize}")[...] ^= 5  # a second payload
+    changes = {
+        "one element apart": (6, 2, lambda x: x + 1),
+        "signed zero": (2, 1, lambda x: -0.0),
+        "nan payloads": (4, 3, lambda x: other_nan),
+    }
+    for name, (row, col, change) in changes.items():
+        a = _grouped(rng, kinds, groups, r, dtype)
+        if name == "signed zero":
+            a[:, col] = 0.0
+        if name == "nan payloads":
+            a[:, col] = nan
+        a[row, col] = change(a[row, col])
+        assert ad._column_kinds(a, r)[col] != "within", name
+        out, _ = ad._fwd_matmul([a, b], {"groups": r})
+        assert out.tobytes() == _matmul_index_order(a, b).tobytes(), name
+        equal = a.copy()
+        equal[row, col] = equal[row ^ 1, col]  # the same bits again: the column shares
+        assert ad._column_kinds(equal, r)[col] == "within", name
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_shared_rows_product_is_byte_equal_to_plain_product(dtype):
+    # rows that are whole copies inside each group: every column is within,
+    # so the chain runs once per group and is repeated
     rng = np.random.default_rng(41)
     m = 257
     block = ad._MATMUL_BLOCK // m  # rows per block
@@ -102,49 +171,55 @@ def test_shared_rows_product_is_byte_equal_to_plain_product(dtype):
     other_nan.view(f"u{nan_row.itemsize}")[0] ^= 2  # the first product carries its payload
     one_apart = _runs(rng, [4], 33, dtype)
     one_apart[2:, 7] += 1  # rows 2 and 3 differ from rows 0 and 1 in one element
-    crossing = _runs(rng, [block - 3, 7, 1, 4], 33, dtype)  # a run spans rows block-3 .. block+3
     cases = {
-        "unique": _runs(rng, [1] * 9, 33, dtype),
-        "runs of k": _runs(rng, [4] * 6, 33, dtype),
-        "mixed": _runs(rng, [1, 3, 1, 1, 5, 2, 1], 33, dtype),
-        "crosses a block edge": crossing,
-        "all equal": _runs(rng, [2 * block + 5], 33, dtype),
-        "nan rows": np.vstack([nan_row, nan_row, other_nan, nan_row, _runs(rng, [2], 33, dtype)]),
-        "signed zeros": _with_zeros(_runs(rng, [3, 1, 2], 33, dtype)),
-        "one element apart": one_apart,
+        "groups of 1": (1, _runs(rng, [1] * 9, 33, dtype)),
+        "groups of k": (4, _runs(rng, [4] * 6, 33, dtype)),
+        "crosses a block edge": (8, _runs(rng, [8] * (block // 8 + 3), 33, dtype)),
+        "one group": (2 * block + 6, _runs(rng, [2 * block + 6], 33, dtype)),
+        "nan rows": (
+            2, np.vstack([nan_row, nan_row, other_nan, nan_row, _runs(rng, [2], 33, dtype)])
+        ),
+        "signed zeros": (3, _with_zeros(_runs(rng, [3, 3], 33, dtype))),
+        "one element apart": (2, one_apart),
     }
-    for name, a in cases.items():
+    for name, (r, a) in cases.items():
         plain, _ = ad._fwd_matmul([a, b], {})
-        shared, _ = ad._fwd_matmul([a, b], {"shared_rows": True})
+        shared, _ = ad._fwd_matmul([a, b], {"groups": r})
         assert shared.dtype == plain.dtype and shared.shape == plain.shape, name
         assert shared.tobytes() == plain.tobytes(), name
-        vec, _ = ad._fwd_matmul([a, b[:, 0].copy()], {"shared_rows": True})
+        vec, _ = ad._fwd_matmul([a, b[:, 0].copy()], {"groups": r})
         assert vec.tobytes() == ad._fwd_matmul([a, b[:, 0].copy()], {})[0].tobytes(), name
 
 
 def test_shared_rows_keeps_signed_zero_rows_apart():
     # 0.0 == -0.0 as floats, but a positive b sends an all -0.0 row to
-    # -0.0 and an all 0.0 row to 0.0, so the two rows are not one run
+    # -0.0 and an all 0.0 row to 0.0, so the two rows share no product
     b = np.abs(np.random.default_rng(43).normal(size=(6, 5))).astype(np.float32) + 0.5
     for first, second in ((0.0, -0.0), (-0.0, 0.0)):
-        a = np.array([[first] * 6, [second] * 6, [second] * 6], dtype=np.float32)
-        out = ad.matmul(ad.Tensor(a), ad.Tensor(b), shared_rows=True).data
+        a = np.array([[first] * 6, [second] * 6, [second] * 6, [second] * 6], dtype=np.float32)
+        out = ad.matmul(ad.Tensor(a), ad.Tensor(b), groups=2).data
         assert np.all(out == 0.0)
-        assert np.signbit(out).tolist() == [[np.signbit(v)] * 5 for v in (first, second, second)]
+        signs = (first, second, second, second)
+        assert np.signbit(out).tolist() == [[np.signbit(v)] * 5 for v in signs]
 
 
 def test_shared_rows_hint_is_recorded_and_replays():
     rng = np.random.default_rng(47)
-    h = ad.Tensor(_runs(rng, [3, 1, 4], 6, np.float32), requires_grad=True)
+    h = ad.Tensor(_runs(rng, [4, 4, 4], 6, np.float32), requires_grad=True)
     w = ad.Tensor(rng.normal(size=(6, 6)).astype(np.float32), requires_grad=True)
     with ad.Tape() as tape:
-        ad.tensor_sum(ad.tanh(ad.add(ad.matmul(h, w, shared_rows=True), ad.matmul(h, w))))
+        ad.tensor_sum(ad.tanh(ad.add(ad.matmul(h, w, groups=4), ad.matmul(h, w))))
     hinted, plain = (e for e in tape.entries if e.kind == "matmul")
-    assert hinted.attrs == {"shared_rows": True} and plain.attrs == {}
+    assert hinted.attrs == {"groups": 4} and plain.attrs == {}
     assert hinted.output.data.tobytes() == plain.output.data.tobytes()
     assert tape.replay()
-    h.data[0, 0] += 1.0  # breaks the first run; the product must follow
+    h.data[0, 0] += 1.0  # breaks the first group; the product must follow
     assert not tape.replay()
+    for groups in (5, 24):  # rows must split into whole groups
+        with pytest.raises(ad.ShapeMismatchError, match=f"groups of {groups}"):
+            ad.matmul(h, w, groups=groups)
+    with pytest.raises(ad.ShapeMismatchError, match="groups of 2"):
+        ad.matmul(ad.Tensor(h.data[0]), w, groups=2)
 
 
 @pytest.mark.parametrize("op", [ad.add, ad.mul, ad.div])

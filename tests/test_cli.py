@@ -159,6 +159,8 @@ def test_config_unknown_section_rejected(tmp_path, capsys):
         ({"train": {"epochs": "x"}}, 'train.epochs: expected int, got "x"'),
         ({"train": {"seed": 1.5}}, "train.seed: expected int, got 1.5"),
         ({"train": {"batch_size": 0}}, "train.batch_size: batch_size and epochs must be positive"),
+        ({"train": {"save_every": -1}}, "train.save_every: save_every must be non-negative"),
+        ({"train": {"weight_decay": -1.0}}, "train.weight_decay: weight_decay must be non-negative"),
     ]
     cfg = tmp_path / "cfg.json"
     for content, message in cases:
@@ -168,6 +170,10 @@ def test_config_unknown_section_rejected(tmp_path, capsys):
         )
         assert code == 2, content
         assert f"{cfg}: {message}" in capsys.readouterr().err
+    # the same range check holds for the flag
+    code = cli.main(["train", "--data", "d", "--out", "o", "--save-every", "-1", *TINY_FLAGS])
+    assert code == 2
+    assert "save_every must be non-negative" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

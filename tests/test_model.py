@@ -261,6 +261,33 @@ def test_shared_sibling_rows_leave_every_generate_stage_unchanged(monkeypatch):
         assert a.scales.tobytes() == b.scales.tobytes()
 
 
+def test_sibling_groups_share_every_rep_column(monkeypatch):
+    # a wrong group size or a classification that stops matching the
+    # model's layout would quietly fall back to full-cost products with
+    # the same bytes; pin what every stage's hinted inputs classify as
+    config = m.preset("2048")
+    params = m.init_parameters(config, seed=5)
+    z = np.random.default_rng(53).normal(size=512).astype(np.float32)
+    fwd, vjp = ad._REGISTRY["matmul"]
+    seen = []
+
+    def record(arrays, attrs):
+        seen.append((arrays[0], arrays[1].shape, attrs.get("groups", 1)))
+        return fwd(arrays, attrs)
+
+    monkeypatch.setitem(ad._REGISTRY, "matmul", (record, vjp))
+    m.generate(z, params)
+    l0 = [(a, g) for a, shape, g in seen if shape == params["exp.l0.w"].shape]
+    mh = [(a, g) for a, shape, g in seen if shape == params["sub.mh"].shape[::-1]]
+    assert [g for _, g in l0] == list(config.k_schedule)
+    assert [g for _, g in mh] == [1, *config.k_schedule[:-1]]
+    for a, g in l0:
+        kinds = ad._column_kinds(a, g)
+        assert kinds == ["across"] * config.embed_width + ["within"] * config.latent_width
+    for a, g in mh:
+        assert ad._column_kinds(a, g) == ["within"] * config.latent_width
+
+
 def test_shared_sibling_rows_leave_the_gradient_unchanged(monkeypatch):
     # the acceptance overfit generator on three of its 24-point shapes
     config = m.GeneratorConfig(k_schedule=(4, 4, 4), latent_width=64, embed_width=32,

@@ -324,3 +324,46 @@ def test_checkpoint_error_paths(tmp_path):
     )
     with pytest.raises(ValueError, match="enc.head.w"):
         training.load_checkpoint(mismatched)
+
+
+def test_checkpoint_manifest_must_tile_the_payload(tmp_path):
+    # every slab starts where the one before it ended, each name once; a
+    # manifest pointing enc.pp0.b at enc.pp0.w's bytes would load silently
+    import json
+    import struct
+
+    params = m.init_parameters(tiny_config(), seed=12)
+    path = tmp_path / "ck.rpgk"
+    training.save_checkpoint(path, params, step=3)
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 8)
+    body = raw[12 + header_len :]
+
+    def rewritten(edit):
+        header = json.loads(raw[12 : 12 + header_len].decode())
+        edit(header["manifest"])
+        blob = json.dumps(header, separators=(",", ":")).encode()
+        out = tmp_path / "edited.rpgk"
+        out.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + body)
+        return out
+
+    def set_offset(i, offset):
+        return lambda manifest: manifest[i].update(offset=offset)
+
+    def duplicate(manifest):
+        manifest[2]["name"] = manifest[0]["name"]
+
+    second = json.loads(raw[12 : 12 + header_len].decode())["manifest"][1]
+    cases = {
+        "overlapping": (set_offset(1, 0), f"{second['name']} starts at offset 0"),
+        "gapped": (set_offset(1, second["offset"] + 4), f"{second['name']} starts at offset"),
+        "negative": (set_offset(0, -4), "starts at offset -4, expected 0"),
+        "not an integer": (set_offset(1, float(second["offset"])), "expected"),
+        "duplicate": (duplicate, "enc.pp0.w appears twice"),
+    }
+    for name, (edit, message) in cases.items():
+        with pytest.raises(ValueError, match="edited.rpgk: manifest entry") as err:
+            training.load_checkpoint(rewritten(edit))
+        assert message in str(err.value), name
+    loaded, _, _, step = training.load_checkpoint(rewritten(lambda manifest: None))
+    assert step == 3 and loaded["enc.pp0.b"].data.tobytes() == params["enc.pp0.b"].data.tobytes()
