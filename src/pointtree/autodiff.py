@@ -23,8 +23,13 @@ value is independent of the other array extents and of row position. That
 costs throughput but makes batched computation bit-identical to per-row
 computation, which turns several model guarantees (exact permutation
 invariance, exact isolated path replay) from approximate into exact. The
-output is filled in cache-sized row blocks; a block changes which rows are
-in flight together, never the order of any element's adds. A matmul
+output is filled in cache-sized blocks; a block changes which elements are
+in flight together, never the order of any element's adds. Each multiply is
+a scalar times a run of values, taken along whichever output axis is
+longer, and runs with NumPy's ufunc buffer cut to a few elements: the
+default buffer copies the broadcast operands several rows at a time, which
+made the multiply cost several times the add beside it. Neither choice
+touches a rounding. A matmul
 applied with the `groups` hint (rows in consecutive groups, such as a
 point's siblings) forms each rounded product that is bit-equal across a
 group, or across groups slot by slot, once and adds it by broadcast; every
@@ -37,10 +42,14 @@ record, not a one-shot resource.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 LEAKY_SLOPE = 0.2  # fixed negative slope for leaky_relu
-_MATMUL_BLOCK = 65536  # output elements per matmul row block (256 KB of float32)
+_MATMUL_BLOCK = 65536  # output elements per matmul block (256 KB of float32)
+_MATMUL_RUN = 2048  # rows of `a` per block when a product has more rows than columns
+_UFUNC_BUFSIZE = 64  # ufunc buffer elements inside the matmul and scan kernels
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -295,9 +304,10 @@ def _fwd_matmul(arrays, attrs):
     # encoder permutation invariance, exact isolated replay of one point's
     # expansion path). BLAS would not give that.
     #
-    # With the `groups` hint (rows of `a` in consecutive groups of that
-    # size) the same chains are computed with each rounded product formed
-    # once per value it can take; see _grouped_matmul.
+    # 1-D operands run as one-row or one-column 2-D products, which form the
+    # same chains. With the `groups` hint (rows of `a` in consecutive groups
+    # of that size) the same chains are computed with each rounded product
+    # formed once per value it can take; see _grouped_matmul.
     a, b = arrays
     if a.ndim not in (1, 2) or b.ndim not in (1, 2):
         _shape_error("matmul", arrays, "operands must be 1-D or 2-D")
@@ -307,46 +317,86 @@ def _fwd_matmul(arrays, attrs):
     if inner == 0:
         _shape_error("matmul", arrays, "empty contraction axis")
     groups = attrs.get("groups", 1)
-    if groups > 1:
-        if a.ndim != 2 or len(a) % groups:
-            _shape_error("matmul", arrays, f"rows of a do not split into groups of {groups}")
-        out = _grouped_matmul(a, b.reshape(inner, -1), groups)
-        return out.reshape(out.shape[:1] + b.shape[1:]), None
-    if a.ndim == 2 and b.ndim == 2:
-        out = _rows_matmul(a, b)
-    elif a.ndim == 2:
-        out = a[:, 0] * b[0]
-        for k in range(1, inner):
-            out += a[:, k] * b[k]
-    elif b.ndim == 2:
-        out = a[0] * b[0, :]
-        for k in range(1, inner):
-            out += a[k] * b[k, :]
-    else:
-        out = a[0] * b[0]
-        for k in range(1, inner):
-            out = out + a[k] * b[k]
-    return out, None
+    if groups > 1 and (a.ndim != 2 or len(a) % groups):
+        _shape_error("matmul", arrays, f"rows of a do not split into groups of {groups}")
+    a2, b2 = a.reshape(-1, inner), b.reshape(inner, -1)
+    with _small_ufunc_buffer():
+        out = _grouped_matmul(a2, b2, groups) if groups > 1 else _rows_matmul(a2, b2)
+    return out.reshape(a.shape[:-1] + b.shape[1:]), None
+
+
+@contextlib.contextmanager
+def _small_ufunc_buffer():
+    # The kernels below multiply a per-row scalar by a run of values, a
+    # stride-0 broadcast. NumPy's ufunc iterator copies such operands
+    # through its buffer (8192 elements by default) several rows at a time,
+    # which made the multiply cost about four times the add beside it on
+    # runs of a few hundred elements. A buffer of _UFUNC_BUFSIZE elements
+    # sends those operands to the inner loop almost directly. The size only
+    # decides how elementwise work is cut into pieces. Inside run only
+    # elementwise arithmetic, compares, copies and exact reductions (min,
+    # max, argmin, all), never a float sum, whose pairwise blocking can
+    # follow the buffer; so no value depends on it. NumPy 1.x keeps the size
+    # per thread rather than per context, hence the explicit restore.
+    previous = np.setbufsize(_UFUNC_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(previous)
 
 
 def _rows_matmul(a, b):
-    # The 2-D x 2-D index-order loop, run one row block at a time
+    # The 2-D x 2-D index-order loop, run one block at a time
     # (_MATMUL_BLOCK output elements, which stay in L2 between updates)
     # instead of streaming the whole output through memory once per
     # contraction index. Inside a block the first product is written
-    # straight into the output and every later one goes through one reused
-    # scratch block, so each element still gets the same multiply-then-add
-    # chain in index order, bit for bit.
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-    rows = max(1, _MATMUL_BLOCK // max(1, b.shape[1]))
-    scratch = np.empty((min(rows, len(out)), b.shape[1]), dtype=out.dtype)
-    for start in range(0, len(out), rows):
-        blk, o = a[start : start + rows], out[start : start + rows]
-        t = scratch[: len(o)]
-        np.multiply(blk[:, 0:1], b[0], out=o)
-        for k in range(1, a.shape[1]):
-            np.multiply(blk[:, k : k + 1], b[k], out=t)
-            o += t
+    # straight into the accumulator and every later one goes through one
+    # reused scratch block, so each element still gets the same
+    # multiply-then-add chain in index order, bit for bit.
+    #
+    # Every multiply is a scalar times a run, along the longer output axis.
+    # With no more rows than columns a block is whole rows of `out`: a[i, k]
+    # times the run b[k, :]. With more rows a block holds out[rows, cols].T
+    # for _MATMUL_RUN rows of `a`, copied once as a[rows].T, so the runs are
+    # a[rows, k] against the scalars b[k, cols], and it is written back
+    # transposed. Which operand supplies the run changes no product and no
+    # add, only how NumPy iterates over them. (Where two NaNs meet, NumPy's
+    # loops pick the payload by an element's position in the loop, in
+    # either layout.)
+    n, inner = a.shape
+    width = b.shape[1]
+    out = np.empty((n, width), dtype=np.result_type(a, b))
+    flip = n > width
+    if flip:
+        rows = min(n, _MATMUL_RUN)
+        cols = max(1, min(width, _MATMUL_BLOCK // rows))
+        a_runs = np.empty((inner, rows), dtype=a.dtype)
+        scratch = np.empty((2, cols, rows), dtype=out.dtype)
+    else:
+        rows, cols = max(1, _MATMUL_BLOCK // max(1, width)), width
+        scratch = np.empty((1, min(rows, n), cols), dtype=out.dtype)
+    for r0 in range(0, n, rows):
+        blk = a[r0 : r0 + rows]
+        if flip:
+            np.copyto(a_runs[:, : len(blk)], blk.T)
+            x = a_runs[:, None, : len(blk)]  # (inner, 1, rows): a run per k
+        else:
+            x = blk.T[:, :, None]  # (inner, rows, 1): a scalar per row
+        for c0 in range(0, width, cols):
+            bc = b[:, c0 : c0 + cols]
+            o = out[r0 : r0 + rows, c0 : c0 + cols]
+            if flip:
+                y = bc[:, :, None]  # (inner, cols, 1): a scalar per column
+                acc, t = scratch[:, : o.shape[1], : o.shape[0]]
+            else:
+                y = bc[:, None]  # (inner, 1, cols): a run per k
+                acc, t = o, scratch[0, : len(o)]
+            np.multiply(x[0], y[0], out=acc)
+            for k in range(1, inner):
+                np.multiply(x[k], y[k], out=t)
+                acc += t
+            if flip:
+                o[...] = acc.T
     return out
 
 

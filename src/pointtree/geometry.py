@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .autodiff import _small_ufunc_buffer
+
 NORM_EPS = 1e-12  # divisor clamp for degenerate clouds
 DEFAULT_LEAF_SIZE = 512  # target block size
 
@@ -163,6 +165,7 @@ class NearestNeighborIndex:
         self._lo = np.array([c.min(axis=1) for c in self._columns])
         self._hi = np.array([c.max(axis=1) for c in self._columns])
 
+    @_small_ufunc_buffer()  # the block kernels broadcast query columns
     def query(self, queries):
         """(index, squared distance) of the closest target point per query row.
 

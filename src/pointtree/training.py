@@ -305,19 +305,24 @@ def load_checkpoint(path):
     (header_len,) = struct.unpack_from("<I", raw, 8)
     if len(raw) < 12 + header_len:
         raise ValueError(f"{path}: truncated header")
-    header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
+    try:
+        header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise ValueError(f"{path}: header is not UTF-8 JSON: {exc}") from None
     body = raw[12 + header_len :]
-    config = GeneratorConfig.from_dict(header["generator"])
-    train_config = (
-        TrainConfig.from_dict(header["train"]) if header["train"] is not None else None
+    config = _header_value(path, header, "generator", GeneratorConfig.from_dict)
+    train_config = _header_value(
+        path, header, "train", lambda d: None if d is None else TrainConfig.from_dict(d)
     )
+    step = _header_value(path, header, "step", _of_type(int))
+    has_optimizer = _header_value(path, header, "has_optimizer", _of_type(bool))
+    manifest = _header_value(path, header, "manifest", _manifest_entries)
 
     # the slabs must tile the payload in manifest order, each name once, so
     # no entry can read another's bytes or skip any
     arrays = {}
     payload_end = 0
-    for entry in header["manifest"]:
-        name, start = entry["name"], entry["offset"]
+    for name, shape, start in manifest:
         if type(start) is not int or start != payload_end:
             raise ValueError(
                 f"{path}: manifest entry {name} starts at offset {start!r}, "
@@ -325,7 +330,6 @@ def load_checkpoint(path):
             )
         if name in arrays:
             raise ValueError(f"{path}: manifest entry {name} appears twice")
-        shape = tuple(entry["shape"])
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         end = start + 4 * count
         if end > len(body):
@@ -339,10 +343,15 @@ def load_checkpoint(path):
 
     from .model import parameter_spec
 
+    spec = parameter_spec(config)
+    names = [name for name, _, _, _ in spec]
+    if has_optimizer:
+        names += [f"opt.{m}.{n}" for m in "mv" for n in names]
+    missing = [name for name in names if name not in arrays]
+    if missing:
+        raise ValueError(f"{path}: checkpoint is missing {missing[0]}")
     tensors = {}
-    for name, shape, _, _ in parameter_spec(config):
-        if name not in arrays:
-            raise ValueError(f"{path}: checkpoint is missing parameter {name}")
+    for name, shape, _, _ in spec:
         if arrays[name].shape != shape:
             raise ValueError(
                 f"{path}: shape mismatch for {name}: file has {arrays[name].shape}, "
@@ -352,10 +361,41 @@ def load_checkpoint(path):
     params = Parameters(config, tensors)
 
     opt_state = None
-    if header.get("has_optimizer"):
+    if has_optimizer:
         opt_state = OptimizerState(
             m={n: arrays[f"opt.m.{n}"] for n in params.names()},
             v={n: arrays[f"opt.v.{n}"] for n in params.names()},
-            step=int(header["step"]),
+            step=step,
         )
-    return params, opt_state, train_config, int(header["step"])
+    return params, opt_state, train_config, step
+
+
+def _header_value(path, header, key, parse):
+    """`parse(header[key])`; any failure is a ValueError naming the file and key."""
+    try:
+        return parse(header[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: checkpoint header key {key!r}: {exc!r}") from None
+
+
+def _of_type(kind):
+    def check(value):
+        if type(value) is not kind:
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        return value
+
+    return check
+
+
+def _manifest_entries(entries):
+    # (name, shape, offset) per entry; the offsets are checked against the
+    # payload by the caller
+    out = []
+    for i, entry in enumerate(entries):
+        name, shape, offset = entry["name"], entry["shape"], entry["offset"]
+        if type(name) is not str or type(shape) is not list:
+            raise TypeError(f"entry {i} needs a string name and a shape list")
+        if not all(type(s) is int and s >= 0 for s in shape):
+            raise ValueError(f"entry {i} ({name}) has shape {shape}, not non-negative integers")
+        out.append((name, tuple(shape), offset))
+    return out

@@ -45,33 +45,61 @@ def _with_zeros(x):
     return x
 
 
+def _with_nans(a):
+    # quiet NaNs with two payloads, in the first and last rows of `a`; each
+    # output element meets at most one of them, so its bytes carry that
+    # payload (which of two NaNs a multiply or add keeps is NumPy's choice,
+    # and varies with an element's position in its loop)
+    quiet = {4: 0x7FC00000, 8: 0x7FF8000000000000}[a.itemsize]
+    bits = a.view(f"u{a.itemsize}")
+    bits[0, -1] = quiet | 1
+    if len(a) > 1:
+        bits[-1, 0] = quiet | 2
+    return a
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("m", [1, 3, 257])
 def test_blocked_matmul_is_byte_equal_to_index_order_loop(dtype, m):
+    # row counts on both sides of m (which orientation runs), on the edges
+    # of a block of whole output rows and of a transposed block of
+    # _MATMUL_RUN rows, and over several of each
     rng = np.random.default_rng(m)
-    rows = max(1, ad._MATMUL_BLOCK // m)  # rows per block
-    for n in (0, 1, rows - 1, rows, rows + 1, 3 * rows + 7):
+    rows = max(1, ad._MATMUL_BLOCK // m)  # rows per block of whole rows
+    run = ad._MATMUL_RUN  # rows per transposed block
+    sizes = {0, 1, m - 1, m, m + 1, rows - 1, rows, rows + 1, 3 * rows + 7,
+             run - 1, run, run + 1, 3 * run + 7}
+    for n in sorted(sizes):
         for inner in (1, 2, 17):
-            a = _with_zeros(rng.normal(size=(n, inner)).astype(dtype))
-            b = rng.normal(size=(inner, m)).astype(dtype)
-            b[:, 0] = np.abs(b[:, 0])  # a -0.0 row of a keeps -0.0 in column 0
-            b[-1, 1:] = -0.0
-            out, _ = ad._fwd_matmul([a, b], {})
-            ref = _matmul_index_order(a, b)
-            assert out.dtype == ref.dtype and out.shape == ref.shape
-            assert out.tobytes() == ref.tobytes(), (n, inner)
+            for nans in (False, True):
+                a = _with_zeros(rng.normal(size=(n, inner)).astype(dtype))
+                b = rng.normal(size=(inner, m)).astype(dtype)
+                b[:, 0] = np.abs(b[:, 0])  # a -0.0 row of a keeps -0.0 in column 0
+                b[-1, 1:] = -0.0
+                if nans and n:
+                    a = _with_nans(a)
+                out, _ = ad._fwd_matmul([a, b], {})
+                ref = _matmul_index_order(a, b)
+                assert out.dtype == ref.dtype and out.shape == ref.shape
+                assert out.tobytes() == ref.tobytes(), (n, inner, nans)
+                col, _ = ad._fwd_matmul([a, b[:, -1].copy()], {})  # 1-D b
+                assert col.tobytes() == ref[:, -1].tobytes(), (n, inner, nans)
+                if n:
+                    row, _ = ad._fwd_matmul([a[-1].copy(), b], {})  # 1-D a
+                    assert row.tobytes() == ref[-1].tobytes(), (n, inner, nans)
 
 
 def test_matmul_row_is_independent_of_batch():
     # a row's bytes do not depend on the batch around it: computed alone
-    # (2-D and 1-D), at any position in a batch spanning several blocks,
-    # or after the batch is permuted
+    # (2-D and 1-D, one row runs along the columns), at any position in a
+    # batch spanning several transposed blocks, in a batch short enough to
+    # run along the columns, or after the batch is permuted
     rng = np.random.default_rng(21)
     w = ad.Tensor(rng.normal(size=(37, 257)).astype(np.float32))
-    rows = ad._MATMUL_BLOCK // 257
-    batch = _with_zeros(rng.normal(size=(3 * rows + 5, 37)).astype(np.float32))
+    rows, run = ad._MATMUL_BLOCK // 257, ad._MATMUL_RUN
+    batch = _with_zeros(rng.normal(size=(3 * run + 5, 37)).astype(np.float32))
     full = ad.matmul(ad.Tensor(batch), w).data
-    positions = (0, rows - 1, rows, 2 * rows + 3, len(batch) - 1)
+    positions = (0, rows - 1, rows, run - 1, run, 2 * run + 3, len(batch) - 1)
     for i in positions:
         row = batch[i]
         assert ad.matmul(ad.Tensor(row[None]), w).data.tobytes() == full[i].tobytes()
@@ -80,8 +108,75 @@ def test_matmul_row_is_independent_of_batch():
             moved = batch[::-1].copy()
             moved[j] = row
             assert ad.matmul(ad.Tensor(moved), w).data[j].tobytes() == full[i].tobytes()
+    for size in (rows + 1, 257, 258):  # whole-row blocks, then transposed
+        assert ad.matmul(ad.Tensor(batch[:size]), w).data.tobytes() == full[:size].tobytes()
     perm = rng.permutation(len(batch))
     assert ad.matmul(ad.Tensor(batch[perm]), w).data.tobytes() == full[perm].tobytes()
+
+
+def test_matmul_kernels_run_with_the_small_buffer_and_restore_it(monkeypatch):
+    # every matmul kernel and the nearest-neighbour block scan see the small
+    # ufunc buffer, and the caller's size comes back afterwards, also when
+    # the kernel raises
+    from pointtree import geometry
+
+    seen = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapped(*args):
+            seen.append((name, np.getbufsize()))
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(ad, "_rows_matmul")
+    spy(ad, "_grouped_matmul")
+    spy(geometry, "_exhaustive_nn")
+    rng = np.random.default_rng(23)
+    a = ad.Tensor(rng.normal(size=(8, 5)).astype(np.float32))
+    b = ad.Tensor(rng.normal(size=(5, 3)).astype(np.float32))
+    outer = np.getbufsize()
+    try:
+        np.setbufsize(4096)  # any caller's size, not only the default
+        ad.matmul(a, b)
+        ad.matmul(a, b, groups=2)
+        ad.matmul(ad.Tensor(a.data[0]), b)
+        geometry.nearest_neighbors(a.data[:, :3], b.data)
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(outer)
+    assert {name for name, _ in seen} == {"_rows_matmul", "_grouped_matmul", "_exhaustive_nn"}
+    assert all(size == ad._UFUNC_BUFSIZE for _, size in seen), seen
+
+    def fail(*args):
+        raise ad.ShapeMismatchError("raised inside the kernel")
+
+    monkeypatch.setattr(ad, "_rows_matmul", fail)
+    with pytest.raises(ad.ShapeMismatchError, match="inside the kernel"):
+        ad.matmul(a, b)
+    assert np.getbufsize() == outer
+
+
+def test_matmul_buffer_size_is_restored_in_a_worker_thread():
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = np.random.default_rng(29)
+    a = ad.Tensor(rng.normal(size=(300, 7)).astype(np.float32))
+    b = ad.Tensor(rng.normal(size=(7, 9)).astype(np.float32))
+    outer = np.getbufsize()
+
+    def work():
+        before = np.getbufsize()
+        out = ad.matmul(a, b).data
+        return before, np.getbufsize(), out
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        before, after, out = pool.submit(work).result()
+    assert before == after
+    assert np.getbufsize() == outer
+    assert out.tobytes() == ad.matmul(a, b).data.tobytes()
 
 
 def _runs(rng, lengths, width, dtype):

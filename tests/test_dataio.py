@@ -552,6 +552,37 @@ def test_every_prefix_loads_or_raises_value_error(tmp_path, kind):
             pass
 
 
+def test_every_header_bit_flip_loads_or_raises_value_error_naming_the_file(tmp_path):
+    # a checkpoint with both configs and optimizer moments, so every header
+    # key is present; each byte up to the end of the header JSON is flipped
+    # under three masks (low bit, ASCII case bit, UTF-8 high bit)
+    config = model.GeneratorConfig(
+        k_schedule=(2,), latent_width=2, embed_width=1, mlp_hidden=(2,)
+    )
+    params = model.init_parameters(config, seed=0)
+    state = training.OptimizerState.for_params(params)
+    full = tmp_path / "full.rpgk"
+    training.save_checkpoint(full, params, opt_state=state, train_config=training.TrainConfig(), step=3)
+    raw = full.read_bytes()
+    training.load_checkpoint(full)
+    (header_len,) = struct.unpack_from("<I", raw, 8)
+    flipped = tmp_path / "flipped.rpgk"
+    outcomes = {"loaded": 0, "rejected": 0}
+    for i in range(12 + header_len):
+        for mask in (0x01, 0x20, 0x80):
+            data = bytearray(raw)
+            data[i] ^= mask
+            flipped.write_bytes(bytes(data))
+            try:
+                training.load_checkpoint(flipped)
+            except ValueError as exc:
+                assert str(flipped) in str(exc), (i, mask, exc)
+                outcomes["rejected"] += 1
+            else:
+                outcomes["loaded"] += 1
+    assert outcomes["rejected"] > outcomes["loaded"] > 0
+
+
 @pytest.mark.parametrize("binary", [False, True])
 def test_atomic_write_keeps_previous_file_until_complete(tmp_path, binary):
     path = tmp_path / "out.dat"
