@@ -28,8 +28,10 @@ in flight together, never the order of any element's adds. Each multiply is
 a scalar times a run of values, taken along whichever output axis is
 longer, and runs with NumPy's ufunc buffer cut to a few elements: the
 default buffer copies the broadcast operands several rows at a time, which
-made the multiply cost several times the add beside it. Neither choice
-touches a rounding. A matmul
+made the multiply cost several times the add beside it. A small block
+forms the products of several contraction indices in one multiply, since a
+NumPy call costs about a microsecond however little it does, and still adds
+them one index at a time. None of these choices touches a rounding. A matmul
 applied with the `groups` hint (rows in consecutive groups, such as a
 point's siblings) forms each rounded product that is bit-equal across a
 group, or across groups slot by slot, once and adds it by broadcast; every
@@ -336,7 +338,9 @@ def _small_ufunc_buffer():
     # decides how elementwise work is cut into pieces. Inside run only
     # elementwise arithmetic, compares, copies and exact reductions (min,
     # max, argmin, all), never a float sum, whose pairwise blocking can
-    # follow the buffer; so no value depends on it. NumPy 1.x keeps the size
+    # follow the buffer; so no value depends on it. The multiply that forms
+    # a chunk of products at once is elementwise too, and the adds after it
+    # stay one in-place add per contraction index. NumPy 1.x keeps the size
     # per thread rather than per context, hence the explicit restore.
     previous = np.setbufsize(_UFUNC_BUFSIZE)
     try:
@@ -350,9 +354,9 @@ def _rows_matmul(a, b):
     # (_MATMUL_BLOCK output elements, which stay in L2 between updates)
     # instead of streaming the whole output through memory once per
     # contraction index. Inside a block the first product is written
-    # straight into the accumulator and every later one goes through one
-    # reused scratch block, so each element still gets the same
-    # multiply-then-add chain in index order, bit for bit.
+    # straight into the accumulator and every later one is added to it in
+    # index order, one in-place add per index, so each element still gets
+    # the same multiply-then-add chain, bit for bit.
     #
     # Every multiply is a scalar times a run, along the longer output axis.
     # With no more rows than columns a block is whole rows of `out`: a[i, k]
@@ -363,6 +367,15 @@ def _rows_matmul(a, b):
     # add, only how NumPy iterates over them. (Where two NaNs meet, NumPy's
     # loops pick the payload by an element's position in the loop, in
     # either layout.)
+    #
+    # A NumPy call costs about a microsecond however few elements it
+    # touches, so a small block forms the products of a chunk of
+    # contraction indices in one multiply, into a reused scratch of at
+    # most _MATMUL_BLOCK elements, and then adds them one index at a time.
+    # A product is rounded on its own whichever call forms it, so only the
+    # grouping of multiplies into calls changes, never a chain. A block of
+    # half _MATMUL_BLOCK or more keeps one multiply per index on 2-D
+    # slices, which ran faster there than one-index 3-D slices.
     n, inner = a.shape
     width = b.shape[1]
     out = np.empty((n, width), dtype=np.result_type(a, b))
@@ -371,10 +384,11 @@ def _rows_matmul(a, b):
         rows = min(n, _MATMUL_RUN)
         cols = max(1, min(width, _MATMUL_BLOCK // rows))
         a_runs = np.empty((inner, rows), dtype=a.dtype)
-        scratch = np.empty((2, cols, rows), dtype=out.dtype)
+        acc_block = np.empty((cols, rows), dtype=out.dtype)
     else:
         rows, cols = max(1, _MATMUL_BLOCK // max(1, width)), width
-        scratch = np.empty((1, min(rows, n), cols), dtype=out.dtype)
+    size = min(rows, n) * cols  # elements in the largest block
+    work = np.empty(max(size, min(_MATMUL_BLOCK, (inner - 1) * size)), dtype=out.dtype)
     for r0 in range(0, n, rows):
         blk = a[r0 : r0 + rows]
         if flip:
@@ -387,14 +401,24 @@ def _rows_matmul(a, b):
             o = out[r0 : r0 + rows, c0 : c0 + cols]
             if flip:
                 y = bc[:, :, None]  # (inner, cols, 1): a scalar per column
-                acc, t = scratch[:, : o.shape[1], : o.shape[0]]
+                acc = acc_block[: o.shape[1], : o.shape[0]]
             else:
                 y = bc[:, None]  # (inner, 1, cols): a run per k
-                acc, t = o, scratch[0, : len(o)]
+                acc = o
             np.multiply(x[0], y[0], out=acc)
-            for k in range(1, inner):
-                np.multiply(x[k], y[k], out=t)
-                acc += t
+            chunk = _MATMUL_BLOCK // acc.size  # indices whose products fit in `work`
+            if chunk < 2:
+                t = work[: acc.size].reshape(acc.shape)
+                for k in range(1, inner):
+                    np.multiply(x[k], y[k], out=t)
+                    acc += t
+            else:
+                for k0 in range(1, inner, chunk):
+                    k1 = min(k0 + chunk, inner)
+                    prods = work[: (k1 - k0) * acc.size].reshape((k1 - k0,) + acc.shape)
+                    np.multiply(x[k0:k1], y[k0:k1], out=prods)
+                    for t in prods:
+                        acc += t
             if flip:
                 o[...] = acc.T
     return out

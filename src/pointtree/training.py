@@ -52,6 +52,12 @@ class TrainConfig:
             raise ValueError("final_lr_fraction must lie in (0, 1]")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
+        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
+            raise ValueError("adam_beta1 and adam_beta2 must lie in [0, 1)")
+        if not self.adam_eps > 0:
+            raise ValueError("adam_eps must be positive")
+        if not 0.0 <= self.kl_warmup_fraction <= 1.0:
+            raise ValueError("kl_warmup_fraction must lie in [0, 1]")
         if self.save_every < 0:
             raise ValueError("save_every must be non-negative; 0 writes only the final checkpoint")
 

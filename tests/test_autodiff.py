@@ -45,17 +45,29 @@ def _with_zeros(x):
     return x
 
 
+_QUIET_NAN = {4: 0x7FC00000, 8: 0x7FF8000000000000}  # bits by itemsize
+
+
 def _with_nans(a):
     # quiet NaNs with two payloads, in the first and last rows of `a`; each
     # output element meets at most one of them, so its bytes carry that
     # payload (which of two NaNs a multiply or add keeps is NumPy's choice,
     # and varies with an element's position in its loop)
-    quiet = {4: 0x7FC00000, 8: 0x7FF8000000000000}[a.itemsize]
+    quiet = _QUIET_NAN[a.itemsize]
     bits = a.view(f"u{a.itemsize}")
     bits[0, -1] = quiet | 1
     if len(a) > 1:
         bits[-1, 0] = quiet | 2
     return a
+
+
+def _first_block_size(n, m):
+    # output elements in the first block of an (n, ?) @ (?, m) product:
+    # whole rows when n <= m, else _MATMUL_RUN rows by as many columns as fit
+    if n > m:
+        run = min(n, ad._MATMUL_RUN)
+        return run * max(1, min(m, ad._MATMUL_BLOCK // run))
+    return min(n, max(1, ad._MATMUL_BLOCK // m)) * m
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -87,6 +99,69 @@ def test_blocked_matmul_is_byte_equal_to_index_order_loop(dtype, m):
                 if n:
                     row, _ = ad._fwd_matmul([a[-1].copy(), b], {})  # 1-D a
                     assert row.tobytes() == ref[-1].tobytes(), (n, inner, nans)
+    # contraction lengths on the edges of a chunk of products formed in one
+    # multiply, for a small block and a mid-size one (4096 elements or so)
+    for n in (2, 4096 // m + 1):
+        chunk = ad._MATMUL_BLOCK // _first_block_size(n, m)
+        assert chunk > 1, n
+        for inner in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+            a = _with_zeros(rng.normal(size=(n, inner)).astype(dtype))
+            b = rng.normal(size=(inner, m)).astype(dtype)
+            out, _ = ad._fwd_matmul([a, b], {})
+            assert out.tobytes() == _matmul_index_order(a, b).tobytes(), (n, inner)
+    # every product -0.0: each add keeps -0.0, where a sum started at +0.0
+    # would give +0.0
+    for n, inner in ((2, 40), (4096 // m + 1, 40)):
+        a = np.full((n, inner), -0.0, dtype=dtype)
+        b = np.abs(rng.normal(size=(inner, m))).astype(dtype) + 0.5
+        out, _ = ad._fwd_matmul([a, b], {})
+        assert np.all(out == 0.0) and np.signbit(out).all(), (n, inner)
+    # a one-element output, whose chunk axis a reduction would sum pairwise
+    if m == 1:
+        for inner in (9, 17, 100, 1000):
+            a = rng.normal(size=(1, inner)).astype(dtype)
+            b = rng.normal(size=(inner, 1)).astype(dtype)
+            out, _ = ad._fwd_matmul([a, b], {})
+            assert out.tobytes() == _matmul_index_order(a, b).tobytes(), inner
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_single_nan_keeps_its_payload_in_every_kernel_path(dtype):
+    # one NaN in `a` or in `b` reaches every element whose chain it joins
+    # with its payload intact, whichever kernel path forms the product
+    rng = np.random.default_rng(31)
+    payload = _QUIET_NAN[np.dtype(dtype).itemsize] | 5
+    utype = f"u{np.dtype(dtype).itemsize}"
+    plain = {  # (n, inner, m): the path each shape takes
+        "chunked whole rows": (3, 40, 5),
+        "chunked transposed": (300, 40, 3),
+        "whole rows, one multiply per index": (16, 5, 4096),
+        "transposed, one multiply per index": (4096, 5, 32),
+    }
+    for name, (n, inner, m) in plain.items():
+        chunk = ad._MATMUL_BLOCK // _first_block_size(n, m)
+        assert (chunk > 1) == name.startswith("chunked"), name
+        for operand, (i, j) in (("a", (n // 2, inner // 2)), ("b", (inner // 2, m // 2))):
+            a = rng.normal(size=(n, inner)).astype(dtype)
+            b = rng.normal(size=(inner, m)).astype(dtype)
+            target = a if operand == "a" else b
+            target.view(utype)[i, j] = payload
+            out, _ = ad._fwd_matmul([a, b], {})
+            hit = out[i] if operand == "a" else out[:, j]
+            assert (hit.view(utype) == payload).all(), (name, operand)
+            assert np.isfinite(out).sum() == out.size - hit.size, (name, operand)
+    # grouped: one NaN value per column kind, in the leading run and after it
+    r, groups = 4, 6
+    for kinds in ("wan", "nwa"):
+        for col, kind in enumerate(kinds):
+            a = _grouped(rng, kinds, groups, r, dtype)
+            b = rng.normal(size=(len(kinds), 33)).astype(dtype)
+            rows = {"w": slice(4, 8), "a": slice(1, None, r), "n": slice(9, 10)}[kind]
+            a.view(utype)[rows, col] = payload
+            assert ad._column_kinds(a, r)[col] == _KIND_NAMES[kind]
+            out, _ = ad._fwd_matmul([a, b], {"groups": r})
+            assert (out[rows].view(utype) == payload).all(), (kinds, kind)
+            assert np.isfinite(out).sum() == out.size - out[rows].size, (kinds, kind)
 
 
 def test_matmul_row_is_independent_of_batch():

@@ -161,6 +161,12 @@ def test_config_unknown_section_rejected(tmp_path, capsys):
         ({"train": {"batch_size": 0}}, "train.batch_size: batch_size and epochs must be positive"),
         ({"train": {"save_every": -1}}, "train.save_every: save_every must be non-negative"),
         ({"train": {"weight_decay": -1.0}}, "train.weight_decay: weight_decay must be non-negative"),
+        ({"train": {"adam_beta1": 1.9}}, "train.adam_beta1: adam_beta1 and adam_beta2 must lie in [0, 1)"),
+        ({"train": {"adam_beta1": -0.1}}, "train.adam_beta1: adam_beta1 and adam_beta2 must lie in [0, 1)"),
+        ({"train": {"adam_beta2": 1.0}}, "train.adam_beta2: adam_beta1 and adam_beta2 must lie in [0, 1)"),
+        ({"train": {"adam_eps": 0.0}}, "train.adam_eps: adam_eps must be positive"),
+        ({"train": {"kl_warmup_fraction": 1.5}}, "train.kl_warmup_fraction: kl_warmup_fraction must lie in [0, 1]"),
+        ({"train": {"kl_warmup_fraction": -0.5}}, "train.kl_warmup_fraction: kl_warmup_fraction must lie in [0, 1]"),
     ]
     cfg = tmp_path / "cfg.json"
     for content, message in cases:
