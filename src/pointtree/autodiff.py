@@ -40,6 +40,17 @@ Gradients still use BLAS: they only need determinism at fixed shapes.
 
 A tape may be consumed by `backward` any number of times; it is a pure
 record, not a one-shot resource.
+
+Several shapes can be computed as one `Stack` (their tensors stacked along
+axis 0, one tape per shape): a primitive runs once over all rows and
+records one entry per shape on that shape's tape, the entry a call on that
+shape's rows alone would record. Only row-separable kinds accept a Stack:
+matmul (a 2-D Stack `a`, a plain `b`), the elementwise kinds against a
+Stack of the same shapes or a plain scalar or row, last-axis norm and
+max_reduce of a 2-D Stack, concat along axis 1, reshape that keeps each
+shape's rows whole, and gather_rows whose indices take each shape's rows
+from that shape, in shape order. transpose, sum, mean, axis-0 concat and a
+reduction of a 1-D Stack raise: they would mix shapes.
 """
 
 from __future__ import annotations
@@ -78,10 +89,10 @@ class Tensor:
         arr = np.asarray(data)
         if dtype is not None:
             arr = arr.astype(dtype)
+            if not np.issubdtype(arr.dtype, np.floating):
+                raise TypeError(f"Tensor requires a float dtype, got {arr.dtype}")
         elif arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float32)
-        if not np.issubdtype(arr.dtype, np.floating):
-            raise TypeError(f"Tensor requires a float dtype, got {arr.dtype}")
         # ascontiguousarray would promote 0-d arrays to shape (1,)
         self.data = arr if arr.flags["C_CONTIGUOUS"] else np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
@@ -207,6 +218,83 @@ def _active_tape():
     return _tape_stack[-1] if _tape_stack else None
 
 
+class Stack(Tensor):
+    """Several shapes' tensors stacked along axis 0 and computed as one.
+
+    `parts` are the shapes' own tensors, in shape order; their data,
+    concatenated, is `data`. `tapes` holds one tape per shape. A primitive
+    given a Stack runs once over all rows and returns a Stack whose parts
+    are row views of its output; each shape's application is recorded on
+    that shape's tape, with that shape's parts as inputs, its own attrs and
+    its slice of the saved values, exactly as a call on the part alone
+    would record it (see `apply_primitive`). Build one with `stack`.
+    """
+
+    __slots__ = ("parts", "tapes")
+
+    def __init__(self, data, parts, tapes):
+        super().__init__(data, requires_grad=any(p.requires_grad for p in parts))
+        self.parts = parts
+        self.tapes = tapes
+
+
+def stack(parts, tapes) -> Stack:
+    """One Stack of the per-shape tensors `parts`, one tape per shape.
+
+    Records nothing: the parts themselves stay the inputs of every later
+    per-shape entry, so gradients reach them as if they were used alone.
+    """
+    parts = tuple(parts)
+    if not parts or len(parts) != len(tapes):
+        raise ValueError(f"need one tape per part, got {len(parts)} parts and {len(tapes)} tapes")
+    arrays = [p.data for p in parts]
+    _check_dtypes("stack", arrays)
+    if any(a.ndim == 0 or a.shape[1:] != arrays[0].shape[1:] for a in arrays):
+        _shape_error("stack", arrays, "parts must share every axis but the first")
+    return Stack(np.concatenate(arrays), parts, tapes)
+
+
+def parts(x) -> tuple:
+    """The per-shape tensors of a Stack; a plain tensor is its own one part."""
+    return x.parts if type(x) is Stack else (x,)
+
+
+def per_shape(x, fn) -> list:
+    """[fn(part)] for each shape's part of `x`, each run on that shape's tape.
+
+    A plain tensor gives [fn(x)], recorded wherever the caller records.
+    """
+    if type(x) is not Stack:
+        return [fn(x)]
+    out = []
+    for part, tape in zip(x.parts, x.tapes):
+        with tape:
+            out.append(fn(part))
+    return out
+
+
+def each_shape(x, fn) -> Tensor:
+    """`per_shape(x, fn)` stacked like `x`: fn(x) itself for a plain tensor."""
+    if type(x) is not Stack:
+        return fn(x)
+    return stack(per_shape(x, fn), x.tapes)
+
+
+@contextlib.contextmanager
+def shape_tapes(count: int):
+    """One fresh tape per shape of a batch.
+
+    On exit their entries join the active tape (if any), tape after tape in
+    shape order, so the record is the one a shape-by-shape loop makes.
+    """
+    tapes = [Tape() for _ in range(count)]
+    yield tapes
+    outer = _active_tape()
+    if outer is not None:
+        for tape in tapes:
+            outer.entries.extend(tape.entries)
+
+
 # ---------------------------------------------------------------------------
 # primitive registry
 #
@@ -309,8 +397,14 @@ def _fwd_matmul(arrays, attrs):
     # 1-D operands run as one-row or one-column 2-D products, which form the
     # same chains. With the `groups` hint (rows of `a` in consecutive groups
     # of that size) the same chains are computed with each rounded product
-    # formed once per value it can take; see _grouped_matmul.
+    # formed once per value it can take; see _grouped_matmul. With
+    # `transpose_b` the product is a @ b.T, formed from a contiguous copy of
+    # b.T exactly as a separate transpose would have made it.
     a, b = arrays
+    if attrs.get("transpose_b"):
+        if b.ndim != 2:
+            _shape_error("matmul", arrays, "a transposed b must be 2-D")
+        b = np.ascontiguousarray(b.T)
     if a.ndim not in (1, 2) or b.ndim not in (1, 2):
         _shape_error("matmul", arrays, "operands must be 1-D or 2-D")
     if a.shape[-1] != b.shape[0]:
@@ -506,6 +600,11 @@ def _grouped_matmul(a, b, r):
 
 def _vjp_matmul(grad, arrays, saved, attrs):
     a, b = arrays
+    if attrs.get("transpose_b"):
+        # the gradient of the copy b.T the forward used, then the copy a
+        # transpose's own vjp would make
+        ga, gbt = _vjp_matmul(grad, (a, np.ascontiguousarray(b.T)), saved, {})
+        return ga, np.ascontiguousarray(gbt.T)
     if a.ndim == 2 and b.ndim == 2:
         return grad @ b.T, a.T @ grad
     if a.ndim == 2 and b.ndim == 1:
@@ -705,8 +804,9 @@ def apply_primitive(kind: str, inputs, **attrs) -> Tensor:
 
     Recording happens only when a tape is active and at least one input has
     `requires_grad`. Attribute arguments (`axis`, `shape`, `indices`,
-    `factor`, `groups`) parameterize the primitive and are never
-    differentiated.
+    `factor`, `groups`, `transpose_b`) parameterize the primitive and are
+    never differentiated. With a `Stack` among the inputs the primitive runs
+    once for all its shapes and records on the shapes' own tapes instead.
     """
     if kind not in _REGISTRY:
         raise UnknownPrimitiveError(
@@ -718,6 +818,8 @@ def apply_primitive(kind: str, inputs, **attrs) -> Tensor:
     if "indices" in attrs:
         attrs["indices"] = np.ascontiguousarray(attrs["indices"], dtype=np.int64)
     fwd, _ = _REGISTRY[kind]
+    if any(type(t) is Stack for t in inputs):
+        return _apply_stacked(kind, inputs, attrs, fwd)
     out_array, saved = fwd(arrays, attrs)
     needs_grad = any(t.requires_grad for t in inputs)
     out = Tensor(out_array, requires_grad=needs_grad)
@@ -725,6 +827,90 @@ def apply_primitive(kind: str, inputs, **attrs) -> Tensor:
     if tape is not None and needs_grad:
         tape.entries.append(TapeEntry(kind, inputs, out, saved, attrs))
     return out
+
+
+# kinds whose every output row comes from one input row (or one row block
+# of the leading axis), so a Stack's shapes stay apart
+_ROW_SEPARABLE = frozenset((
+    "matmul", "add", "mul", "scale", "div", "tanh", "sigmoid", "exp", "leaky_relu",
+    "square", "norm", "max_reduce", "concat", "reshape", "gather_rows",
+))
+
+
+def _apply_stacked(kind, inputs, attrs, fwd):
+    # One forward over every shape's rows, then one entry per shape on that
+    # shape's tape. Row independence makes each row block of the output
+    # byte-equal to the part's own forward, so the per-shape entries are
+    # the ones a shape-by-shape loop records. Anything that could mix rows
+    # of different shapes raises instead.
+    ref = next(t for t in inputs if type(t) is Stack)
+    rows = [p.shape[0] for p in ref.parts]
+
+    def mixes(why):
+        raise ShapeMismatchError(f"{kind} on a Stack: {why}; it would mix shapes")
+
+    if kind not in _ROW_SEPARABLE:
+        mixes("not a row-separable kind")
+    for t in inputs:
+        if type(t) is Stack:
+            if t.tapes is not ref.tapes or [p.shape[0] for p in t.parts] != rows:
+                mixes("operands stack different shapes or row counts")
+        elif kind == "concat":
+            mixes("every concatenated operand must be a Stack")
+        elif kind != "matmul" and not (t.size == 1 or t.shape == ref.shape[1:]):
+            mixes("a plain operand may only be a scalar or a row")
+    if kind == "matmul":
+        a, b = inputs
+        if type(a) is not Stack or type(b) is Stack or a.ndim != 2:
+            mixes("matmul needs a 2-D Stack `a` and a plain `b`")
+        if any(r % attrs.get("groups", 1) for r in rows):
+            mixes("a shape's rows do not split into whole groups")
+    elif kind in ("norm", "max_reduce") and ref.ndim < 2:
+        mixes("a reduction of a 1-D stack")
+    elif kind == "concat" and attrs["axis"] == 0:
+        mixes("axis-0 concat")
+
+    arrays = [t.data for t in inputs]
+    out_array, saved = fwd(arrays, attrs)
+    per_attrs = [attrs] * len(rows)
+    if kind == "gather_rows":
+        idx = attrs["indices"]
+        starts = np.cumsum([0] + rows[:-1])
+        owner = np.searchsorted(starts, idx, side="right") - 1
+        if idx.ndim != 1 or np.any(owner[1:] < owner[:-1]):
+            mixes("indices must be 1-D and take the shapes' rows in shape order")
+        local = idx - starts[owner]
+        out_rows = np.bincount(owner, minlength=len(rows)).tolist()
+        bounds = np.cumsum([0] + out_rows).tolist()
+        per_attrs = [{"indices": local[o0:o1]} for o0, o1 in zip(bounds, bounds[1:])]
+    elif kind == "reshape":
+        shape = attrs["shape"]
+        inner = int(np.prod(shape[1:], dtype=int)) if shape else 0
+        per_row = int(np.prod(ref.shape[1:], dtype=int))
+        sizes = [r * per_row for r in rows]
+        if inner < 1 or any(n % inner for n in sizes):
+            mixes(f"target shape {shape} cuts across the shapes' row blocks")
+        out_rows = [n // inner for n in sizes]
+        per_attrs = [{"shape": (r,) + shape[1:]} for r in out_rows]
+    else:
+        out_rows = rows
+
+    columns = [t.parts if type(t) is Stack else (t,) * len(rows) for t in inputs]
+    slice_saved = isinstance(saved, np.ndarray)
+    out_parts = []
+    o0 = 0
+    for ins, tape, part_attrs, n in zip(zip(*columns), ref.tapes, per_attrs, out_rows):
+        o1 = o0 + n
+        # a row block of a C-contiguous float array: what Tensor() would keep
+        out = Tensor.__new__(Tensor)
+        out.data = out_array[o0:o1]
+        out.requires_grad = any(t.requires_grad for t in ins)
+        if out.requires_grad:
+            part_saved = saved[o0:o1] if slice_saved else saved
+            tape.entries.append(TapeEntry(kind, ins, out, part_saved, part_attrs))
+        out_parts.append(out)
+        o0 = o1
+    return Stack(out_array, tuple(out_parts), ref.tapes)
 
 
 def backward(loss: Tensor, tape: Tape, leaves=None) -> dict:
@@ -775,18 +961,24 @@ def backward(loss: Tensor, tape: Tape, leaves=None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a, b, groups: int = 1):
-    """`a @ b`; `groups` hints that the rows of `a` come in consecutive groups.
+def matmul(a, b, groups: int = 1, transpose_b: bool = False):
+    """`a @ b`, or `a @ b.T` with `transpose_b`; `groups` hints that the
+    rows of `a` come in consecutive groups.
 
     With the hint, a column that is constant inside every group, or that
     repeats slot by slot from group to group, has each rounded product
     formed once and shared. Columns are classified by an exact bitwise
     compare, so the output bytes and the gradient are the same with or
     without the hint; the rows of a 2-D `a` must split into whole groups.
+    `transpose_b` gives the bytes of `matmul(a, transpose(b))`, forward and
+    gradients, without recording the transpose.
     """
+    attrs = {}
     if groups > 1:
-        return apply_primitive("matmul", (a, b), groups=int(groups))
-    return apply_primitive("matmul", (a, b))
+        attrs["groups"] = int(groups)
+    if transpose_b:
+        attrs["transpose_b"] = True
+    return apply_primitive("matmul", (a, b), **attrs)
 
 
 def add(a, b):

@@ -297,6 +297,8 @@ def _cmd_segment(args) -> int:
 def _cmd_eval(args) -> int:
     if args.n_generated < 1:
         raise UsageError("--n-generated must be a positive count")
+    if args.threads < 1:
+        raise UsageError("--threads must be a positive count")
     params, _, _ = _load_params(args.ckpt)
     if not params.config.vae_mode:
         raise UsageError(

@@ -193,6 +193,39 @@ def _as_tensor(x, dtype) -> ad.Tensor:
     return ad.Tensor(np.asarray(x, dtype=dtype))
 
 
+def encode_batch(clouds, params: Parameters, tapes=None) -> list:
+    """Latent codes of several clouds, in order, each on its own shape's tape.
+
+    The shared per-point layers run once over every cloud's points, as a
+    Stack with one tape per cloud (`tapes`, from `ad.shape_tapes`); the
+    max-pool and the head then run per cloud, on its tape. Without `tapes`
+    there is one cloud, computed as plain tensors where the caller records.
+    Each code is what `encode` returns for that cloud, byte for byte.
+    """
+    clouds = list(clouds)
+    if tapes is None and len(clouds) != 1:
+        raise ValueError("encoding several clouds at once needs one tape per cloud")
+    points = []
+    for cloud in clouds:
+        pts = np.asarray(getattr(cloud, "points", cloud))
+        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
+            raise ValueError(f"expected N x 3 points, got shape {pts.shape}")
+        points.append(ad.Tensor(pts.astype(params.dtype, copy=False)))
+    h = points[0] if tapes is None else ad.stack(points, tapes)
+    for i in range(len(ENCODER_WIDTHS)):
+        h = ad.leaky_relu(ad.add(ad.matmul(h, params[f"enc.pp{i}.w"]), params[f"enc.pp{i}.b"]))
+    return ad.per_shape(h, lambda features: _encoder_head(features, params))
+
+
+def _encoder_head(features, params: Parameters):
+    pooled = ad.max_reduce(ad.transpose(features))  # (features,)
+    if params.config.vae_mode:
+        mu = ad.add(ad.matmul(pooled, params["enc.mu.w"]), params["enc.mu.b"])
+        logvar = ad.add(ad.matmul(pooled, params["enc.logvar.w"]), params["enc.logvar.b"])
+        return mu, logvar
+    return ad.add(ad.matmul(pooled, params["enc.head.w"]), params["enc.head.b"])
+
+
 def encode(cloud, params: Parameters):
     """Whole-shape latent code from a point cloud.
 
@@ -201,18 +234,7 @@ def encode(cloud, params: Parameters):
     config is variational. Exactly invariant to point order and duplication:
     per-point rows are computed independently and max is order-free.
     """
-    pts = np.asarray(getattr(cloud, "points", cloud))
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
-        raise ValueError(f"expected N x 3 points, got shape {pts.shape}")
-    h = ad.Tensor(pts.astype(params.dtype, copy=False))
-    for i in range(len(ENCODER_WIDTHS)):
-        h = ad.leaky_relu(ad.add(ad.matmul(h, params[f"enc.pp{i}.w"]), params[f"enc.pp{i}.b"]))
-    pooled = ad.max_reduce(ad.transpose(h))  # (features,)
-    if params.config.vae_mode:
-        mu = ad.add(ad.matmul(pooled, params["enc.mu.w"]), params["enc.mu.b"])
-        logvar = ad.add(ad.matmul(pooled, params["enc.logvar.w"]), params["enc.logvar.b"])
-        return mu, logvar
-    return ad.add(ad.matmul(pooled, params["enc.head.w"]), params["enc.head.b"])
+    return encode_batch([cloud], params)[0]
 
 
 def extract_substructure(s, h, params: Parameters, groups: int = 1) -> ad.Tensor:
@@ -232,8 +254,8 @@ def extract_substructure(s, h, params: Parameters, groups: int = 1) -> ad.Tensor
         raise ValueError(f"expected shapes (3,) and ({u},), or (n, 3) and (n, {u})")
     return ad.tanh(
         ad.add(
-            ad.matmul(s, ad.transpose(params["sub.ms"])),
-            ad.matmul(h, ad.transpose(params["sub.mh"]), groups=groups),
+            ad.matmul(s, params["sub.ms"], transpose_b=True),
+            ad.matmul(h, params["sub.mh"], groups=groups, transpose_b=True),
         )
     )
 
@@ -251,6 +273,9 @@ def _expand_stage(points, reps, scales, stage: int, params: Parameters, rep_grou
     `concat([embeds, child_reps])` in groups of k, whose embedding columns
     repeat slot by slot and whose rep columns are constant per group, so
     only the adds of its rep products are made per sibling.
+
+    The three inputs may be Stacks, one row block per shape of a forest;
+    the embedding gather and the offset floor are then made per shape.
     """
     config = params.config
     k = config.k_schedule[stage]
@@ -260,7 +285,10 @@ def _expand_stage(points, reps, scales, stage: int, params: Parameters, rep_grou
     parent_idx = np.repeat(np.arange(n, dtype=np.int64), k)
     sub = extract_substructure(points, reps, params, groups=rep_groups)
     child_reps = ad.gather_rows(sub, parent_idx)  # siblings share one row
-    embeds = ad.gather_rows(params[f"emb.d{stage}"], np.tile(np.arange(k, dtype=np.int64), n))
+    slots = np.arange(k, dtype=np.int64)
+    embeds = ad.each_shape(  # per shape, as in a one-shape expansion
+        points, lambda p: ad.gather_rows(params[f"emb.d{stage}"], np.tile(slots, p.shape[0]))
+    )
 
     t = ad.concat([embeds, child_reps], axis=1)
     for i in range(len(config.mlp_hidden)):
@@ -274,7 +302,9 @@ def _expand_stage(points, reps, scales, stage: int, params: Parameters, rep_grou
     # normalize offsets by the largest sibling offset so the farthest child
     # lands exactly on its shrunken radius and the rest stay inside it; the
     # floor sits last, so a tie still routes the gradient to the sibling
-    floor = ad.Tensor(np.full((n, 1), OFFSET_NORM_FLOOR, dtype=dtype))
+    floor = ad.each_shape(
+        points, lambda p: ad.Tensor(np.full((p.shape[0], 1), OFFSET_NORM_FLOOR, dtype=dtype))
+    )
     clamped = ad.max_reduce(ad.concat([ad.reshape(ad.norm(offsets), (n, k)), floor], axis=1))
     denom = ad.gather_rows(ad.reshape(clamped, (n, 1)), parent_idx)
     denom3 = ad.concat([denom, denom, denom], axis=1)
@@ -331,14 +361,20 @@ def expansion_graph(z, params: Parameters):
     Returns (points, reps, scales, parents) lists of tensors per stage,
     index 0 being the root. Callers wanting gradients run this under an
     active tape; `generate` wraps it for plain inference.
+
+    `z` is one (latent_width,) code, or an `ad.stack` of several, one per
+    shape: the shapes then expand together as a forest of roots, every
+    stage a Stack, each shape's entries on its own tape, byte for byte as
+    when expanded alone. Parent indices then run over the whole forest.
     """
     config = params.config
     z = _as_tensor(z, params.dtype)
-    if z.shape != (config.latent_width,):
+    roots = len(ad.parts(z))
+    if any(part.shape != (config.latent_width,) for part in ad.parts(z)):
         raise ValueError(f"latent code must have shape ({config.latent_width},)")
-    points = [ad.Tensor(np.zeros((1, 3), dtype=params.dtype))]
-    reps = [ad.reshape(z, (1, config.latent_width))]
-    scales = [ad.Tensor(np.ones((1, 1), dtype=params.dtype))]
+    points = [ad.each_shape(z, lambda _: ad.Tensor(np.zeros((1, 3), dtype=params.dtype)))]
+    reps = [ad.reshape(z, (roots, config.latent_width))]
+    scales = [ad.each_shape(z, lambda _: ad.Tensor(np.ones((1, 1), dtype=params.dtype)))]
     parents = [None]
     for stage in range(config.stage_count):
         cp, cr, cs, parent_idx = _expand_stage(

@@ -8,6 +8,14 @@ gradient evaluation, the standard subgradient of a min.
 
 Training is single-threaded and seeded; two runs with the same inputs
 produce bit-identical parameters, logs, and checkpoint files.
+
+A batch expands as one forest: the encoder's per-point layers and every
+expansion stage run once over all of the batch's shapes (an `ad.Stack`),
+while each shape keeps its own tape, which records one entry per primitive
+with that shape's rows, exactly as encoding and expanding the shape alone
+would. The shape tapes join the step's tape in shape order before the
+cross-shape sums, so the record, and with it every gradient, checkpoint and
+`log.csv` byte, is the one a shape-by-shape loop produces.
 """
 
 from __future__ import annotations
@@ -21,7 +29,9 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry
 from .dataio import atomic_write
-from .model import GeneratorConfig, Parameters, expansion_graph, encode, init_parameters
+from .model import (  # noqa: F401  (perfbench/tracing.py wraps training.encode)
+    GeneratorConfig, Parameters, encode, encode_batch, expansion_graph, init_parameters,
+)
 
 CHECKPOINT_MAGIC = b"RPGK"
 CHECKPOINT_VERSION = 1
@@ -117,18 +127,23 @@ def total_loss(params: Parameters, batch, config: TrainConfig, rng=None, kl_weig
     if gen.vae_mode and rng is None:
         raise ValueError("vae_mode needs an rng for the reparameterization draw")
     cd_terms, reg_terms, kl_terms = [], [], []
-    for cloud in batch:
-        if gen.vae_mode:
-            mu, logvar = encode(cloud, params)
-            noise = ad.Tensor(rng.standard_normal(gen.latent_width).astype(params.dtype))
-            z = ad.add(mu, ad.mul(ad.exp(ad.scale(logvar, 0.5)), noise))
-            kl_terms.append(gaussian_kl(mu, logvar))
-        else:
-            z = encode(cloud, params)
-        points, _, scales, _ = expansion_graph(z, params)
-        cd_terms.append(chamfer_loss(points[-1], cloud))
-        stage_means = [ad.tensor_mean(s) for s in scales[1:]]
-        reg_terms.append(ad.scale(_sum_chain(stage_means), 1.0 / gen.stage_count))
+    with ad.shape_tapes(len(batch)) as tapes:
+        latents = []
+        for code, tape in zip(encode_batch(batch, params, tapes), tapes):
+            with tape:
+                if gen.vae_mode:
+                    mu, logvar = code
+                    noise = ad.Tensor(rng.standard_normal(gen.latent_width).astype(params.dtype))
+                    latents.append(ad.add(mu, ad.mul(ad.exp(ad.scale(logvar, 0.5)), noise)))
+                    kl_terms.append(gaussian_kl(mu, logvar))
+                else:
+                    latents.append(code)
+        points, _, scales, _ = expansion_graph(ad.stack(latents, tapes), params)
+        for i, (cloud, tape) in enumerate(zip(batch, tapes)):
+            with tape:
+                cd_terms.append(chamfer_loss(points[-1].parts[i], cloud))
+                stage_means = [ad.tensor_mean(s.parts[i]) for s in scales[1:]]
+                reg_terms.append(ad.scale(_sum_chain(stage_means), 1.0 / gen.stage_count))
     inv_batch = 1.0 / len(batch)
     cd = ad.scale(_sum_chain(cd_terms), inv_batch)
     reg = ad.scale(_sum_chain(reg_terms), inv_batch)

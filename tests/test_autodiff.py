@@ -659,6 +659,186 @@ def test_error_paths():
 def test_int_input_becomes_float32():
     t = ad.Tensor([1, 2, 3])
     assert t.dtype == np.float32
+    assert ad.Tensor(np.ones(2, dtype=np.int64)).dtype == np.float32
+    assert ad.Tensor(np.ones(2, dtype=np.float16)).dtype == np.float32
+    assert ad.Tensor(np.ones(2), dtype=np.float16).dtype == np.float16
+    with pytest.raises(TypeError):
+        ad.Tensor([1, 2], dtype=np.int64)
+
+
+@pytest.mark.parametrize("groups", [1, 3])
+def test_transposed_b_matmul_is_byte_equal_to_transpose_then_matmul(groups):
+    rng = np.random.default_rng(61)
+    a0 = np.repeat(rng.normal(size=(4, 5)), groups, axis=0).astype(np.float32)
+    b0 = rng.normal(size=(7, 5)).astype(np.float32)
+    w = ad.Tensor(rng.normal(size=(4 * groups, 7)).astype(np.float32))
+
+    def run(fused):
+        a, b = (ad.Tensor(x.copy(), requires_grad=True) for x in (a0, b0))
+        with ad.Tape() as tape:
+            if fused:
+                out = ad.matmul(a, b, groups=groups, transpose_b=True)
+            else:
+                out = ad.matmul(a, ad.transpose(b), groups=groups)
+            loss = ad.tensor_sum(ad.mul(out, w))
+        grads = ad.backward(loss, tape, leaves=[a, b])
+        assert tape.replay()
+        return [out.data.tobytes()] + [g.data.tobytes() for g in grads.values()], len(tape)
+
+    (fused, n_fused), (plain, n_plain) = run(True), run(False)
+    assert fused == plain
+    assert n_fused == n_plain - 1  # no transpose entry
+    with pytest.raises(ad.ShapeMismatchError):
+        ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones(3)), transpose_b=True)
+
+
+def _stacked(rows, width, rng, tapes, requires_grad=True):
+    parts = [ad.Tensor(rng.normal(size=(r, width)).astype(np.float32),
+                       requires_grad=requires_grad) for r in rows]
+    return ad.stack(parts, tapes)
+
+
+def _assert_entries_match_each_part(out, tapes, op, args, kind):
+    # each shape's tape holds the entry a call on that shape's parts makes
+    for i, tape in enumerate(tapes):
+        with ad.Tape() as alone:
+            ref = op(*[ad.parts(a)[i] for a in args])
+        assert out.parts[i].data.tobytes() == ref.data.tobytes(), kind
+        (entry,) = [e for e in tape.entries if e.output is out.parts[i]]
+        (ref_entry,) = alone.entries[-1:]
+        assert entry.kind == ref_entry.kind == kind
+        assert [id(t) for t in entry.inputs] == [id(t) for t in ref_entry.inputs], kind
+        assert repr(entry.attrs) == repr(ref_entry.attrs), kind
+        if isinstance(ref_entry.saved, np.ndarray):
+            assert entry.saved.tobytes() == ref_entry.saved.tobytes(), kind
+        else:
+            assert entry.saved == ref_entry.saved, kind
+        assert tape.replay()
+    assert out.data.tobytes() == b"".join(p.data.tobytes() for p in out.parts)
+
+
+def test_stacked_primitive_records_what_each_shape_records_alone():
+    # every row-separable kind on a Stack of three shapes, one of them a
+    # single row: one forward, then per shape the output bytes and the tape
+    # entry (inputs, saved values, attrs) of a call on that shape's part
+    rng = np.random.default_rng(67)
+    rows = (2, 1, 3)
+    w = ad.Tensor(rng.normal(size=(4, 6)).astype(np.float32), requires_grad=True)
+    wt = ad.Tensor(rng.normal(size=(6, 4)).astype(np.float32), requires_grad=True)
+    v = ad.Tensor(rng.normal(size=4).astype(np.float32), requires_grad=True)
+    three = ad.Tensor(np.float32(3.0))
+    cases = [
+        ("matmul", lambda x, y: ad.matmul(x, w)),
+        ("matmul", lambda x, y: ad.matmul(x, wt, transpose_b=True)),
+        ("matmul", lambda x, y: ad.matmul(x, v)),
+        ("add", lambda x, y: ad.add(x, v)),
+        ("add", lambda x, y: ad.add(x, y)),
+        ("mul", lambda x, y: ad.mul(x, three)),
+        ("div", lambda x, y: ad.div(x, y)),
+        ("scale", lambda x, y: ad.scale(x, -0.5)),
+        ("tanh", lambda x, y: ad.tanh(x)),
+        ("sigmoid", lambda x, y: ad.sigmoid(x)),
+        ("exp", lambda x, y: ad.exp(x)),
+        ("leaky_relu", lambda x, y: ad.leaky_relu(x)),
+        ("square", lambda x, y: ad.square(x)),
+        ("norm", lambda x, y: ad.norm(x)),
+        ("max_reduce", lambda x, y: ad.max_reduce(x)),
+        ("concat", lambda x, y: ad.concat([x, y, x], axis=1)),
+        ("reshape", lambda x, y: ad.reshape(x, (x.shape[0] * 2, 2))),
+        ("reshape", lambda x, y: ad.reshape(x, (x.size,))),
+        ("gather_rows", lambda x, y: ad.gather_rows(x, np.repeat(np.arange(x.shape[0]), 2))),
+    ]
+    for kind, op in cases:
+        tapes = [ad.Tape() for _ in rows]
+        x = _stacked(rows, 4, rng, tapes)
+        y = _stacked(rows, 4, rng, tapes)
+        out = op(x, y)
+        assert isinstance(out, ad.Stack) and len(out.parts) == len(rows)
+        _assert_entries_match_each_part(out, tapes, op, (x, y), kind)
+    # a 1-D stack reshaped back into rows, and a grouped product
+    tapes = [ad.Tape() for _ in rows]
+    flat = ad.reshape(_stacked(rows, 6, rng, tapes), (sum(rows) * 6,))
+
+    def op(f):
+        return ad.reshape(f, (f.size // 3, 3))
+
+    _assert_entries_match_each_part(op(flat), tapes, op, (flat,), "reshape")
+    grouped = _stacked((4, 2, 6), 4, rng, tapes)
+
+    def op(g):
+        return ad.matmul(g, w, groups=2)
+
+    _assert_entries_match_each_part(op(grouped), tapes, op, (grouped,), "matmul")
+
+
+def test_gather_rows_on_a_stack_takes_each_shapes_indices_locally():
+    rng = np.random.default_rng(71)
+    tapes = [ad.Tape() for _ in range(3)]
+    x = _stacked((2, 3, 1), 2, rng, tapes)
+    out = ad.gather_rows(x, np.array([1, 0, 1, 4, 2, 2, 5]))
+    assert [e.attrs["indices"].tolist() for t in tapes for e in t.entries] == \
+        [[1, 0, 1], [2, 0, 0], [0]]
+    assert [p.shape[0] for p in out.parts] == [3, 3, 1]
+    empty = ad.gather_rows(x, np.array([2, 3]))  # the outer shapes take no rows
+    assert [p.shape[0] for p in empty.parts] == [0, 2, 0]
+
+
+def test_stack_rejects_every_primitive_that_would_mix_shapes():
+    rng = np.random.default_rng(73)
+    tapes = [ad.Tape() for _ in range(2)]
+    x = _stacked((2, 3), 4, rng, tapes)
+    other = _stacked((3, 2), 4, rng, tapes)
+    foreign = _stacked((2, 3), 4, rng, [ad.Tape() for _ in range(2)])
+    flat = ad.reshape(x, (20,))
+    plain = ad.Tensor(np.ones((5, 4), dtype=np.float32))
+    w = ad.Tensor(np.ones((4, 2), dtype=np.float32))
+    mixing = [
+        lambda: ad.transpose(x),
+        lambda: ad.tensor_sum(x),
+        lambda: ad.tensor_mean(x),
+        lambda: ad.concat([x, x], axis=0),
+        lambda: ad.concat([x, plain], axis=1),
+        lambda: ad.norm(flat),
+        lambda: ad.max_reduce(flat),
+        lambda: ad.add(x, plain),
+        lambda: ad.add(x, other),
+        lambda: ad.add(x, foreign),
+        lambda: ad.matmul(ad.Tensor(np.ones((3, 5), dtype=np.float32)), x),
+        lambda: ad.matmul(flat, ad.Tensor(np.ones((20, 1), dtype=np.float32))),
+        lambda: ad.matmul(x, w, groups=2),  # 3 rows of one shape
+        lambda: ad.matmul(_stacked((1, 3), 4, rng, tapes), w, groups=2),  # 4 rows in all
+        lambda: ad.reshape(x, (4, 5)),
+        lambda: ad.reshape(x, (2, 10)),
+        lambda: ad.gather_rows(x, np.array([3, 0])),  # shapes out of order
+        lambda: ad.gather_rows(x, np.array([[0, 1]])),
+    ]
+    recorded = [len(t) for t in tapes]
+    for i, build in enumerate(mixing):
+        with pytest.raises(ad.ShapeMismatchError):
+            build()
+            pytest.fail(f"case {i} did not raise")
+    assert [len(t) for t in tapes] == recorded
+    with pytest.raises(ValueError):
+        ad.stack([x.parts[0]], tapes)
+    with pytest.raises(TypeError):
+        ad.stack([x.parts[0], ad.Tensor(np.ones((1, 4)))], tapes)
+
+
+def test_shape_tapes_join_the_active_tape_in_shape_order():
+    x = ad.Tensor(np.ones(3), requires_grad=True)
+    with ad.Tape() as outer:
+        ad.square(x)
+        with ad.shape_tapes(2) as tapes:
+            with tapes[1]:
+                ad.exp(x)
+            with tapes[0]:
+                ad.tanh(x)
+        ad.norm(x)
+    assert [e.kind for e in outer.entries] == ["square", "tanh", "exp", "norm"]
+    with ad.shape_tapes(1) as tapes:  # no active tape: nothing to join
+        with tapes[0]:
+            ad.exp(x)
+    assert len(tapes[0]) == 1
 
 
 def test_float32_dtype_preserved_through_ops_and_grads():

@@ -385,6 +385,15 @@ def test_eval_threads_do_not_change_output(workspace, vae_ckpt, capsys):
     assert capsys.readouterr().out == single
 
 
+def test_eval_threads_below_one_are_usage_errors(workspace, vae_ckpt, capsys):
+    _, data = workspace
+    argv = ["eval", "--ckpt", str(vae_ckpt), "--reference", str(data),
+            "--n-generated", "2", "--seed", "1"]
+    for threads in ("0", "-3"):
+        assert cli.main(argv + ["--threads", threads]) == 1
+        assert "--threads" in capsys.readouterr().err
+
+
 def test_eval_n_reference_subsets_and_validates(workspace, vae_ckpt, capsys):
     _, data = workspace
     argv = ["eval", "--ckpt", str(vae_ckpt), "--reference", str(data),

@@ -246,7 +246,11 @@ def test_generate_is_deterministic():
 def _hint_ignored(monkeypatch):
     # the matmul forward as it was before sibling runs were shared
     fwd, vjp = ad._REGISTRY["matmul"]
-    monkeypatch.setitem(ad._REGISTRY, "matmul", (lambda arrays, attrs: fwd(arrays, {}), vjp))
+
+    def unhinted(arrays, attrs):
+        return fwd(arrays, {key: v for key, v in attrs.items() if key != "groups"})
+
+    monkeypatch.setitem(ad._REGISTRY, "matmul", (unhinted, vjp))
 
 
 def test_shared_sibling_rows_leave_every_generate_stage_unchanged(monkeypatch):
@@ -276,16 +280,26 @@ def test_sibling_groups_share_every_rep_column(monkeypatch):
         return fwd(arrays, attrs)
 
     monkeypatch.setitem(ad._REGISTRY, "matmul", (record, vjp))
-    m.generate(z, params)
-    l0 = [(a, g) for a, shape, g in seen if shape == params["exp.l0.w"].shape]
-    mh = [(a, g) for a, shape, g in seen if shape == params["sub.mh"].shape[::-1]]
-    assert [g for _, g in l0] == list(config.k_schedule)
-    assert [g for _, g in mh] == [1, *config.k_schedule[:-1]]
-    for a, g in l0:
-        kinds = ad._column_kinds(a, g)
-        assert kinds == ["across"] * config.embed_width + ["within"] * config.latent_width
-    for a, g in mh:
-        assert ad._column_kinds(a, g) == ["within"] * config.latent_width
+    # one shape, then a forest of three expanded as one Stack per stage
+    rng = np.random.default_rng(59)
+    latents = [z] + [rng.normal(size=512).astype(np.float32) for _ in range(2)]
+    for roots in (1, 3):
+        seen.clear()
+        if roots == 1:
+            m.generate(z, params)
+        else:
+            with ad.shape_tapes(roots) as tapes:
+                m.expansion_graph(ad.stack([ad.Tensor(x) for x in latents], tapes), params)
+        l0 = [(a, g) for a, shape, g in seen if shape == params["exp.l0.w"].shape]
+        mh = [(a, g) for a, shape, g in seen if shape == params["sub.mh"].shape]
+        assert [g for _, g in l0] == list(config.k_schedule)
+        assert [g for _, g in mh] == [1, *config.k_schedule[:-1]]
+        assert [len(a) for a, _ in l0] == [roots * n for n in config.stage_sizes()[1:]]
+        for a, g in l0:
+            kinds = ad._column_kinds(a, g)
+            assert kinds == ["across"] * config.embed_width + ["within"] * config.latent_width
+        for a, g in mh:
+            assert ad._column_kinds(a, g) == ["within"] * config.latent_width
 
 
 def test_shared_sibling_rows_leave_the_gradient_unchanged(monkeypatch):

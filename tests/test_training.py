@@ -110,6 +110,74 @@ def test_total_loss_vae_gradients_match_finite_differences():
     check_param_grads(loss_fn, params, rng, coords_per_tensor=3)
 
 
+def _shape_by_shape_loss(params, batch, config, rng=None, kl_weight=None):
+    # total_loss as a loop that encodes and expands one shape at a time
+    gen = params.config
+    cd_terms, reg_terms, kl_terms = [], [], []
+    for cloud in batch:
+        if gen.vae_mode:
+            mu, logvar = m.encode(cloud, params)
+            noise = ad.Tensor(rng.standard_normal(gen.latent_width).astype(params.dtype))
+            z = ad.add(mu, ad.mul(ad.exp(ad.scale(logvar, 0.5)), noise))
+            kl_terms.append(training.gaussian_kl(mu, logvar))
+        else:
+            z = m.encode(cloud, params)
+        points, _, scales, _ = m.expansion_graph(z, params)
+        cd_terms.append(training.chamfer_loss(points[-1], cloud))
+        stage_means = [ad.tensor_mean(s) for s in scales[1:]]
+        reg_terms.append(ad.scale(training._sum_chain(stage_means), 1.0 / gen.stage_count))
+    inv_batch = 1.0 / len(batch)
+    cd = ad.scale(training._sum_chain(cd_terms), inv_batch)
+    reg = ad.scale(training._sum_chain(reg_terms), inv_batch)
+    total = ad.add(cd, ad.scale(reg, config.reg_weight))
+    components = {"cd": cd.item(), "reg": reg.item(), "kl": 0.0}
+    if kl_terms:
+        kl = ad.scale(training._sum_chain(kl_terms), inv_batch)
+        beta = config.kl_weight if kl_weight is None else kl_weight
+        total = ad.add(total, ad.scale(kl, beta))
+        components["kl"] = kl.item()
+    components["total"] = total.item()
+    return total, components
+
+
+@pytest.mark.parametrize("vae", [False, True])
+@pytest.mark.parametrize("k_schedule", [(4, 4, 4), (3, 1, 2)])
+@pytest.mark.parametrize("sizes", [(24,), (24, 31, 17)])
+def test_forest_loss_equals_shape_by_shape_bit_for_bit(vae, k_schedule, sizes):
+    gen = m.GeneratorConfig(k_schedule=k_schedule, latent_width=16, embed_width=8,
+                            mlp_hidden=(24, 16), vae_mode=vae)
+    params = m.init_parameters(gen, seed=4)
+    leaves = [t for _, t in params.items()]
+    batch = [small_dataset(1, n_points=n, seed=20 + i)[0] for i, n in enumerate(sizes)]
+    config = training.TrainConfig(reg_weight=5e-5)
+    runs = []
+    for loss_fn in (training.total_loss, _shape_by_shape_loss):
+        with ad.Tape() as tape:
+            loss, comps = loss_fn(params, batch, config, rng=np.random.default_rng(9),
+                                  kl_weight=0.25)
+        grads = ad.backward(loss, tape, leaves=leaves)
+        runs.append((comps, len(tape), [grads[t].data.tobytes() for t in leaves]))
+        if loss_fn is training.total_loss:
+            assert tape.replay()
+    assert runs[0] == runs[1]
+
+
+def test_fit_with_an_uneven_last_batch_equals_shape_by_shape(monkeypatch):
+    # five clouds of different sizes in batches of three: every epoch ends
+    # on a batch of two
+    dataset = [small_dataset(1, n_points=n, seed=30 + n)[0] for n in (12, 15, 9, 12, 20)]
+    config = training.TrainConfig(epochs=3, batch_size=3, seed=5)
+    results = []
+    forest = training.total_loss
+    for vae in (False, True):
+        for loss_fn in (forest, _shape_by_shape_loss):
+            monkeypatch.setattr(training, "total_loss", loss_fn)
+            params, log = training.fit(dataset, tiny_config(vae=vae), config)
+            results.append((log, [t.data.tobytes() for _, t in params.items()]))
+    assert results[0] == results[1]
+    assert results[2] == results[3]
+
+
 def test_variational_heads_receive_gradient():
     params = m.init_parameters(tiny_config(vae=True), seed=3)
     batch = small_dataset(1)
