@@ -36,7 +36,13 @@ applied with the `groups` hint (rows in consecutive groups, such as a
 point's siblings) forms each rounded product that is bit-equal across a
 group, or across groups slot by slot, once and adds it by broadcast; every
 element keeps its chain, so the bytes are those of the full product.
-Gradients still use BLAS: they only need determinism at fixed shapes.
+Gradients still use BLAS, on one thread while `backward` runs: they only
+need determinism at fixed shapes.
+
+A model layer, matmul then a bias row then an optional leaky ReLU, runs as
+one `linear` primitive: the three steps' roundings in their order, the
+three vjps back to back, and one tape entry that keeps the output and the
+pre-activation's sign instead of three arrays.
 
 A tape may be consumed by `backward` any number of times; it is a pure
 record, not a one-shot resource.
@@ -45,17 +51,22 @@ Several shapes can be computed as one `Stack` (their tensors stacked along
 axis 0, one tape per shape): a primitive runs once over all rows and
 records one entry per shape on that shape's tape, the entry a call on that
 shape's rows alone would record. Only row-separable kinds accept a Stack:
-matmul (a 2-D Stack `a`, a plain `b`), the elementwise kinds against a
-Stack of the same shapes or a plain scalar or row, last-axis norm and
-max_reduce of a 2-D Stack, concat along axis 1, reshape that keeps each
-shape's rows whole, and gather_rows whose indices take each shape's rows
-from that shape, in shape order. transpose, sum, mean, axis-0 concat and a
-reduction of a 1-D Stack raise: they would mix shapes.
+matmul and linear (a 2-D Stack first operand, the others plain), the
+elementwise kinds against a Stack of the same shapes or a plain scalar or
+row, last-axis norm and max_reduce of a 2-D Stack, concat along axis 1,
+reshape that keeps each shape's rows whole, and gather_rows whose indices
+take each shape's rows from that shape, in shape order. transpose, sum,
+mean, axis-0 concat and a reduction of a 1-D Stack raise: they would mix
+shapes.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
+import glob
+import os
 
 import numpy as np
 
@@ -614,6 +625,42 @@ def _vjp_matmul(grad, arrays, saved, attrs):
     return grad * b, grad * a  # 1-D @ 1-D, grad is scalar
 
 
+def _fwd_linear(arrays, attrs):
+    # x @ w on the fixed-order kernel (with its `groups` hint), then the
+    # bias row and the optional leaky ReLU applied in place: each element
+    # gets exactly the bytes of leaky_relu(add(matmul(x, w), b)). Only the
+    # output and, when leaky, the sign of the pre-activation are kept for
+    # the vjp. The sign comes from the pre-activation: a tiny negative
+    # value times the slope can round to -0.0, which reads as non-negative.
+    #
+    # The leaky ReLU is max(slope * y, y), several times faster than a
+    # select on the sign. Rounding is monotone, so the rounded slope * y is
+    # at most y for y >= 0 and at least y below 0 (equal only at 0 and
+    # infinities, which have the same bits either way); where y is NaN,
+    # NumPy returns the first operand, slope * y, the value the select took.
+    x, w, b = arrays
+    if w.ndim != 2 or b.shape != w.shape[1:]:
+        _shape_error("linear", arrays, "w must be 2-D and b a row as wide as w")
+    out, _ = _fwd_matmul((x, w), attrs)
+    out += b
+    if not attrs.get("leaky"):
+        return out, None
+    keep = out >= 0
+    np.maximum(out * out.dtype.type(LEAKY_SLOPE), out, out=out)
+    return out, keep
+
+
+def _vjp_linear(grad, arrays, saved, attrs):
+    # the vjps of leaky_relu, add and matmul in turn, as the three entries
+    # would have run them back to back
+    x, w, b = arrays
+    if saved is not None:
+        grad = grad * np.where(saved, w.dtype.type(1.0), w.dtype.type(LEAKY_SLOPE))
+    gb = _unbroadcast(grad, b.shape)
+    gx, gw = _vjp_matmul(grad, (x, w), None, {})
+    return gx, gw, gb
+
+
 def _fwd_tanh(arrays, attrs):
     out = np.tanh(arrays[0])
     return out, out
@@ -772,13 +819,26 @@ def _fwd_gather_rows(arrays, attrs):
 
 
 def _vjp_gather_rows(grad, arrays, saved, attrs):
-    gx = np.zeros_like(arrays[0])
-    np.add.at(gx, attrs["indices"], grad)
+    # Indices 0,..,0, 1,..,1, ... (k of each, a stage's parent index) sum
+    # each row's k gradient rows with k strided adds from zero, the adds
+    # np.add.at makes for them in the same order, without its per-index
+    # cost. Any other pattern goes through np.add.at.
+    x = arrays[0]
+    idx = attrs["indices"]
+    gx = np.zeros_like(x)
+    n = len(x)
+    k = len(idx) // n if n else 0
+    if k and len(idx) == k * n and (idx.reshape(n, k) == np.arange(n)[:, None]).all():
+        for j in range(k):
+            gx += grad[j::k]
+    else:
+        np.add.at(gx, idx, grad)
     return (gx,)
 
 
 _REGISTRY = {
     "matmul": (_fwd_matmul, _vjp_matmul),
+    "linear": (_fwd_linear, _vjp_linear),
     "add": (_fwd_add, _vjp_add),
     "mul": (_fwd_mul, _vjp_mul),
     "scale": (_fwd_scale, _vjp_scale),
@@ -804,8 +864,8 @@ def apply_primitive(kind: str, inputs, **attrs) -> Tensor:
 
     Recording happens only when a tape is active and at least one input has
     `requires_grad`. Attribute arguments (`axis`, `shape`, `indices`,
-    `factor`, `groups`, `transpose_b`) parameterize the primitive and are
-    never differentiated. With a `Stack` among the inputs the primitive runs
+    `factor`, `groups`, `transpose_b`, `leaky`) parameterize the primitive
+    and are never differentiated. With a `Stack` among the inputs the primitive runs
     once for all its shapes and records on the shapes' own tapes instead.
     """
     if kind not in _REGISTRY:
@@ -832,8 +892,8 @@ def apply_primitive(kind: str, inputs, **attrs) -> Tensor:
 # kinds whose every output row comes from one input row (or one row block
 # of the leading axis), so a Stack's shapes stay apart
 _ROW_SEPARABLE = frozenset((
-    "matmul", "add", "mul", "scale", "div", "tanh", "sigmoid", "exp", "leaky_relu",
-    "square", "norm", "max_reduce", "concat", "reshape", "gather_rows",
+    "matmul", "linear", "add", "mul", "scale", "div", "tanh", "sigmoid", "exp",
+    "leaky_relu", "square", "norm", "max_reduce", "concat", "reshape", "gather_rows",
 ))
 
 
@@ -857,12 +917,12 @@ def _apply_stacked(kind, inputs, attrs, fwd):
                 mixes("operands stack different shapes or row counts")
         elif kind == "concat":
             mixes("every concatenated operand must be a Stack")
-        elif kind != "matmul" and not (t.size == 1 or t.shape == ref.shape[1:]):
+        elif kind not in ("matmul", "linear") and not (t.size == 1 or t.shape == ref.shape[1:]):
             mixes("a plain operand may only be a scalar or a row")
-    if kind == "matmul":
-        a, b = inputs
-        if type(a) is not Stack or type(b) is Stack or a.ndim != 2:
-            mixes("matmul needs a 2-D Stack `a` and a plain `b`")
+    if kind in ("matmul", "linear"):
+        a, *rest = inputs
+        if type(a) is not Stack or any(type(t) is Stack for t in rest) or a.ndim != 2:
+            mixes(f"{kind} needs a 2-D Stack first operand and plain others")
         if any(r % attrs.get("groups", 1) for r in rows):
             mixes("a shape's rows do not split into whole groups")
     elif kind in ("norm", "max_reduce") and ref.ndim < 2:
@@ -913,6 +973,44 @@ def _apply_stacked(kind, inputs, attrs, fwd):
     return Stack(out_array, tuple(out_parts), ref.tapes)
 
 
+@functools.cache
+def _openblas_threads():
+    # (get, set) for the thread count of the OpenBLAS bundled in NumPy's
+    # wheel, or None when there is no such library or it lacks the calls.
+    # Loading it again returns the handle NumPy already uses.
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    # The vjps' BLAS products are small: at the training shapes OpenBLAS's
+    # thread hand-off costs more than it saves, and several times more when
+    # another process holds a core. The count changes no value: fits of
+    # the acceptance overfit setup give byte-equal weights either way.
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    previous = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(previous)
+
+
 def backward(loss: Tensor, tape: Tape, leaves=None) -> dict:
     """Accumulate d(loss)/d(leaf) for every requires_grad leaf on the tape.
 
@@ -920,10 +1018,16 @@ def backward(loss: Tensor, tape: Tape, leaves=None) -> dict:
     recorded outputs. When `leaves` is given, the returned map has exactly
     one entry per leaf, with zero tensors for leaves the loss does not
     reach; otherwise the map covers every requires_grad tensor that feeds
-    the tape without being produced by it.
+    the tape without being produced by it. BLAS runs on one thread
+    meanwhile; the caller's thread count is restored on return.
     """
     if loss.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
+    with _one_blas_thread():
+        return _backward(loss, tape, leaves)
+
+
+def _backward(loss, tape, leaves):
     adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     produced = {id(e.output) for e in tape.entries}
     found: dict[int, Tensor] = {}
@@ -979,6 +1083,21 @@ def matmul(a, b, groups: int = 1, transpose_b: bool = False):
     if transpose_b:
         attrs["transpose_b"] = True
     return apply_primitive("matmul", (a, b), **attrs)
+
+
+def linear(x, w, b, groups: int = 1, leaky: bool = False):
+    """`add(matmul(x, w, groups=groups), b)`, then `leaky_relu` when `leaky`.
+
+    One primitive with the same bytes as that chain, forward and gradients,
+    but one tape entry that keeps only the output and, when leaky, the sign
+    of the pre-activation. `w` is 2-D and `b` one row as wide as `w`.
+    """
+    attrs = {}
+    if groups > 1:
+        attrs["groups"] = int(groups)
+    if leaky:
+        attrs["leaky"] = True
+    return apply_primitive("linear", (x, w, b), **attrs)
 
 
 def add(a, b):

@@ -195,8 +195,9 @@ def resolve_cloud_paths(source) -> list:
     """Expand a data source into cloud file paths.
 
     A directory yields all its files sorted by name. A file is either a
-    single cloud (binary magic or a parsable first line) or a text list of
-    paths, one per line.
+    single cloud (binary magic, or a first line that parses as a point) or
+    a text list of paths, one per line. Blank and `#` lines are skipped in
+    both, so the first line judged is the first other one.
     """
     if isinstance(source, (list, tuple)):
         return [str(p) for p in source]
@@ -213,7 +214,8 @@ def resolve_cloud_paths(source) -> list:
     if head == CLOUD_MAGIC:
         return [source]
     with open(source, "r", encoding="utf-8") as fh:
-        first = fh.readline().split()
+        lines = (ln.strip() for ln in fh)
+        first = next((ln.split() for ln in lines if ln and not ln.startswith("#")), [])
     try:
         [float(f) for f in first[:3]]
         is_cloud = len(first) in (3, 4)

@@ -213,17 +213,17 @@ def encode_batch(clouds, params: Parameters, tapes=None) -> list:
         points.append(ad.Tensor(pts.astype(params.dtype, copy=False)))
     h = points[0] if tapes is None else ad.stack(points, tapes)
     for i in range(len(ENCODER_WIDTHS)):
-        h = ad.leaky_relu(ad.add(ad.matmul(h, params[f"enc.pp{i}.w"]), params[f"enc.pp{i}.b"]))
+        h = ad.linear(h, params[f"enc.pp{i}.w"], params[f"enc.pp{i}.b"], leaky=True)
     return ad.per_shape(h, lambda features: _encoder_head(features, params))
 
 
 def _encoder_head(features, params: Parameters):
     pooled = ad.max_reduce(ad.transpose(features))  # (features,)
     if params.config.vae_mode:
-        mu = ad.add(ad.matmul(pooled, params["enc.mu.w"]), params["enc.mu.b"])
-        logvar = ad.add(ad.matmul(pooled, params["enc.logvar.w"]), params["enc.logvar.b"])
+        mu = ad.linear(pooled, params["enc.mu.w"], params["enc.mu.b"])
+        logvar = ad.linear(pooled, params["enc.logvar.w"], params["enc.logvar.b"])
         return mu, logvar
-    return ad.add(ad.matmul(pooled, params["enc.head.w"]), params["enc.head.b"])
+    return ad.linear(pooled, params["enc.head.w"], params["enc.head.b"])
 
 
 def encode(cloud, params: Parameters):
@@ -292,10 +292,10 @@ def _expand_stage(points, reps, scales, stage: int, params: Parameters, rep_grou
 
     t = ad.concat([embeds, child_reps], axis=1)
     for i in range(len(config.mlp_hidden)):
-        w = params[f"exp.l{i}.w"]
-        t = ad.leaky_relu(ad.add(ad.matmul(t, w, groups=k if i == 0 else 1), params[f"exp.l{i}.b"]))
-    offsets = ad.add(ad.matmul(t, params["exp.offset.w"]), params["exp.offset.b"])
-    raw_scale = ad.add(ad.matmul(t, params["exp.scale.w"]), params["exp.scale.b"])
+        w, b = params[f"exp.l{i}.w"], params[f"exp.l{i}.b"]
+        t = ad.linear(t, w, b, groups=k if i == 0 else 1, leaky=True)
+    offsets = ad.linear(t, params["exp.offset.w"], params["exp.offset.b"])
+    raw_scale = ad.linear(t, params["exp.scale.w"], params["exp.scale.b"])
 
     child_scales = ad.mul(ad.sigmoid(raw_scale), ad.gather_rows(scales, parent_idx))
 

@@ -1,8 +1,13 @@
+import os
+import re
+
 import numpy as np
 import pytest
 
 from pointtree import autodiff as ad
 from gradcheck import check_grads, numeric_grad, rel_err
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def proj_build(op, out_shape, seed=0):
@@ -442,6 +447,161 @@ def test_row_broadcast_over_zero_rows_has_zero_gradient():
     np.testing.assert_array_equal(ad.backward(loss, tape, leaves=[b])[b].data, np.zeros(3))
 
 
+def _linear_chain(x, w, b, groups=1, leaky=False):
+    y = ad.add(ad.matmul(x, w, groups=groups), b)
+    return ad.leaky_relu(y) if leaky else y
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("groups", [1, 4])
+@pytest.mark.parametrize("leaky", [False, True])
+def test_linear_is_byte_equal_to_matmul_add_leaky_relu(dtype, groups, leaky):
+    # forward bytes and every gradient against the three-primitive chain,
+    # shape by shape and as one Stack of three shapes. Column 0 of w is
+    # zero and b[0] is the negative subnormal of least magnitude, so that
+    # column's pre-activation is negative while its leaky output rounds to
+    # -0.0: the vjp must take the slope from the pre-activation's sign.
+    # x also holds -0.0 and one NaN
+    rng = np.random.default_rng(79)
+    rows = (8, 4, 12)  # whole groups of 4
+    xs0 = []
+    for r in rows:  # two columns constant inside each group, three not
+        shared = np.repeat(rng.normal(size=(r // groups, 2)), groups, axis=0)
+        xs0.append(np.concatenate([shared, rng.normal(size=(r, 3))], axis=1).astype(dtype))
+    xs0[0][1, 3] = -0.0
+    xs0[1][2, 4] = np.nan
+    w0 = rng.normal(size=(5, 6)).astype(dtype)
+    w0[:, 0] = 0.0
+    b0 = rng.normal(size=6).astype(dtype)
+    b0[0] = -np.finfo(dtype).smallest_subnormal
+    projs = [rng.normal(size=(r, 6)).astype(dtype) for r in rows]
+
+    def run(op, stacked):
+        xs = [ad.Tensor(a.copy(), requires_grad=True) for a in xs0]
+        w, b = (ad.Tensor(a.copy(), requires_grad=True) for a in (w0, b0))
+        with ad.Tape() as tape:
+            if stacked:
+                with ad.shape_tapes(len(rows)) as tapes:
+                    outs = op(ad.stack(xs, tapes), w, b, groups=groups, leaky=leaky).parts
+            else:
+                outs = [op(x, w, b, groups=groups, leaky=leaky) for x in xs]
+            terms = [ad.tensor_sum(ad.mul(o, ad.Tensor(p))) for o, p in zip(outs, projs)]
+            loss = ad.add(ad.add(terms[0], terms[1]), terms[2])
+        grads = ad.backward(loss, tape, leaves=[*xs, w, b])
+        return [o.data.tobytes() for o in outs] + [g.data.tobytes() for g in grads.values()]
+
+    reference = run(_linear_chain, stacked=False)
+    assert run(ad.linear, stacked=False) == reference
+    assert run(ad.linear, stacked=True) == reference
+    out = ad.linear(ad.Tensor(xs0[0]), ad.Tensor(w0), ad.Tensor(b0), leaky=leaky).data
+    assert (out[:, 0] == (0 if leaky else b0[0])).all() and np.signbit(out[:, 0]).all()
+
+
+@pytest.mark.parametrize("leaky", [False, True])
+def test_linear_gradients(leaky):
+    rng = np.random.default_rng(89)
+    x = rng.normal(size=(4, 5))
+    w = rng.normal(size=(5, 3))
+    b = rng.normal(size=3)
+    # pre-activations clear of the leaky kink at zero
+    assert np.abs(x @ w + b).min() > 1e-2 and np.abs(x[0] @ w + b).min() > 1e-2
+    check_grads(proj_build(lambda ts: ad.linear(*ts, leaky=leaky), (4, 3)), [x, w, b])
+    check_grads(proj_build(lambda ts: ad.linear(*ts, leaky=leaky), (3,)), [x[0], w, b])
+    pairs = np.repeat(x[:2], 2, axis=0)
+    check_grads(proj_build(lambda ts: ad.linear(*ts, groups=2, leaky=leaky), (4, 3)),
+                [pairs, w, b])
+
+
+def test_linear_rejects_a_bias_that_is_not_one_row_of_w():
+    x = ad.Tensor(np.ones((2, 3), dtype=np.float32))
+    w = ad.Tensor(np.ones((3, 4), dtype=np.float32))
+    for b in (np.ones(3), np.ones((1, 4)), np.ones(())):
+        with pytest.raises(ad.ShapeMismatchError, match="linear"):
+            ad.linear(x, w, ad.Tensor(b.astype(np.float32)))
+    with pytest.raises(ad.ShapeMismatchError, match="linear"):
+        ad.linear(x, ad.Tensor(np.ones(3, dtype=np.float32)), ad.Tensor(np.ones(1, np.float32)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_gather_rows_sibling_gradient_is_byte_equal_to_add_at(dtype, k):
+    # a parent index (each row taken k times in a row) sums its gradient
+    # rows by strided adds; the bytes must be np.add.at's, alone and per
+    # shape of a Stack, with a NaN and signed zeros among the gradient rows
+    rng = np.random.default_rng(97)
+    rows = (3, 1, 5)
+    projs = [rng.normal(size=(r * k, 4)).astype(dtype) for r in rows]
+    projs[0][1] = -0.0
+    projs[2][k, 2] = np.nan
+
+    def expected(r, proj):
+        gx = np.zeros((r, 4), dtype=dtype)
+        np.add.at(gx, np.repeat(np.arange(r), k), proj)
+        return gx.tobytes()
+
+    for stacked in (False, True):
+        xs = [ad.Tensor(rng.normal(size=(r, 4)).astype(dtype), requires_grad=True) for r in rows]
+        with ad.Tape() as tape:
+            if stacked:
+                with ad.shape_tapes(len(rows)) as tapes:
+                    x = ad.stack(xs, tapes)
+                    outs = ad.gather_rows(x, np.repeat(np.arange(sum(rows)), k)).parts
+            else:
+                outs = [ad.gather_rows(x, np.repeat(np.arange(len(x.data)), k)) for x in xs]
+            terms = [ad.tensor_sum(ad.mul(o, ad.Tensor(p))) for o, p in zip(outs, projs)]
+            loss = ad.add(ad.add(terms[0], terms[1]), terms[2])
+        grads = ad.backward(loss, tape, leaves=xs)
+        assert [grads[x].data.tobytes() for x in xs] == \
+            [expected(r, p) for r, p in zip(rows, projs)], stacked
+
+
+def test_backward_runs_blas_on_one_thread_and_restores_the_count(monkeypatch):
+    blas = ad._openblas_threads()
+    if blas is None:
+        pytest.skip("NumPy's BLAS exposes no thread count")
+    get, put = blas
+    rng = np.random.default_rng(101)
+    x = ad.Tensor(rng.normal(size=(6, 5)).astype(np.float32), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(5, 4)).astype(np.float32), requires_grad=True)
+    with ad.Tape() as tape:
+        loss = ad.tensor_sum(ad.tanh(ad.matmul(x, w)))
+    reference = ad.backward(loss, tape)
+    fwd, vjp = ad._REGISTRY["tanh"]
+    seen = []
+
+    def spy(grad, arrays, saved, attrs):
+        seen.append(get())
+        return vjp(grad, arrays, saved, attrs)
+
+    def fail(grad, arrays, saved, attrs):
+        raise RuntimeError("vjp failed")
+
+    caller = get()
+    try:
+        put(2)
+        monkeypatch.setitem(ad._REGISTRY, "tanh", (fwd, spy))
+        grads = ad.backward(loss, tape)
+        assert seen == [1] and get() == 2
+        assert [g.data.tobytes() for g in grads.values()] == \
+            [g.data.tobytes() for g in reference.values()]
+        monkeypatch.setitem(ad._REGISTRY, "tanh", (fwd, fail))
+        with pytest.raises(RuntimeError, match="vjp failed"):
+            ad.backward(loss, tape)
+        assert get() == 2
+    finally:
+        put(caller)
+    # without the library's thread calls, backward runs as it is
+    monkeypatch.setattr(ad, "_openblas_threads", lambda: None)
+    monkeypatch.setitem(ad._REGISTRY, "tanh", (fwd, vjp))
+    assert ad.backward(loss, tape)[x].data.tobytes() == reference[x].data.tobytes()
+
+
+def test_readme_counts_every_primitive():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        (count,) = re.findall(r"(\d+) primitives", fh.read())
+    assert int(count) == len(ad._REGISTRY)
+
+
 def test_scale_gradient():
     x = np.random.default_rng(1).normal(size=(5,))
     check_grads(proj_build(lambda ts: ad.scale(ts[0], -2.5), (5,)), [x])
@@ -726,11 +886,14 @@ def test_stacked_primitive_records_what_each_shape_records_alone():
     w = ad.Tensor(rng.normal(size=(4, 6)).astype(np.float32), requires_grad=True)
     wt = ad.Tensor(rng.normal(size=(6, 4)).astype(np.float32), requires_grad=True)
     v = ad.Tensor(rng.normal(size=4).astype(np.float32), requires_grad=True)
+    bias = ad.Tensor(rng.normal(size=6).astype(np.float32), requires_grad=True)
     three = ad.Tensor(np.float32(3.0))
     cases = [
         ("matmul", lambda x, y: ad.matmul(x, w)),
         ("matmul", lambda x, y: ad.matmul(x, wt, transpose_b=True)),
         ("matmul", lambda x, y: ad.matmul(x, v)),
+        ("linear", lambda x, y: ad.linear(x, w, bias)),
+        ("linear", lambda x, y: ad.linear(x, w, bias, leaky=True)),
         ("add", lambda x, y: ad.add(x, v)),
         ("add", lambda x, y: ad.add(x, y)),
         ("mul", lambda x, y: ad.mul(x, three)),
@@ -770,6 +933,11 @@ def test_stacked_primitive_records_what_each_shape_records_alone():
 
     _assert_entries_match_each_part(op(grouped), tapes, op, (grouped,), "matmul")
 
+    def op(g):
+        return ad.linear(g, w, bias, groups=2, leaky=True)
+
+    _assert_entries_match_each_part(op(grouped), tapes, op, (grouped,), "linear")
+
 
 def test_gather_rows_on_a_stack_takes_each_shapes_indices_locally():
     rng = np.random.default_rng(71)
@@ -792,6 +960,8 @@ def test_stack_rejects_every_primitive_that_would_mix_shapes():
     flat = ad.reshape(x, (20,))
     plain = ad.Tensor(np.ones((5, 4), dtype=np.float32))
     w = ad.Tensor(np.ones((4, 2), dtype=np.float32))
+    b2 = ad.Tensor(np.ones(2, dtype=np.float32))
+    stacked_bias = ad.reshape(_stacked((1, 1), 1, rng, tapes), (2,))
     mixing = [
         lambda: ad.transpose(x),
         lambda: ad.tensor_sum(x),
@@ -807,6 +977,9 @@ def test_stack_rejects_every_primitive_that_would_mix_shapes():
         lambda: ad.matmul(flat, ad.Tensor(np.ones((20, 1), dtype=np.float32))),
         lambda: ad.matmul(x, w, groups=2),  # 3 rows of one shape
         lambda: ad.matmul(_stacked((1, 3), 4, rng, tapes), w, groups=2),  # 4 rows in all
+        lambda: ad.linear(x, w, stacked_bias),
+        lambda: ad.linear(flat, ad.Tensor(np.ones((20, 2), dtype=np.float32)), b2),
+        lambda: ad.linear(x, w, b2, groups=2),
         lambda: ad.reshape(x, (4, 5)),
         lambda: ad.reshape(x, (2, 10)),
         lambda: ad.gather_rows(x, np.array([3, 0])),  # shapes out of order

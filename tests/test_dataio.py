@@ -149,6 +149,18 @@ def test_load_dataset_from_list_file(tmp_path):
     assert ds.names == ["c0", "c1"]
 
 
+def test_leading_comments_and_blanks_do_not_decide_a_files_kind(tmp_path):
+    # the first line judged is the first that is neither blank nor `#`
+    scan = tmp_path / "scan.xyz"
+    scan.write_text("# a scan\n\n0 0 0\n1 0 0\n0 1 0\n")
+    assert dataio.resolve_cloud_paths(scan) == [str(scan)]
+    assert dataio.load_dataset(scan).names == ["scan"]
+    dataio.save_cloud(tmp_path / "c0.xyz", PointCloud(np.eye(3, dtype=np.float32)))
+    listing = tmp_path / "clouds.txt"
+    listing.write_text("\n# clouds\nc0.xyz\n")
+    assert dataio.resolve_cloud_paths(listing) == [str(tmp_path / "c0.xyz")]
+
+
 def test_load_dataset_single_cloud_file(tmp_path):
     path = tmp_path / "one.xyz"
     dataio.save_cloud(path, PointCloud(np.eye(3, dtype=np.float32)))

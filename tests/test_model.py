@@ -244,13 +244,14 @@ def test_generate_is_deterministic():
 
 
 def _hint_ignored(monkeypatch):
-    # the matmul forward as it was before sibling runs were shared
-    fwd, vjp = ad._REGISTRY["matmul"]
+    # the matmul and linear forwards as they were before sibling runs were shared
+    for kind in ("matmul", "linear"):
+        fwd, vjp = ad._REGISTRY[kind]
 
-    def unhinted(arrays, attrs):
-        return fwd(arrays, {key: v for key, v in attrs.items() if key != "groups"})
+        def unhinted(arrays, attrs, fwd=fwd):
+            return fwd(arrays, {key: v for key, v in attrs.items() if key != "groups"})
 
-    monkeypatch.setitem(ad._REGISTRY, "matmul", (unhinted, vjp))
+        monkeypatch.setitem(ad._REGISTRY, kind, (unhinted, vjp))
 
 
 def test_shared_sibling_rows_leave_every_generate_stage_unchanged(monkeypatch):
@@ -272,14 +273,15 @@ def test_sibling_groups_share_every_rep_column(monkeypatch):
     config = m.preset("2048")
     params = m.init_parameters(config, seed=5)
     z = np.random.default_rng(53).normal(size=512).astype(np.float32)
-    fwd, vjp = ad._REGISTRY["matmul"]
     seen = []
+    for kind in ("matmul", "linear"):  # sub.mh runs as a matmul, exp.l0 as a linear
+        fwd, vjp = ad._REGISTRY[kind]
 
-    def record(arrays, attrs):
-        seen.append((arrays[0], arrays[1].shape, attrs.get("groups", 1)))
-        return fwd(arrays, attrs)
+        def record(arrays, attrs, fwd=fwd):
+            seen.append((arrays[0], arrays[1].shape, attrs.get("groups", 1)))
+            return fwd(arrays, attrs)
 
-    monkeypatch.setitem(ad._REGISTRY, "matmul", (record, vjp))
+        monkeypatch.setitem(ad._REGISTRY, kind, (record, vjp))
     # one shape, then a forest of three expanded as one Stack per stage
     rng = np.random.default_rng(59)
     latents = [z] + [rng.normal(size=512).astype(np.float32) for _ in range(2)]

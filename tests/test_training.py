@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,30 @@ def test_forest_loss_equals_shape_by_shape_bit_for_bit(vae, k_schedule, sizes):
         if loss_fn is training.total_loss:
             assert tape.replay()
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("vae", [False, True])
+def test_every_layer_records_one_linear_entry_per_shape(vae):
+    # the acceptance overfit generator: each weight matrix enters the tape
+    # through one linear entry per shape and stage, leaky on the hidden
+    # layers, and no bias or leaky_relu is recorded apart from its layer
+    gen = m.GeneratorConfig(k_schedule=(4, 4, 4), latent_width=64, embed_width=32,
+                            mlp_hidden=(128, 128), vae_mode=vae)
+    params = m.init_parameters(gen, seed=0)
+    batch = small_dataset(3, n_points=24)
+    with ad.Tape() as tape:
+        training.total_loss(params, batch, training.TrainConfig(), rng=np.random.default_rng(1))
+    names = {id(t): n[:-2] for n, t in params.items() if n.endswith((".w", ".b"))}
+    layers = Counter()
+    for e in tape.entries:
+        if e.kind == "linear":
+            w, b = (names[id(t)] for t in e.inputs[1:])
+            assert w == b and e.attrs.get("leaky", False) == w.startswith(("enc.pp", "exp.l"))
+            layers[w] += 1
+        else:
+            assert e.kind != "leaky_relu" and not any(id(t) in names for t in e.inputs)
+    per_shape = {n: gen.stage_count if n.startswith("exp.") else 1 for n in set(names.values())}
+    assert layers == {n: len(batch) * count for n, count in per_shape.items()}
 
 
 def test_fit_with_an_uneven_last_batch_equals_shape_by_shape(monkeypatch):
