@@ -19,7 +19,7 @@ def main():
 
     with ad.Tape() as tape:
         h = ad.tanh(ad.matmul(x, w))  # (5, 4)
-        pooled = ad.max_reduce(ad.transpose(h))  # strongest point per feature
+        pooled = ad.max_reduce(h, axis=0)  # strongest point per feature
         loss = ad.tensor_sum(ad.square(pooled))
 
     print(f"loss = {loss.data:.6f}")
@@ -37,7 +37,7 @@ def main():
         saved = w.data[probe]
         w.data[probe] = value
         with ad.Tape():
-            out = ad.tensor_sum(ad.square(ad.max_reduce(ad.transpose(ad.tanh(ad.matmul(x, w))))))
+            out = ad.tensor_sum(ad.square(ad.max_reduce(ad.tanh(ad.matmul(x, w)), axis=0)))
         w.data[probe] = saved
         return float(out.data)
 

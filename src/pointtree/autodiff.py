@@ -42,7 +42,12 @@ need determinism at fixed shapes.
 A model layer, matmul then a bias row then an optional leaky ReLU, runs as
 one `linear` primitive: the three steps' roundings in their order, the
 three vjps back to back, and one tape entry that keeps the output and the
-pre-activation's sign instead of three arrays.
+pre-activation's sign, packed one bit per element, instead of three arrays.
+Its input may come as column blocks, read as if concatenated along axis 1
+(a stage's embeddings beside its parents' representations), so the tape
+never keeps the concatenated copy; with the `groups` hint the forward never
+builds it either. A max-pool over the rows of a 2-D tensor is
+`max_reduce(x, axis=0)`, which records no transposed copy.
 
 A tape may be consumed by `backward` any number of times; it is a pure
 record, not a one-shot resource.
@@ -51,13 +56,14 @@ Several shapes can be computed as one `Stack` (their tensors stacked along
 axis 0, one tape per shape): a primitive runs once over all rows and
 records one entry per shape on that shape's tape, the entry a call on that
 shape's rows alone would record. Only row-separable kinds accept a Stack:
-matmul and linear (a 2-D Stack first operand, the others plain), the
+matmul (a 2-D Stack first operand, the other plain), linear (every column
+block a 2-D Stack over the same shapes and rows, w and b plain), the
 elementwise kinds against a Stack of the same shapes or a plain scalar or
 row, last-axis norm and max_reduce of a 2-D Stack, concat along axis 1,
 reshape that keeps each shape's rows whole, and gather_rows whose indices
 take each shape's rows from that shape, in shape order. transpose, sum,
-mean, axis-0 concat and a reduction of a 1-D Stack raise: they would mix
-shapes.
+mean, axis-0 concat, axis-0 max_reduce and a reduction of a 1-D Stack
+raise: they would mix shapes.
 """
 
 from __future__ import annotations
@@ -215,12 +221,14 @@ class Tape:
 
         Returns True when all recomputed outputs are bit-identical to the
         recorded ones. With unchanged leaf data this always holds: the
-        primitives are deterministic.
+        primitives are deterministic. Bytes are compared, not values, so a
+        recorded NaN matches itself and 0.0 does not match -0.0.
         """
         for entry in self.entries:
             fwd, _ = _REGISTRY[entry.kind]
             out, _ = fwd([t.data for t in entry.inputs], entry.attrs)
-            if not np.array_equal(out, entry.output.data):
+            recorded = entry.output.data
+            if out.shape != recorded.shape or out.tobytes() != recorded.tobytes():
                 return False
         return True
 
@@ -412,24 +420,39 @@ def _fwd_matmul(arrays, attrs):
     # `transpose_b` the product is a @ b.T, formed from a contiguous copy of
     # b.T exactly as a separate transpose would have made it.
     a, b = arrays
+    return _block_matmul([a], b, attrs), None
+
+
+def _block_matmul(blocks, b, attrs):
+    # concatenate(blocks, axis=1) @ b. One block may be 1-D; several are 2-D
+    # with one row count, and only a product without the `groups` hint
+    # builds their concatenation.
+    a = blocks[0]
+    arrays = (*blocks, b)
     if attrs.get("transpose_b"):
         if b.ndim != 2:
             _shape_error("matmul", arrays, "a transposed b must be 2-D")
         b = np.ascontiguousarray(b.T)
     if a.ndim not in (1, 2) or b.ndim not in (1, 2):
         _shape_error("matmul", arrays, "operands must be 1-D or 2-D")
-    if a.shape[-1] != b.shape[0]:
+    if len(blocks) > 1 and any(x.ndim != 2 or len(x) != len(a) for x in blocks):
+        _shape_error("matmul", arrays, "column blocks must be 2-D with equal row counts")
+    inner = sum(x.shape[-1] for x in blocks)
+    if inner != b.shape[0]:
         _shape_error("matmul", arrays, "inner dimensions differ")
-    inner = a.shape[-1]
     if inner == 0:
         _shape_error("matmul", arrays, "empty contraction axis")
     groups = attrs.get("groups", 1)
     if groups > 1 and (a.ndim != 2 or len(a) % groups):
         _shape_error("matmul", arrays, f"rows of a do not split into groups of {groups}")
-    a2, b2 = a.reshape(-1, inner), b.reshape(inner, -1)
+    b2 = b.reshape(inner, -1)
     with _small_ufunc_buffer():
-        out = _grouped_matmul(a2, b2, groups) if groups > 1 else _rows_matmul(a2, b2)
-    return out.reshape(a.shape[:-1] + b.shape[1:]), None
+        if groups > 1:
+            out = _grouped_matmul(blocks, b2, groups)
+        else:
+            a2 = np.concatenate(blocks, axis=1) if len(blocks) > 1 else a.reshape(-1, inner)
+            out = _rows_matmul(a2, b2)
+    return out.reshape(a.shape[:-1] + b.shape[1:])
 
 
 @contextlib.contextmanager
@@ -529,83 +552,67 @@ def _rows_matmul(a, b):
     return out
 
 
-def _column_kinds(a, groups):
-    """How each column of the 2-D `a` repeats over row groups of size `groups`.
+def _block_kind(x, r):
+    """How the rows of the 2-D block `x` repeat over consecutive groups of r.
 
-    "within": one value inside every group; "across": not within, but every
-    group holds the same value in the same slot; "neither". Values are
-    compared as unsigned ints: a float compare would merge 0.0 with -0.0,
-    whose products can differ in sign, and never find a NaN equal to itself.
+    "within": every row of a group is a copy of the group's first row;
+    "across": not within, but every group is a copy of the first group, row
+    for row; "plain": neither. Rows are compared as unsigned ints: a float
+    compare would merge 0.0 with -0.0, whose products can differ in sign,
+    and never find a NaN equal to itself.
     """
-    bits = a.view(f"u{a.itemsize}").reshape(-1, groups, a.shape[1])
-    within = (bits == bits[:, :1]).all(axis=(0, 1))
-    across = np.zeros_like(within)
-    rest = np.flatnonzero(~within)
-    if len(rest):
-        part = bits[:, :, rest]
-        across[rest] = (part == part[:1]).all(axis=(0, 1))
-    return ["within" if w else "across" if c else "neither"
-            for w, c in zip(within.tolist(), across.tolist())]
+    bits = x.view(f"u{x.itemsize}").reshape(-1, r, x.shape[1])
+    if (bits == bits[:, :1]).all():
+        return "within"
+    return "across" if (bits == bits[:1]).all() else "plain"
 
 
-def _grouped_matmul(a, b, r):
-    # a @ b for 2-D operands whose rows of `a` come in consecutive groups of
-    # r, with every output element's multiply-then-add chain unchanged.
-    # Equal input bits give equal rounded products, so a "within" column's
-    # product is formed once per group and an "across" column's once per
-    # slot (per block of groups), then added by broadcast in index order.
-    # The leading run of within or across columns runs its whole chain at
-    # one row per group or at r rows and is copied into each block; when
-    # every column is within (rows that are full copies) the chain runs
-    # once per group and is repeated down the rows.
+def _grouped_matmul(blocks, b, r):
+    # concatenate(blocks, axis=1) @ b for 2-D blocks whose rows come in
+    # consecutive groups of r, with every output element's multiply-then-add
+    # chain unchanged. Equal input bits give equal rounded products, so the
+    # first block's whole chain runs at one row per group ("within") or at
+    # the r rows of one group ("across") and is copied into each block of
+    # output; each later block must be within, and its products are formed
+    # once per group and added by broadcast in index order. When the first
+    # block is everything, its chain is repeated down the rows or tiled
+    # group after group. Any other layout (a plain block, a later
+    # across block) runs the product on every row.
     #
-    # A block accumulates slot-major, (r, groups, width), so a per-group
-    # product is added to r contiguous runs rather than broadcast row by
-    # row, and is copied back row-major once per block.
-    n, inner = a.shape
-    width = b.shape[1]
-    kinds = _column_kinds(a, r)
-    head_kind = kinds[0]
-    lead = 1
-    while lead < inner and kinds[lead] == head_kind:
-        lead += 1
-    if head_kind == "within":
-        head = _rows_matmul(a[::r, :lead], b[:lead])
-        if lead == inner:
-            return np.repeat(head, r, axis=0)
-        head = head[None]  # one row per group, the same in every slot
-    elif head_kind == "across":
-        head = _rows_matmul(a[:r, :lead], b[:lead])[:, None]  # one row per slot
+    # A block of output accumulates slot-major, (r, groups, width), so a
+    # per-group product is added to r contiguous runs rather than broadcast
+    # row by row, and is copied back row-major once per block.
+    kinds = [_block_kind(x, r) for x in blocks]
+    if "plain" in kinds or "across" in kinds[1:]:
+        return _rows_matmul(np.concatenate(blocks, axis=1), b)
+    head, rest = blocks[0], blocks[1:]
+    lead = head.shape[1]
+    n, width = len(head), b.shape[1]
+    if kinds[0] == "within":
+        first = _rows_matmul(head[::r], b[:lead])
+        if not rest:
+            return np.repeat(first, r, axis=0)
+        first = first[None]  # one row per group, the same in every slot
     else:
-        lead = 1
-    rest = list(zip(range(lead, inner), kinds[lead:]))
-    a3 = a.reshape(n // r, r, inner)
-    out = np.empty((n, width), dtype=np.result_type(a, b))
+        first = _rows_matmul(head[:r], b[:lead])
+        if not rest:
+            return np.tile(first, (n // r, 1))
+        first = first[:, None]  # one row per slot, the same in every group
+    first = np.broadcast_to(first, (r, n // r, width))
+    shared = np.concatenate([x[::r] for x in rest], axis=1)  # one row per group
+    out = np.empty((n, width), dtype=np.result_type(head, b))
     out3 = out.reshape(n // r, r, width)
     per_block = max(1, _MATMUL_BLOCK // max(1, r * width))  # groups per block
-    acc_block = np.empty((r, min(per_block, len(a3)), width), dtype=out.dtype)
-    scratch = np.empty_like(acc_block)
-    for g0 in range(0, len(a3), per_block):
-        blk = a3[g0 : g0 + per_block]
-        acc, t_full = acc_block[:, : len(blk)], scratch[:, : len(blk)]
-        t_group, t_slot = t_full[0], t_full[:, 0]
-        if head_kind == "within":
-            acc[...] = head[:, g0 : g0 + len(blk)]
-        elif head_kind == "across":
-            acc[...] = head
-        else:
-            np.multiply(blk[:, :, 0].T[:, :, None], b[0], out=acc)
-        for k, kind in rest:
-            if kind == "within":
-                np.multiply(blk[:, 0, k : k + 1], b[k], out=t_group)
-                acc += t_group
-            elif kind == "across":
-                np.multiply(a3[0, :, k : k + 1], b[k], out=t_slot)
-                acc += t_slot[:, None]
-            else:
-                np.multiply(blk[:, :, k].T[:, :, None], b[k], out=t_full)
-                acc += t_full
-        out3[g0 : g0 + len(blk)] = acc.transpose(1, 0, 2)
+    acc_block = np.empty((r, min(per_block, n // r), width), dtype=out.dtype)
+    t_block = np.empty(acc_block.shape[1:], dtype=out.dtype)
+    for g0 in range(0, n // r, per_block):
+        g1 = min(g0 + per_block, n // r)
+        acc, t = acc_block[:, : g1 - g0], t_block[: g1 - g0]
+        acc[...] = first[:, g0:g1]
+        for k in range(shared.shape[1]):
+            np.multiply(shared[g0:g1, k : k + 1], b[lead + k], out=t)
+            acc += t
+        out3[g0:g1] = acc.transpose(1, 0, 2)
     return out
 
 
@@ -628,37 +635,52 @@ def _vjp_matmul(grad, arrays, saved, attrs):
 def _fwd_linear(arrays, attrs):
     # x @ w on the fixed-order kernel (with its `groups` hint), then the
     # bias row and the optional leaky ReLU applied in place: each element
-    # gets exactly the bytes of leaky_relu(add(matmul(x, w), b)). Only the
-    # output and, when leaky, the sign of the pre-activation are kept for
-    # the vjp. The sign comes from the pre-activation: a tiny negative
-    # value times the slope can round to -0.0, which reads as non-negative.
+    # gets exactly the bytes of leaky_relu(add(matmul(x, w), b)). `x` may
+    # arrive as several column blocks (arrays[:-2]), read as their
+    # concatenation along axis 1. Only the output and, when leaky, the sign
+    # of the pre-activation are kept for the vjp, packed eight elements to a
+    # byte along each row. The sign comes from the pre-activation: a tiny
+    # negative value times the slope can round to -0.0, which reads as
+    # non-negative.
     #
     # The leaky ReLU is max(slope * y, y), several times faster than a
     # select on the sign. Rounding is monotone, so the rounded slope * y is
     # at most y for y >= 0 and at least y below 0 (equal only at 0 and
     # infinities, which have the same bits either way); where y is NaN,
     # NumPy returns the first operand, slope * y, the value the select took.
-    x, w, b = arrays
-    if w.ndim != 2 or b.shape != w.shape[1:]:
-        _shape_error("linear", arrays, "w must be 2-D and b a row as wide as w")
-    out, _ = _fwd_matmul((x, w), attrs)
+    *blocks, w, b = arrays
+    if not blocks or w.ndim != 2 or b.shape != w.shape[1:]:
+        _shape_error("linear", arrays, "needs x, a 2-D w and b a row as wide as w")
+    out = _block_matmul(blocks, w, attrs)
     out += b
     if not attrs.get("leaky"):
         return out, None
-    keep = out >= 0
+    keep = np.packbits(out >= 0, axis=-1)
     np.maximum(out * out.dtype.type(LEAKY_SLOPE), out, out=out)
     return out, keep
 
 
+def _leaky_slopes(keep, dtype):
+    # the leaky ReLU's derivative where `keep` (0 or 1 per element) marks a
+    # non-negative input: a table lookup, the values np.where would select
+    # in about a third of its time
+    return np.take(np.array([LEAKY_SLOPE, 1.0], dtype=dtype), keep)
+
+
 def _vjp_linear(grad, arrays, saved, attrs):
     # the vjps of leaky_relu, add and matmul in turn, as the three entries
-    # would have run them back to back
-    x, w, b = arrays
+    # would have run them back to back; several column blocks are joined
+    # for the BLAS product and their gradient split as concat's vjp splits it
+    *blocks, w, b = arrays
     if saved is not None:
-        grad = grad * np.where(saved, w.dtype.type(1.0), w.dtype.type(LEAKY_SLOPE))
+        keep = np.unpackbits(saved, axis=-1, count=grad.shape[-1])
+        grad = grad * _leaky_slopes(keep, w.dtype)
     gb = _unbroadcast(grad, b.shape)
-    gx, gw = _vjp_matmul(grad, (x, w), None, {})
-    return gx, gw, gb
+    if len(blocks) == 1:
+        return (*_vjp_matmul(grad, (blocks[0], w), None, {}), gb)
+    gx, gw = _vjp_matmul(grad, (np.concatenate(blocks, axis=1), w), None, {})
+    gxs = _vjp_concat(gx, blocks, [x.shape[1] for x in blocks], {"axis": 1})
+    return (*gxs, gw, gb)
 
 
 def _fwd_tanh(arrays, attrs):
@@ -699,7 +721,7 @@ def _fwd_leaky_relu(arrays, attrs):
 def _vjp_leaky_relu(grad, arrays, saved, attrs):
     x = arrays[0]
     # slope 1 on the boundary x == 0
-    return (grad * np.where(x >= 0, x.dtype.type(1.0), x.dtype.type(LEAKY_SLOPE)),)
+    return (grad * _leaky_slopes((x >= 0).view(np.uint8), x.dtype),)
 
 
 def _fwd_square(arrays, attrs):
@@ -747,19 +769,28 @@ def _vjp_mean(grad, arrays, saved, attrs):
 
 
 def _fwd_max_reduce(arrays, attrs):
+    # the max along the last axis, or with axis 0 down each column of a 2-D
+    # array; ties route to the lowest index. Axis 0 reduces a transient
+    # contiguous copy of x.T, which the tape never keeps: NumPy's strided
+    # and contiguous max reductions break a tie between 0.0 and -0.0
+    # differently, and this keeps the bytes of max_reduce(transpose(x))
     x = arrays[0]
+    if attrs.get("axis", -1) == 0:
+        if x.ndim != 2:
+            _shape_error("max_reduce", arrays, "axis 0 needs a 2-D operand")
+        x = np.ascontiguousarray(x.T)
     if x.ndim == 0 or x.shape[-1] == 0:
-        _shape_error("max_reduce", arrays, "last axis must be non-empty")
+        _shape_error("max_reduce", arrays, "the reduced axis must be non-empty")
     idx = np.argmax(x, axis=-1)  # first occurrence: ties route to lowest index
     return np.max(x, axis=-1), idx
 
 
 def _vjp_max_reduce(grad, arrays, saved, attrs):
     x = arrays[0]
+    axis = attrs.get("axis", -1)
     gx = np.zeros_like(x)
-    np.put_along_axis(
-        gx, saved[..., np.newaxis], np.asarray(grad)[..., np.newaxis].astype(x.dtype), axis=-1
-    )
+    grad = np.asarray(grad).astype(x.dtype)
+    np.put_along_axis(gx, np.expand_dims(saved, axis), np.expand_dims(grad, axis), axis=axis)
     return (gx,)
 
 
@@ -920,13 +951,16 @@ def _apply_stacked(kind, inputs, attrs, fwd):
         elif kind not in ("matmul", "linear") and not (t.size == 1 or t.shape == ref.shape[1:]):
             mixes("a plain operand may only be a scalar or a row")
     if kind in ("matmul", "linear"):
-        a, *rest = inputs
-        if type(a) is not Stack or any(type(t) is Stack for t in rest) or a.ndim != 2:
-            mixes(f"{kind} needs a 2-D Stack first operand and plain others")
+        split = 1 if kind == "matmul" else len(inputs) - 2  # row operands, then weights
+        rows_ok = all(type(t) is Stack and t.ndim == 2 for t in inputs[:split])
+        if not rows_ok or any(type(t) is Stack for t in inputs[split:]):
+            mixes(f"{kind} needs 2-D Stack row operands and plain weights")
         if any(r % attrs.get("groups", 1) for r in rows):
             mixes("a shape's rows do not split into whole groups")
     elif kind in ("norm", "max_reduce") and ref.ndim < 2:
         mixes("a reduction of a 1-D stack")
+    elif kind == "max_reduce" and attrs.get("axis", -1) == 0:
+        mixes("axis-0 max_reduce")
     elif kind == "concat" and attrs["axis"] == 0:
         mixes("axis-0 concat")
 
@@ -1090,14 +1124,19 @@ def linear(x, w, b, groups: int = 1, leaky: bool = False):
 
     One primitive with the same bytes as that chain, forward and gradients,
     but one tape entry that keeps only the output and, when leaky, the sign
-    of the pre-activation. `w` is 2-D and `b` one row as wide as `w`.
+    of the pre-activation, one bit per element. `w` is 2-D and `b` one row
+    as wide as `w`. `x` may be a list of 2-D column blocks with one row
+    count, read as `concat(x, axis=1)` with that concat's gradients; the
+    entry's inputs are then the blocks, then `w` and `b`, and no
+    concatenated copy is kept.
     """
     attrs = {}
     if groups > 1:
         attrs["groups"] = int(groups)
     if leaky:
         attrs["leaky"] = True
-    return apply_primitive("linear", (x, w, b), **attrs)
+    blocks = tuple(x) if isinstance(x, (list, tuple)) else (x,)
+    return apply_primitive("linear", (*blocks, w, b), **attrs)
 
 
 def add(a, b):
@@ -1148,8 +1187,13 @@ def tensor_mean(a):
     return apply_primitive("mean", (a,))
 
 
-def max_reduce(a):
-    return apply_primitive("max_reduce", (a,))
+def max_reduce(a, axis: int = -1):
+    """Max along the last axis, or down each column of a 2-D `a` with
+    `axis=0`; the gradient goes to the first maximal element."""
+    if axis not in (-1, 0):
+        raise ShapeMismatchError(f"max_reduce: axis must be -1 or 0, got {axis}")
+    attrs = {"axis": 0} if axis == 0 else {}
+    return apply_primitive("max_reduce", (a,), **attrs)
 
 
 def concat(tensors, axis: int = 0):

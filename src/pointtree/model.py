@@ -218,7 +218,7 @@ def encode_batch(clouds, params: Parameters, tapes=None) -> list:
 
 
 def _encoder_head(features, params: Parameters):
-    pooled = ad.max_reduce(ad.transpose(features))  # (features,)
+    pooled = ad.max_reduce(features, axis=0)  # (features,)
     if params.config.vae_mode:
         mu = ad.linear(pooled, params["enc.mu.w"], params["enc.mu.b"])
         logvar = ad.linear(pooled, params["enc.logvar.w"], params["enc.logvar.b"])
@@ -269,10 +269,11 @@ def _expand_stage(points, reps, scales, stage: int, params: Parameters, rep_grou
     sibling rows (k(stage - 1) when they are the previous stage's output).
 
     Sibling work is shared through the matmul `groups` hint, bit for bit:
-    `h @ Mh^T` runs once per group of `rep_groups` rows, and exp.l0 sees
-    `concat([embeds, child_reps])` in groups of k, whose embedding columns
-    repeat slot by slot and whose rep columns are constant per group, so
-    only the adds of its rep products are made per sibling.
+    `h @ Mh^T` runs once per group of `rep_groups` rows, and exp.l0 reads
+    the column blocks `[embeds, child_reps]` in groups of k: the embedding
+    block repeats slot by slot and the rep block is constant per group, so
+    only the adds of its rep products are made per sibling. The two blocks
+    are never concatenated into one array.
 
     The three inputs may be Stacks, one row block per shape of a forest;
     the embedding gather and the offset floor are then made per shape.
@@ -290,7 +291,7 @@ def _expand_stage(points, reps, scales, stage: int, params: Parameters, rep_grou
         points, lambda p: ad.gather_rows(params[f"emb.d{stage}"], np.tile(slots, p.shape[0]))
     )
 
-    t = ad.concat([embeds, child_reps], axis=1)
+    t = [embeds, child_reps]
     for i in range(len(config.mlp_hidden)):
         w, b = params[f"exp.l{i}.w"], params[f"exp.l{i}.b"]
         t = ad.linear(t, w, b, groups=k if i == 0 else 1, leaky=True)

@@ -6,6 +6,7 @@ import pytest
 
 from pointtree import autodiff as ad
 from gradcheck import check_grads, numeric_grad, rel_err
+from tapecheck import tape_bytes
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -155,16 +156,17 @@ def test_single_nan_keeps_its_payload_in_every_kernel_path(dtype):
             hit = out[i] if operand == "a" else out[:, j]
             assert (hit.view(utype) == payload).all(), (name, operand)
             assert np.isfinite(out).sum() == out.size - hit.size, (name, operand)
-    # grouped: one NaN value per column kind, in the leading run and after it
+    # grouped: one NaN value in each kind of column block, first and later,
+    # in layouts whose products are shared and in layouts run on every row
     r, groups = 4, 6
-    for kinds in ("wan", "nwa"):
-        for col, kind in enumerate(kinds):
-            a = _grouped(rng, kinds, groups, r, dtype)
-            b = rng.normal(size=(len(kinds), 33)).astype(dtype)
+    for kinds in ("aw", "aww", "w", "a", "wa", "nw"):
+        for i, kind in enumerate(kinds):
+            blocks = _grouped(rng, kinds, groups, r, dtype)
+            b = rng.normal(size=(2 * len(kinds), 33)).astype(dtype)
             rows = {"w": slice(4, 8), "a": slice(1, None, r), "n": slice(9, 10)}[kind]
-            a.view(utype)[rows, col] = payload
-            assert ad._column_kinds(a, r)[col] == _KIND_NAMES[kind]
-            out, _ = ad._fwd_matmul([a, b], {"groups": r})
+            blocks[i].view(utype)[rows, 1] = payload
+            assert ad._block_kind(blocks[i], r) == _KIND_NAMES[kind]
+            out = ad._block_matmul(blocks, b, {"groups": r})
             assert (out[rows].view(utype) == payload).all(), (kinds, kind)
             assert np.isfinite(out).sum() == out.size - out[rows].size, (kinds, kind)
 
@@ -265,71 +267,89 @@ def _runs(rng, lengths, width, dtype):
     return np.ascontiguousarray(np.repeat(rows, lengths, axis=0))
 
 
-def _grouped(rng, kinds, groups, r, dtype):
-    # `groups` groups of r rows; column c is constant inside every group
-    # ("w"), repeats slot by slot from group to group ("a"), or is free ("n")
-    cols = {
-        "w": lambda: np.repeat(rng.normal(size=groups), r),
-        "a": lambda: np.tile(rng.normal(size=r), groups),
-        "n": lambda: rng.normal(size=groups * r),
+def _grouped(rng, kinds, groups, r, dtype, width=2):
+    # one column block of `width` columns per kind, over `groups` groups of
+    # r rows: constant inside every group ("w"), repeating slot by slot from
+    # group to group ("a"), or free ("n")
+    blocks = {
+        "w": lambda: np.repeat(rng.normal(size=(groups, width)), r, axis=0),
+        "a": lambda: np.tile(rng.normal(size=(r, width)), (groups, 1)),
+        "n": lambda: rng.normal(size=(groups * r, width)),
     }
-    return np.ascontiguousarray(np.stack([cols[c]() for c in kinds], axis=1).astype(dtype))
+    return [np.ascontiguousarray(blocks[c]().astype(dtype)) for c in kinds]
 
 
-_KIND_NAMES = {"w": "within", "a": "across", "n": "neither"}
+_KIND_NAMES = {"w": "within", "a": "across", "n": "plain"}
+_SHARED_LAYOUTS = ("aw", "aww", "ww", "w", "a")  # block layouts whose products are shared
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("r", [1, 2, 4, 8])
-def test_grouped_matmul_is_byte_equal_to_index_order_loop(dtype, r):
+def test_grouped_matmul_is_byte_equal_to_index_order_loop(dtype, r, monkeypatch):
+    # column blocks in every layout whose products the grouped kernel
+    # shares and in layouts it runs on every row, over group counts on the
+    # edges of an output block; only a shared layout runs the row kernel on
+    # fewer rows than the output has
     rng = np.random.default_rng(59 + r)
     m = 257
     per_block = max(1, ad._MATMUL_BLOCK // (r * m))  # groups per row block
-    orders = ["wan", "wna", "awn", "anw", "nwa", "naw", "aawwnwa", "wwwann", "www", "aaa", "nnn"]
+    orders = [*_SHARED_LAYOUTS, "wa", "awa", "n", "nw", "an", "wn"]
+    rows_seen = []
+    rows_matmul = ad._rows_matmul
+
+    def spy(a, b):
+        rows_seen.append(len(a))
+        return rows_matmul(a, b)
+
+    monkeypatch.setattr(ad, "_rows_matmul", spy)
     for groups in (1, 2, per_block - 1, per_block, per_block + 1, 2 * per_block + 3):
         for kinds in orders:
-            a = _grouped(rng, kinds, groups, r, dtype)
-            b = rng.normal(size=(len(kinds), m)).astype(dtype)
+            blocks = _grouped(rng, kinds, groups, r, dtype)
+            b = rng.normal(size=(2 * len(kinds), m)).astype(dtype)
             b[-1, 1:] = -0.0
-            out, _ = ad._fwd_matmul([a, b], {"groups": r})
-            ref = _matmul_index_order(a, b)
+            rows_seen.clear()
+            out = ad._block_matmul(blocks, b, {"groups": r})
+            ref = _matmul_index_order(np.concatenate(blocks, axis=1), b)
             assert out.dtype == ref.dtype and out.shape == ref.shape
             assert out.tobytes() == ref.tobytes(), (groups, kinds)
-            if groups > 1 and r > 1:  # one group or one slot makes every column both
-                assert ad._column_kinds(a, r) == [_KIND_NAMES[c] for c in kinds]
-            col = ad._fwd_matmul([a, b[:, :1].copy()], {"groups": r})[0]  # a 1-column b
+            if groups > 1 and r > 1:  # one group or one slot makes a block both
+                assert [ad._block_kind(x, r) for x in blocks] == [_KIND_NAMES[c] for c in kinds]
+                assert (max(rows_seen) < groups * r) == (kinds in _SHARED_LAYOUTS), kinds
+            col = ad._block_matmul(blocks, b[:, :1].copy(), {"groups": r})  # a 1-column b
             assert col.tobytes() == ref[:, :1].tobytes(), (groups, kinds)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_grouped_matmul_never_merges_unequal_bits(dtype):
-    # a column that looks constant in a group but is not, bit for bit, must
-    # not share a product: one element apart, 0.0 against -0.0, and NaNs
-    # with different payloads
+    # a block that looks constant in each group, or repeated from group to
+    # group, but is not, bit for bit, must not share a product: one element
+    # apart, 0.0 against -0.0, and NaNs with different payloads
     rng = np.random.default_rng(61)
-    r, groups, kinds = 4, 9, "awwnw"
-    b = np.abs(rng.normal(size=(len(kinds), 33))).astype(dtype) + 0.5  # keeps signs visible
+    r, groups, kinds = 4, 9, "aw"
+    b = np.abs(rng.normal(size=(2 * len(kinds), 33))).astype(dtype) + 0.5  # keeps signs visible
     nan = np.array(np.nan, dtype=dtype)
     other_nan = nan.copy()
     other_nan.view(f"u{nan.itemsize}")[...] ^= 5  # a second payload
     changes = {
-        "one element apart": (6, 2, lambda x: x + 1),
+        "one element apart": (6, 0, lambda x: x + 1),
         "signed zero": (2, 1, lambda x: -0.0),
-        "nan payloads": (4, 3, lambda x: other_nan),
+        "nan payloads": (4, 1, lambda x: other_nan),
     }
-    for name, (row, col, change) in changes.items():
-        a = _grouped(rng, kinds, groups, r, dtype)
-        if name == "signed zero":
-            a[:, col] = 0.0
-        if name == "nan payloads":
-            a[:, col] = nan
-        a[row, col] = change(a[row, col])
-        assert ad._column_kinds(a, r)[col] != "within", name
-        out, _ = ad._fwd_matmul([a, b], {"groups": r})
-        assert out.tobytes() == _matmul_index_order(a, b).tobytes(), name
-        equal = a.copy()
-        equal[row, col] = equal[row ^ 1, col]  # the same bits again: the column shares
-        assert ad._column_kinds(equal, r)[col] == "within", name
+    for i, kind in enumerate(kinds):
+        for name, (row, col, change) in changes.items():
+            blocks = _grouped(rng, kinds, groups, r, dtype)
+            x = blocks[i]
+            if name == "signed zero":
+                x[:, col] = 0.0
+            if name == "nan payloads":
+                x[:, col] = nan
+            x[row, col] = change(x[row, col])
+            assert ad._block_kind(x, r) == "plain", (kind, name)
+            out = ad._block_matmul(blocks, b, {"groups": r})
+            assert out.tobytes() == _matmul_index_order(np.concatenate(blocks, axis=1), b).tobytes()
+            # the same bits again, from a row of the same group or the same slot
+            x[row, col] = x[row ^ 1 if kind == "w" else (row + r) % len(x), col]
+            assert ad._block_kind(x, r) == _KIND_NAMES[kind], (kind, name)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -488,6 +508,7 @@ def test_linear_is_byte_equal_to_matmul_add_leaky_relu(dtype, groups, leaky):
             terms = [ad.tensor_sum(ad.mul(o, ad.Tensor(p))) for o, p in zip(outs, projs)]
             loss = ad.add(ad.add(terms[0], terms[1]), terms[2])
         grads = ad.backward(loss, tape, leaves=[*xs, w, b])
+        assert tape.replay()
         return [o.data.tobytes() for o in outs] + [g.data.tobytes() for g in grads.values()]
 
     reference = run(_linear_chain, stacked=False)
@@ -495,6 +516,136 @@ def test_linear_is_byte_equal_to_matmul_add_leaky_relu(dtype, groups, leaky):
     assert run(ad.linear, stacked=True) == reference
     out = ad.linear(ad.Tensor(xs0[0]), ad.Tensor(w0), ad.Tensor(b0), leaky=leaky).data
     assert (out[:, 0] == (0 if leaky else b0[0])).all() and np.signbit(out[:, 0]).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("groups", [1, 4])
+@pytest.mark.parametrize("leaky", [False, True])
+def test_block_linear_is_byte_equal_to_concat_then_linear(dtype, groups, leaky):
+    # a layer fed two column blocks against the same layer fed their
+    # concat: forward bytes, the gradient of each block, w and b, and
+    # replay, shape by shape and as one Stack of three shapes. The first
+    # block repeats slot by slot and the second is constant in each group
+    # of 4, a stage's [embeddings, parent reps], so groups=4 runs the
+    # shared kernel. The blocks hold -0.0, a subnormal and a NaN, and
+    # w[:, 0] = 0 with b[0] the negative subnormal of least magnitude puts
+    # a leaky output of -0.0 over a negative pre-activation. The block
+    # layer records one entry fewer per shape, and its tape holds exactly
+    # the concatenated copy fewer bytes
+    rng = np.random.default_rng(83)
+    rows = (8, 4, 12)
+    blocks0 = []
+    for r in rows:
+        across = np.tile(rng.normal(size=(4, 3)), (r // 4, 1)).astype(dtype)
+        within = np.repeat(rng.normal(size=(r // 4, 4)), 4, axis=0).astype(dtype)
+        blocks0.append([across, within])
+    blocks0[0][0][:, 1] = -0.0
+    blocks0[1][0][:, 2] = np.finfo(dtype).smallest_subnormal
+    blocks0[2][1][4:8, 3] = np.nan
+    blocks0[0][1][:4, 0] = -0.0
+    w0 = rng.normal(size=(7, 6)).astype(dtype)
+    w0[:, 0] = 0.0
+    b0 = rng.normal(size=6).astype(dtype)
+    b0[0] = -np.finfo(dtype).smallest_subnormal
+    projs = [rng.normal(size=(r, 6)).astype(dtype) for r in rows]
+
+    def run(blocked, stacked):
+        xs = [[ad.Tensor(a.copy(), requires_grad=True) for a in pair] for pair in blocks0]
+        w, b = (ad.Tensor(a.copy(), requires_grad=True) for a in (w0, b0))
+
+        def layer(pair):
+            x = list(pair) if blocked else ad.concat(pair, axis=1)
+            return ad.linear(x, w, b, groups=groups, leaky=leaky)
+
+        with ad.Tape() as tape:
+            if stacked:
+                with ad.shape_tapes(len(rows)) as tapes:
+                    outs = layer([ad.stack([p[j] for p in xs], tapes) for j in range(2)]).parts
+            else:
+                outs = [layer(pair) for pair in xs]
+            terms = [ad.tensor_sum(ad.mul(o, ad.Tensor(p))) for o, p in zip(outs, projs)]
+            loss = ad.add(ad.add(terms[0], terms[1]), terms[2])
+        grads = ad.backward(loss, tape, leaves=[x for pair in xs for x in pair] + [w, b])
+        assert tape.replay()
+        data = [o.data.tobytes() for o in outs] + [g.data.tobytes() for g in grads.values()]
+        return data, len(tape), tape_bytes(tape)
+
+    concat_bytes = sum(rows) * 7 * np.dtype(dtype).itemsize
+    for stacked in (False, True):
+        data, entries, held = run(blocked=True, stacked=stacked)
+        ref_data, ref_entries, ref_held = run(blocked=False, stacked=stacked)
+        assert data == ref_data, stacked
+        assert entries == ref_entries - len(rows)
+        assert held == ref_held - concat_bytes
+    with pytest.raises(ad.ShapeMismatchError, match="equal row counts"):
+        ad.linear([ad.Tensor(blocks0[0][0]), ad.Tensor(blocks0[1][1])],
+                  ad.Tensor(w0), ad.Tensor(b0))
+    with pytest.raises(ad.ShapeMismatchError, match="inner dimensions"):
+        ad.linear([ad.Tensor(blocks0[0][0])] * 2, ad.Tensor(w0), ad.Tensor(b0))
+    with pytest.raises(ad.ShapeMismatchError, match="linear"):
+        ad.linear([], ad.Tensor(w0), ad.Tensor(b0))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_slopes_are_byte_equal_to_a_select_on_the_sign(dtype):
+    # the table lookup both leaky vjps use, on a bool mask and on linear's
+    # packed one (a width that is no multiple of 8), gives the bytes of
+    # np.where on the sign; the gradients hold -0.0, a NaN and infinities,
+    # and the inputs 0.0, -0.0, a NaN and a negative subnormal
+    rng = np.random.default_rng(109)
+    x = rng.normal(size=(5, 19)).astype(dtype)
+    x[0, :4] = [0.0, -0.0, np.nan, -np.finfo(dtype).smallest_subnormal]
+    grad = rng.normal(size=x.shape).astype(dtype)
+    grad[0, :4] = -0.0
+    grad[1, :5] = [-0.0, 0.0, np.nan, np.inf, -np.inf]
+    grad[2, 3] = np.nan
+    ref = grad * np.where(x >= 0, dtype(1.0), dtype(ad.LEAKY_SLOPE))
+    (got,) = ad._vjp_leaky_relu(grad, [x], None, {})
+    assert got.tobytes() == ref.tobytes()
+    packed = np.packbits(x >= 0, axis=-1)
+    assert packed.shape == (5, 3)
+    keep = np.unpackbits(packed, axis=-1, count=x.shape[1])
+    assert (grad * ad._leaky_slopes(keep, x.dtype)).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_max_reduce_down_columns_is_byte_equal_to_transpose_then_max_reduce(dtype):
+    # forward bytes, gradient and replay against pooling a transposed copy,
+    # with columns whose maximum is a tie of 0.0 and -0.0 (NumPy's strided
+    # and contiguous max reductions break it differently), a subnormal, a
+    # NaN and a repeated maximum; the tape records no transpose
+    rng = np.random.default_rng(107)
+    x0 = rng.normal(size=(9, 6)).astype(dtype)
+    x0[:, :2] = -np.abs(x0[:, :2]) - 1
+    x0[[2, 5], 0] = [0.0, -0.0]
+    x0[[3, 7], 1] = [-0.0, 0.0]
+    x0[:, 2] = -1.0
+    x0[4, 2] = np.finfo(dtype).smallest_subnormal
+    x0[6, 3] = np.nan
+    x0[[1, 8], 4] = 50.0
+    proj = rng.normal(size=6).astype(dtype)
+    proj[5] = -0.0
+
+    def run(pool):
+        x = ad.Tensor(x0.copy(), requires_grad=True)
+        with ad.Tape() as tape:
+            pooled = pool(x)
+            loss = ad.tensor_sum(ad.mul(pooled, ad.Tensor(proj)))
+        g = ad.backward(loss, tape, leaves=[x])[x]
+        assert tape.replay()
+        return [pooled.data.tobytes(), g.data.tobytes()], [e.kind for e in tape.entries]
+
+    down, kinds = run(lambda x: ad.max_reduce(x, axis=0))
+    ref, ref_kinds = run(lambda x: ad.max_reduce(ad.transpose(x)))
+    assert down == ref
+    assert kinds == [k for k in ref_kinds if k != "transpose"]
+    g = np.frombuffer(down[1], dtype=dtype).reshape(x0.shape)
+    assert g[1, 4] == proj[4] and g[8, 4] == 0 and g[6, 3] == proj[3]
+    for bad in (lambda: ad.max_reduce(ad.Tensor(np.ones(3)), axis=0),
+                lambda: ad.max_reduce(ad.Tensor(np.ones((0, 3))), axis=0),
+                lambda: ad.max_reduce(ad.Tensor(np.ones((2, 3))), axis=1)):
+        with pytest.raises(ad.ShapeMismatchError, match="max_reduce"):
+            bad()
 
 
 @pytest.mark.parametrize("leaky", [False, True])
@@ -782,6 +933,18 @@ def test_replay_is_bit_identical_until_leaves_change():
     assert tape.replay()
     x.data[0, 0] += 1.0
     assert not tape.replay()
+    # bits are compared, not values: a NaN output matches itself, and a
+    # zero whose sign flips does not match
+    v = ad.Tensor(np.array([1.0, np.nan]), requires_grad=True)
+    with ad.Tape() as tape:
+        ad.tanh(v)
+    assert tape.replay()
+    z = ad.Tensor(np.array([0.0, 2.0]), requires_grad=True)
+    with ad.Tape() as tape:
+        ad.scale(z, 1.0)
+    assert tape.replay()
+    z.data[0] = -0.0
+    assert not tape.replay()
 
 
 def test_error_paths():
@@ -887,6 +1050,7 @@ def test_stacked_primitive_records_what_each_shape_records_alone():
     wt = ad.Tensor(rng.normal(size=(6, 4)).astype(np.float32), requires_grad=True)
     v = ad.Tensor(rng.normal(size=4).astype(np.float32), requires_grad=True)
     bias = ad.Tensor(rng.normal(size=6).astype(np.float32), requires_grad=True)
+    w8 = ad.Tensor(rng.normal(size=(8, 6)).astype(np.float32), requires_grad=True)
     three = ad.Tensor(np.float32(3.0))
     cases = [
         ("matmul", lambda x, y: ad.matmul(x, w)),
@@ -894,6 +1058,7 @@ def test_stacked_primitive_records_what_each_shape_records_alone():
         ("matmul", lambda x, y: ad.matmul(x, v)),
         ("linear", lambda x, y: ad.linear(x, w, bias)),
         ("linear", lambda x, y: ad.linear(x, w, bias, leaky=True)),
+        ("linear", lambda x, y: ad.linear([x, y], w8, bias, leaky=True)),
         ("add", lambda x, y: ad.add(x, v)),
         ("add", lambda x, y: ad.add(x, y)),
         ("mul", lambda x, y: ad.mul(x, three)),
@@ -980,6 +1145,10 @@ def test_stack_rejects_every_primitive_that_would_mix_shapes():
         lambda: ad.linear(x, w, stacked_bias),
         lambda: ad.linear(flat, ad.Tensor(np.ones((20, 2), dtype=np.float32)), b2),
         lambda: ad.linear(x, w, b2, groups=2),
+        lambda: ad.linear([x, plain], ad.Tensor(np.ones((8, 2), dtype=np.float32)), b2),
+        lambda: ad.linear([x, foreign], ad.Tensor(np.ones((8, 2), dtype=np.float32)), b2),
+        lambda: ad.linear(x, _stacked((2, 3), 2, rng, tapes), b2),  # a stacked w
+        lambda: ad.max_reduce(x, axis=0),
         lambda: ad.reshape(x, (4, 5)),
         lambda: ad.reshape(x, (2, 10)),
         lambda: ad.gather_rows(x, np.array([3, 0])),  # shapes out of order

@@ -267,9 +267,9 @@ def test_shared_sibling_rows_leave_every_generate_stage_unchanged(monkeypatch):
 
 
 def test_sibling_groups_share_every_rep_column(monkeypatch):
-    # a wrong group size or a classification that stops matching the
-    # model's layout would quietly fall back to full-cost products with
-    # the same bytes; pin what every stage's hinted inputs classify as
+    # a wrong group size or a block that stops matching the model's
+    # layout would quietly fall back to full-cost products with the same
+    # bytes; pin what every stage's hinted column blocks classify as
     config = m.preset("2048")
     params = m.init_parameters(config, seed=5)
     z = np.random.default_rng(53).normal(size=512).astype(np.float32)
@@ -277,8 +277,9 @@ def test_sibling_groups_share_every_rep_column(monkeypatch):
     for kind in ("matmul", "linear"):  # sub.mh runs as a matmul, exp.l0 as a linear
         fwd, vjp = ad._REGISTRY[kind]
 
-        def record(arrays, attrs, fwd=fwd):
-            seen.append((arrays[0], arrays[1].shape, attrs.get("groups", 1)))
+        def record(arrays, attrs, fwd=fwd, kind=kind):
+            blocks, w = (arrays[:1], arrays[1]) if kind == "matmul" else (arrays[:-2], arrays[-2])
+            seen.append((blocks, w.shape, attrs.get("groups", 1)))
             return fwd(arrays, attrs)
 
         monkeypatch.setitem(ad._REGISTRY, kind, (record, vjp))
@@ -296,12 +297,12 @@ def test_sibling_groups_share_every_rep_column(monkeypatch):
         mh = [(a, g) for a, shape, g in seen if shape == params["sub.mh"].shape]
         assert [g for _, g in l0] == list(config.k_schedule)
         assert [g for _, g in mh] == [1, *config.k_schedule[:-1]]
-        assert [len(a) for a, _ in l0] == [roots * n for n in config.stage_sizes()[1:]]
-        for a, g in l0:
-            kinds = ad._column_kinds(a, g)
-            assert kinds == ["across"] * config.embed_width + ["within"] * config.latent_width
-        for a, g in mh:
-            assert ad._column_kinds(a, g) == ["within"] * config.latent_width
+        assert [len(a[0]) for a, _ in l0] == [roots * n for n in config.stage_sizes()[1:]]
+        for blocks, g in l0:  # [embeddings, parent reps], never concatenated
+            assert [x.shape[1] for x in blocks] == [config.embed_width, config.latent_width]
+            assert [ad._block_kind(x, g) for x in blocks] == ["across", "within"]
+        for (a,), g in mh:
+            assert ad._block_kind(a, g) == "within"
 
 
 def test_shared_sibling_rows_leave_the_gradient_unchanged(monkeypatch):

@@ -178,14 +178,43 @@ def test_every_layer_records_one_linear_entry_per_shape(vae):
     names = {id(t): n[:-2] for n, t in params.items() if n.endswith((".w", ".b"))}
     layers = Counter()
     for e in tape.entries:
-        if e.kind == "linear":
-            w, b = (names[id(t)] for t in e.inputs[1:])
+        if e.kind == "linear":  # inputs: the column blocks, then w and b
+            w, b = (names[id(t)] for t in e.inputs[-2:])
             assert w == b and e.attrs.get("leaky", False) == w.startswith(("enc.pp", "exp.l"))
+            assert len(e.inputs) == (4 if w == "exp.l0" else 3)  # [embeddings, reps] into l0
             layers[w] += 1
         else:
             assert e.kind != "leaky_relu" and not any(id(t) in names for t in e.inputs)
     per_shape = {n: gen.stage_count if n.startswith("exp.") else 1 for n in set(names.values())}
     assert layers == {n: len(batch) * count for n, count in per_shape.items()}
+
+
+@pytest.mark.parametrize("vae", [False, True])
+def test_step_tape_keeps_no_transposed_or_concatenated_layer_input(vae):
+    # the acceptance overfit setup: pooling records no transpose, no concat
+    # output feeds a layer, and each leaky layer keeps its sign mask packed
+    # eight elements to a byte along each row
+    gen = m.GeneratorConfig(k_schedule=(4, 4, 4), latent_width=64, embed_width=32,
+                            mlp_hidden=(128, 128), vae_mode=vae)
+    params = m.init_parameters(gen, seed=0)
+    batch = small_dataset(3, n_points=24)
+    with ad.Tape() as tape:
+        training.total_loss(params, batch, training.TrainConfig(), rng=np.random.default_rng(1))
+    kinds = Counter(e.kind for e in tape.entries)
+    assert kinds["transpose"] == 0 and kinds["max_reduce"] == len(batch) * (1 + gen.stage_count)
+    concatenated = {id(e.output) for e in tape.entries if e.kind == "concat"}
+    masks = 0
+    for e in tape.entries:
+        if e.kind != "linear":
+            continue
+        assert not any(id(t) in concatenated for t in e.inputs)
+        if e.attrs.get("leaky"):
+            width = e.inputs[-2].shape[1]
+            assert e.saved.dtype == np.uint8 and e.saved.shape == (len(e.output.data), -(-width // 8))
+            masks += 1
+        else:
+            assert e.saved is None
+    assert masks == len(batch) * (len(m.ENCODER_WIDTHS) + gen.stage_count * len(gen.mlp_hidden))
 
 
 def test_fit_with_an_uneven_last_batch_equals_shape_by_shape(monkeypatch):
