@@ -47,7 +47,17 @@ Its input may come as column blocks, read as if concatenated along axis 1
 (a stage's embeddings beside its parents' representations), so the tape
 never keeps the concatenated copy; with the `groups` hint the forward never
 builds it either. A max-pool over the rows of a 2-D tensor is
-`max_reduce(x, axis=0)`, which records no transposed copy.
+`max_reduce(x, axis=0)`, which records no transposed copy. The generator's
+representation update, tanh(s @ ms^T + h @ mh^T), is one `rep_update`
+primitive in the same way: the two products with the `transpose_b` and
+`groups` roundings of matmul, added and then passed through tanh in place,
+four vjps back to back, and one entry that keeps only the output.
+
+A recorded gather_rows keeps no rows of its own. Its output is a `Gathered`
+tensor holding the input's array, which the entry keeps anyway, and the
+indices; reading its `data` gathers the rows again, a fresh array with the
+forward's bytes. So a stage's parent representations stay on the tape once,
+not once per sibling, while every vjp and `replay` reads the full rows.
 
 A tape may be consumed by `backward` any number of times; it is a pure
 record, not a one-shot resource.
@@ -57,7 +67,8 @@ axis 0, one tape per shape): a primitive runs once over all rows and
 records one entry per shape on that shape's tape, the entry a call on that
 shape's rows alone would record. Only row-separable kinds accept a Stack:
 matmul (a 2-D Stack first operand, the other plain), linear (every column
-block a 2-D Stack over the same shapes and rows, w and b plain), the
+block a 2-D Stack over the same shapes and rows, w and b plain), rep_update
+(s and h 2-D Stacks over the same shapes and rows, ms and mh plain), the
 elementwise kinds against a Stack of the same shapes or a plain scalar or
 row, last-axis norm and max_reduce of a 2-D Stack, concat along axis 1,
 reshape that keeps each shape's rows whole, and gather_rows whose indices
@@ -175,6 +186,44 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
+
+
+class Gathered(Tensor):
+    """The output of a recorded gather_rows, kept as its input and indices.
+
+    `rows` is the entry's input array and `indices` its attr, which the
+    tape holds anyway, so the gathered copy costs nothing while the tape
+    lives. Each read of `data` gathers again and returns a fresh array
+    with the forward's bytes; `shape`, `ndim`, `size` and `dtype` are
+    answered without gathering.
+    """
+
+    __slots__ = ("rows", "indices")
+
+    def __init__(self, rows, indices):
+        self.rows = rows
+        self.indices = indices
+        self.requires_grad = True
+
+    @property
+    def data(self):
+        return self.rows[self.indices]
+
+    @property
+    def shape(self) -> tuple:
+        return self.indices.shape + self.rows.shape[1:]
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    @property
+    def size(self) -> int:
+        return int(np.prod(self.shape, dtype=int))
+
+    @property
+    def dtype(self):
+        return self.rows.dtype
 
 
 class TapeEntry:
@@ -348,12 +397,17 @@ def _binary_out_shape(kind, a, b):
 
 def _unbroadcast(grad, shape):
     # reduce a full-shape gradient back onto a row or scalar-like operand.
-    # Rows add in index order (cumsum, not the pairwise sum), the order a
-    # gather_rows scatter would use; the row rule comes first so that a (1,)
-    # row against (n, 1) is summed that way too
+    # Rows add in index order, not pairwise, the order a gather_rows scatter
+    # would use; the row rule comes first so that a (1,) row against (n, 1)
+    # is summed that way too. On a C-contiguous grad at least two wide the
+    # axis-0 reduce adds whole rows into the accumulator one after another;
+    # a (n, 1) or other-ordered grad would reduce along its contiguous axis
+    # pairwise, so it takes the last row of a cumsum instead
     if grad.shape == shape:
         return grad
     if grad.ndim == 2 and shape == grad.shape[1:]:
+        if shape[0] > 1 and grad.flags["C_CONTIGUOUS"]:
+            return np.add.reduce(grad, axis=0)
         return np.cumsum(grad, axis=0)[-1] if len(grad) else np.zeros(shape, grad.dtype)
     return grad.sum().reshape(shape) if np.prod(shape, dtype=int) == 1 else grad.reshape(shape)
 
@@ -683,6 +737,32 @@ def _vjp_linear(grad, arrays, saved, attrs):
     return (*gxs, gw, gb)
 
 
+def _fwd_rep_update(arrays, attrs):
+    # tanh(s @ ms.T + h @ mh.T): the two fixed-order products, both with
+    # `transpose_b` and h's with the `groups` hint, then the add and the
+    # tanh in place, so each element gets the bytes of
+    # tanh(add(matmul(s, ms), matmul(h, mh))). Only the output is kept,
+    # which tanh's vjp reads.
+    s, h, ms, mh = arrays
+    out = _block_matmul([s], ms, {"transpose_b": True})
+    shared = _block_matmul([h], mh, {**attrs, "transpose_b": True})
+    if out.shape != shared.shape:
+        _shape_error("rep_update", arrays, "s @ ms.T and h @ mh.T differ in shape")
+    out += shared
+    np.tanh(out, out=out)
+    return out, out
+
+
+def _vjp_rep_update(grad, arrays, saved, attrs):
+    # the vjps of tanh, add and the two matmuls, in the order the four
+    # entries ran them; add passes its gradient to both products unchanged
+    s, h, ms, mh = arrays
+    (grad,) = _vjp_tanh(grad, None, saved, None)
+    gh, gmh = _vjp_matmul(grad, (h, mh), None, {"transpose_b": True})
+    gs, gms = _vjp_matmul(grad, (s, ms), None, {"transpose_b": True})
+    return gs, gh, gms, gmh
+
+
 def _fwd_tanh(arrays, attrs):
     out = np.tanh(arrays[0])
     return out, out
@@ -870,6 +950,7 @@ def _vjp_gather_rows(grad, arrays, saved, attrs):
 _REGISTRY = {
     "matmul": (_fwd_matmul, _vjp_matmul),
     "linear": (_fwd_linear, _vjp_linear),
+    "rep_update": (_fwd_rep_update, _vjp_rep_update),
     "add": (_fwd_add, _vjp_add),
     "mul": (_fwd_mul, _vjp_mul),
     "scale": (_fwd_scale, _vjp_scale),
@@ -897,7 +978,8 @@ def apply_primitive(kind: str, inputs, **attrs) -> Tensor:
     `requires_grad`. Attribute arguments (`axis`, `shape`, `indices`,
     `factor`, `groups`, `transpose_b`, `leaky`) parameterize the primitive
     and are never differentiated. With a `Stack` among the inputs the primitive runs
-    once for all its shapes and records on the shapes' own tapes instead.
+    once for all its shapes and records on the shapes' own tapes instead. A
+    recorded gather_rows returns a `Gathered` tensor.
     """
     if kind not in _REGISTRY:
         raise UnknownPrimitiveError(
@@ -913,19 +995,25 @@ def apply_primitive(kind: str, inputs, **attrs) -> Tensor:
         return _apply_stacked(kind, inputs, attrs, fwd)
     out_array, saved = fwd(arrays, attrs)
     needs_grad = any(t.requires_grad for t in inputs)
-    out = Tensor(out_array, requires_grad=needs_grad)
     tape = _active_tape()
-    if tape is not None and needs_grad:
-        tape.entries.append(TapeEntry(kind, inputs, out, saved, attrs))
+    if tape is None or not needs_grad:
+        return Tensor(out_array, requires_grad=needs_grad)
+    if kind == "gather_rows":
+        out = Gathered(arrays[0], attrs["indices"])
+    else:
+        out = Tensor(out_array, requires_grad=True)
+    tape.entries.append(TapeEntry(kind, inputs, out, saved, attrs))
     return out
 
 
 # kinds whose every output row comes from one input row (or one row block
 # of the leading axis), so a Stack's shapes stay apart
 _ROW_SEPARABLE = frozenset((
-    "matmul", "linear", "add", "mul", "scale", "div", "tanh", "sigmoid", "exp",
-    "leaky_relu", "square", "norm", "max_reduce", "concat", "reshape", "gather_rows",
+    "matmul", "linear", "rep_update", "add", "mul", "scale", "div", "tanh", "sigmoid",
+    "exp", "leaky_relu", "square", "norm", "max_reduce", "concat", "reshape", "gather_rows",
 ))
+# kinds with weights: inputs[:n] must be 2-D Stack rows and the rest plain
+_ROW_OPERANDS = {"matmul": 1, "linear": -2, "rep_update": 2}
 
 
 def _apply_stacked(kind, inputs, attrs, fwd):
@@ -948,10 +1036,10 @@ def _apply_stacked(kind, inputs, attrs, fwd):
                 mixes("operands stack different shapes or row counts")
         elif kind == "concat":
             mixes("every concatenated operand must be a Stack")
-        elif kind not in ("matmul", "linear") and not (t.size == 1 or t.shape == ref.shape[1:]):
+        elif kind not in _ROW_OPERANDS and not (t.size == 1 or t.shape == ref.shape[1:]):
             mixes("a plain operand may only be a scalar or a row")
-    if kind in ("matmul", "linear"):
-        split = 1 if kind == "matmul" else len(inputs) - 2  # row operands, then weights
+    if kind in _ROW_OPERANDS:
+        split = _ROW_OPERANDS[kind]
         rows_ok = all(type(t) is Stack and t.ndim == 2 for t in inputs[:split])
         if not rows_ok or any(type(t) is Stack for t in inputs[split:]):
             mixes(f"{kind} needs 2-D Stack row operands and plain weights")
@@ -995,10 +1083,12 @@ def _apply_stacked(kind, inputs, attrs, fwd):
     o0 = 0
     for ins, tape, part_attrs, n in zip(zip(*columns), ref.tapes, per_attrs, out_rows):
         o1 = o0 + n
-        # a row block of a C-contiguous float array: what Tensor() would keep
-        out = Tensor.__new__(Tensor)
-        out.data = out_array[o0:o1]
-        out.requires_grad = any(t.requires_grad for t in ins)
+        if kind == "gather_rows" and ins[0].requires_grad:
+            out = Gathered(ins[0].data, part_attrs["indices"])
+        else:  # a row block of a C-contiguous float array: what Tensor() would keep
+            out = Tensor.__new__(Tensor)
+            out.data = out_array[o0:o1]
+            out.requires_grad = any(t.requires_grad for t in ins)
         if out.requires_grad:
             part_saved = saved[o0:o1] if slice_saved else saved
             tape.entries.append(TapeEntry(kind, ins, out, part_saved, part_attrs))
@@ -1137,6 +1227,18 @@ def linear(x, w, b, groups: int = 1, leaky: bool = False):
         attrs["leaky"] = True
     blocks = tuple(x) if isinstance(x, (list, tuple)) else (x,)
     return apply_primitive("linear", (*blocks, w, b), **attrs)
+
+
+def rep_update(s, h, ms, mh, groups: int = 1):
+    """`tanh(add(matmul(s, ms, transpose_b=True), matmul(h, mh, groups=groups,
+    transpose_b=True)))` as one primitive.
+
+    The same bytes as that chain, forward and gradients, but one tape entry
+    that keeps only the output. s and h are both 1-D, or both 2-D with one
+    row per point; `groups` is matmul's hint on the rows of h.
+    """
+    attrs = {"groups": int(groups)} if groups > 1 else {}
+    return apply_primitive("rep_update", (s, h, ms, mh), **attrs)
 
 
 def add(a, b):

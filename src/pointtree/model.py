@@ -245,19 +245,15 @@ def extract_substructure(s, h, params: Parameters, groups: int = 1) -> ad.Tensor
     forms the products of `Ms @ s` and adds them in the same order. Past
     the root, h arrives in groups of `groups` identical sibling rows, so
     `h @ Mh^T` computes each group's row once and repeats it (the matmul
-    `groups` hint), with the same bytes.
+    `groups` hint), with the same bytes. It is one `rep_update` entry on the
+    tape, which keeps only the output.
     """
     s = _as_tensor(s, params.dtype)
     h = _as_tensor(h, params.dtype)
     u = params.config.latent_width
     if s.ndim not in (1, 2) or s.shape[-1] != 3 or h.shape != s.shape[:-1] + (u,):
         raise ValueError(f"expected shapes (3,) and ({u},), or (n, 3) and (n, {u})")
-    return ad.tanh(
-        ad.add(
-            ad.matmul(s, params["sub.ms"], transpose_b=True),
-            ad.matmul(h, params["sub.mh"], groups=groups, transpose_b=True),
-        )
-    )
+    return ad.rep_update(s, h, params["sub.ms"], params["sub.mh"], groups=groups)
 
 
 def _expand_stage(points, reps, scales, stage: int, params: Parameters, rep_groups: int = 1):

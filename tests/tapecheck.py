@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from pointtree import autodiff as ad
+
 
 def _base(a):
     while isinstance(a.base, np.ndarray):
@@ -9,18 +11,31 @@ def _base(a):
     return a
 
 
+def stored(tensor):
+    """The array a tensor keeps alive, read without building anything.
+
+    A `Gathered` tensor keeps its input's rows; reading its `data` would
+    gather a fresh array on every read, which no tape holds.
+    """
+    return tensor.rows if isinstance(tensor, ad.Gathered) else tensor.data
+
+
+def stored_arrays(tape) -> list:
+    """Every array the tape's entries keep: inputs, outputs, saved arrays."""
+    arrays = []
+    for entry in tape.entries:
+        arrays += [stored(t) for t in (*entry.inputs, entry.output)]
+        if isinstance(entry.saved, np.ndarray):
+            arrays.append(entry.saved)
+    return arrays
+
+
 def tape_bytes(tape) -> int:
     """Bytes of the distinct arrays a tape keeps alive.
 
     Every entry's inputs, output and saved array count once each by their
-    base array, so row views of one stacked array count as that array.
+    base array, so row views of one stacked array count as that array, and
+    a gathered output counts as the rows it was gathered from.
     """
-    held = {}
-    for entry in tape.entries:
-        arrays = [t.data for t in entry.inputs] + [entry.output.data]
-        if isinstance(entry.saved, np.ndarray):
-            arrays.append(entry.saved)
-        for a in arrays:
-            base = _base(a)
-            held[id(base)] = base.nbytes
+    held = {id(_base(a)): _base(a).nbytes for a in stored_arrays(tape)}
     return sum(held.values())

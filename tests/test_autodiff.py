@@ -434,12 +434,14 @@ def test_binary_elementwise_gradients(op):
     check_grads(proj_build(lambda ts: op(ts[0], ts[1]), (3, 4)), [r, b])
 
 
-@pytest.mark.parametrize("width", [1, 3, 256])
+@pytest.mark.parametrize("width", [1, 2, 3, 256])
 def test_row_bias_gradient_adds_rows_in_index_order(width):
     # the bias gradient of a direct row add must be bit-identical to the
     # explicit route it replaces: reshape to (1, w), gather n copies, add.
     # At width 1, 2048 float32 rows are enough for a pairwise sum to round
-    # differently from the in-order scatter
+    # differently from the in-order scatter. A grad that is not C-contiguous
+    # (column-major, whose axis-0 reduce runs pairwise, or a strided view)
+    # still adds its rows one after another
     rng = np.random.default_rng(width)
     x = ad.Tensor(rng.normal(size=(2048, 5)).astype(np.float32))
     weight = ad.Tensor(rng.normal(size=(5, width)).astype(np.float32), requires_grad=True)
@@ -458,6 +460,13 @@ def test_row_bias_gradient_adds_rows_in_index_order(width):
     )
     assert direct.shape == (width,) and direct.dtype == np.float32
     np.testing.assert_array_equal(direct, gathered)
+
+    wide = rng.normal(size=(2048, 2 * width)).astype(np.float32)
+    for grad in (wide[:, :width].copy(), np.asfortranarray(wide[:, :width]), wide[:, ::2]):
+        in_order = grad[0].copy()
+        for row in grad[1:]:
+            in_order += row
+        assert ad._unbroadcast(grad, (width,)).tobytes() == in_order.tobytes()
 
 
 def test_row_broadcast_over_zero_rows_has_zero_gradient():
@@ -584,6 +593,81 @@ def test_block_linear_is_byte_equal_to_concat_then_linear(dtype, groups, leaky):
         ad.linear([ad.Tensor(blocks0[0][0])] * 2, ad.Tensor(w0), ad.Tensor(b0))
     with pytest.raises(ad.ShapeMismatchError, match="linear"):
         ad.linear([], ad.Tensor(w0), ad.Tensor(b0))
+
+
+def _rep_update_chain(s, h, ms, mh, groups=1):
+    return ad.tanh(ad.add(ad.matmul(s, ms, transpose_b=True),
+                          ad.matmul(h, mh, groups=groups, transpose_b=True)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("groups", [1, 4])
+def test_rep_update_is_byte_equal_to_tanh_of_two_matmuls(dtype, groups, monkeypatch):
+    # forward bytes, the gradient of s, h, ms and mh, and replay against
+    # the four-primitive chain: 2-D rows shape by shape and as one Stack
+    # of three shapes, and one point as 1-D vectors. h is constant inside
+    # each group of 4, a stage's parent representations, so groups=4 runs
+    # the shared kernel (on h alone); the inputs hold -0.0, a subnormal and
+    # a NaN. The chain records four entries per shape and keeps the two
+    # products and their sum besides, which the one entry does not
+    rng = np.random.default_rng(113)
+    u, rows = 6, (8, 4, 12)
+    ss0 = [rng.normal(size=(r, 3)).astype(dtype) for r in rows]
+    hs0 = [np.repeat(rng.normal(size=(r // 4, u)), 4, axis=0).astype(dtype) for r in rows]
+    ss0[0][1, 2] = -0.0
+    hs0[0][:4, 1] = -0.0
+    hs0[1][:, 3] = np.finfo(dtype).smallest_subnormal
+    hs0[2][4:8, 0] = np.nan
+    ms0 = rng.normal(size=(u, 3)).astype(dtype)
+    mh0 = rng.normal(size=(u, u)).astype(dtype)
+    mh0[2, 1] = -0.0
+    projs = [rng.normal(size=(r, u)).astype(dtype) for r in rows]
+
+    def run(op, stacked, point=False):
+        take = (lambda a: a[1]) if point else (lambda a: a)
+        ss = [ad.Tensor(take(a).copy(), requires_grad=True) for a in ss0]
+        hs = [ad.Tensor(take(a).copy(), requires_grad=True) for a in hs0]
+        ms, mh = (ad.Tensor(a.copy(), requires_grad=True) for a in (ms0, mh0))
+        hint = 1 if point else groups
+        with ad.Tape() as tape:
+            if stacked:
+                with ad.shape_tapes(len(rows)) as tapes:
+                    s, h = ad.stack(ss, tapes), ad.stack(hs, tapes)
+                    outs = op(s, h, ms, mh, groups=hint).parts
+            else:
+                outs = [op(s, h, ms, mh, groups=hint) for s, h in zip(ss, hs)]
+            terms = [ad.tensor_sum(ad.mul(o, ad.Tensor(take(p)))) for o, p in zip(outs, projs)]
+            loss = ad.add(ad.add(terms[0], terms[1]), terms[2])
+        grads = ad.backward(loss, tape, leaves=[*ss, *hs, ms, mh])
+        assert tape.replay()
+        data = [o.data.tobytes() for o in outs] + [g.data.tobytes() for g in grads.values()]
+        return data, len(tape), tape_bytes(tape)
+
+    kernel, grouped = ad._grouped_matmul, []
+
+    def spy(blocks, b, r):
+        grouped.append(blocks[0])
+        return kernel(blocks, b, r)
+
+    monkeypatch.setattr(ad, "_grouped_matmul", spy)
+    kept = 3 * sum(rows) * u * np.dtype(dtype).itemsize  # two products and their sum
+    for stacked, point in ((False, False), (True, False), (False, True)):
+        grouped.clear()
+        data, entries, held = run(ad.rep_update, stacked, point)
+        assert bool(grouped) == (groups > 1 and not point)
+        assert all(a.shape[1] == u for a in grouped)  # h's rows, never s's
+        ref_data, ref_entries, ref_held = run(_rep_update_chain, stacked, point)
+        assert data == ref_data, (stacked, point)
+        assert entries == ref_entries - 3 * len(rows)
+        if not point:
+            assert held == ref_held - kept
+    nan_rows = ad.rep_update(*(ad.Tensor(a) for a in (ss0[2], hs0[2], ms0, mh0)), groups=groups)
+    assert np.isnan(nan_rows.data[4:8]).all() and not np.isnan(nan_rows.data[:4]).any()
+    s, h = ad.Tensor(ss0[0]), ad.Tensor(hs0[1])
+    with pytest.raises(ad.ShapeMismatchError, match="differ in shape"):
+        ad.rep_update(s, h, ad.Tensor(ms0), ad.Tensor(mh0))
+    with pytest.raises(ad.ShapeMismatchError, match="groups of 3"):
+        ad.rep_update(s, ad.Tensor(hs0[0]), ad.Tensor(ms0), ad.Tensor(mh0), groups=3)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -1051,6 +1135,7 @@ def test_stacked_primitive_records_what_each_shape_records_alone():
     v = ad.Tensor(rng.normal(size=4).astype(np.float32), requires_grad=True)
     bias = ad.Tensor(rng.normal(size=6).astype(np.float32), requires_grad=True)
     w8 = ad.Tensor(rng.normal(size=(8, 6)).astype(np.float32), requires_grad=True)
+    wt2 = ad.Tensor(rng.normal(size=(6, 4)).astype(np.float32), requires_grad=True)
     three = ad.Tensor(np.float32(3.0))
     cases = [
         ("matmul", lambda x, y: ad.matmul(x, w)),
@@ -1059,6 +1144,7 @@ def test_stacked_primitive_records_what_each_shape_records_alone():
         ("linear", lambda x, y: ad.linear(x, w, bias)),
         ("linear", lambda x, y: ad.linear(x, w, bias, leaky=True)),
         ("linear", lambda x, y: ad.linear([x, y], w8, bias, leaky=True)),
+        ("rep_update", lambda x, y: ad.rep_update(x, y, wt, wt2)),
         ("add", lambda x, y: ad.add(x, v)),
         ("add", lambda x, y: ad.add(x, y)),
         ("mul", lambda x, y: ad.mul(x, three)),
@@ -1103,6 +1189,11 @@ def test_stacked_primitive_records_what_each_shape_records_alone():
 
     _assert_entries_match_each_part(op(grouped), tapes, op, (grouped,), "linear")
 
+    def op(g):
+        return ad.rep_update(g, g, wt, wt2, groups=2)
+
+    _assert_entries_match_each_part(op(grouped), tapes, op, (grouped,), "rep_update")
+
 
 def test_gather_rows_on_a_stack_takes_each_shapes_indices_locally():
     rng = np.random.default_rng(71)
@@ -1126,6 +1217,7 @@ def test_stack_rejects_every_primitive_that_would_mix_shapes():
     plain = ad.Tensor(np.ones((5, 4), dtype=np.float32))
     w = ad.Tensor(np.ones((4, 2), dtype=np.float32))
     b2 = ad.Tensor(np.ones(2, dtype=np.float32))
+    w4 = ad.Tensor(np.ones((2, 4), dtype=np.float32))
     stacked_bias = ad.reshape(_stacked((1, 1), 1, rng, tapes), (2,))
     mixing = [
         lambda: ad.transpose(x),
@@ -1149,6 +1241,14 @@ def test_stack_rejects_every_primitive_that_would_mix_shapes():
         lambda: ad.linear([x, foreign], ad.Tensor(np.ones((8, 2), dtype=np.float32)), b2),
         lambda: ad.linear(x, _stacked((2, 3), 2, rng, tapes), b2),  # a stacked w
         lambda: ad.max_reduce(x, axis=0),
+        lambda: ad.rep_update(x, plain, w4, w4),
+        lambda: ad.rep_update(plain, x, w4, w4),
+        lambda: ad.rep_update(x, foreign, w4, w4),
+        lambda: ad.rep_update(x, other, w4, w4),
+        lambda: ad.rep_update(x, x, x, w4),  # a stacked ms
+        lambda: ad.rep_update(flat, flat, ad.Tensor(np.ones((2, 20), dtype=np.float32)),
+                              ad.Tensor(np.ones((2, 20), dtype=np.float32))),
+        lambda: ad.rep_update(x, x, w4, w4, groups=2),  # 3 rows of one shape
         lambda: ad.reshape(x, (4, 5)),
         lambda: ad.reshape(x, (2, 10)),
         lambda: ad.gather_rows(x, np.array([3, 0])),  # shapes out of order

@@ -244,8 +244,8 @@ def test_generate_is_deterministic():
 
 
 def _hint_ignored(monkeypatch):
-    # the matmul and linear forwards as they were before sibling runs were shared
-    for kind in ("matmul", "linear"):
+    # the hinted forwards as they were before sibling runs were shared
+    for kind in ("matmul", "linear", "rep_update"):
         fwd, vjp = ad._REGISTRY[kind]
 
         def unhinted(arrays, attrs, fwd=fwd):
@@ -274,11 +274,14 @@ def test_sibling_groups_share_every_rep_column(monkeypatch):
     params = m.init_parameters(config, seed=5)
     z = np.random.default_rng(53).normal(size=512).astype(np.float32)
     seen = []
-    for kind in ("matmul", "linear"):  # sub.mh runs as a matmul, exp.l0 as a linear
+    for kind in ("rep_update", "linear"):  # sub.mh in a rep_update, exp.l0 as a linear
         fwd, vjp = ad._REGISTRY[kind]
 
         def record(arrays, attrs, fwd=fwd, kind=kind):
-            blocks, w = (arrays[:1], arrays[1]) if kind == "matmul" else (arrays[:-2], arrays[-2])
+            if kind == "rep_update":  # arrays (s, h, ms, mh): the hint is h @ mh.T's
+                blocks, w = arrays[1:2], arrays[3]
+            else:
+                blocks, w = arrays[:-2], arrays[-2]
             seen.append((blocks, w.shape, attrs.get("groups", 1)))
             return fwd(arrays, attrs)
 
@@ -303,6 +306,30 @@ def test_sibling_groups_share_every_rep_column(monkeypatch):
             assert [ad._block_kind(x, g) for x in blocks] == ["across", "within"]
         for (a,), g in mh:
             assert ad._block_kind(a, g) == "within"
+
+
+def test_recorded_expansions_still_read_every_siblings_rep():
+    # on a tape the siblings' reps are kept as their parent's row: still
+    # expand_point gives (k, U) reps, each the parent's update, and generate
+    # full reps, byte-equal to an unrecorded run
+    config = m.GeneratorConfig(k_schedule=(4, 3), latent_width=16, embed_width=8,
+                               mlp_hidden=(16,))
+    params = m.init_parameters(config, seed=2)
+    rng = np.random.default_rng(61)
+    s, h, z = (rng.normal(size=n).astype(np.float32) for n in (3, 16, 16))
+    with ad.Tape() as tape:
+        _, reps, _ = m.expand_point(s, h, 0.5, 1, params)
+        recorded = m.generate(z, params)
+    plain = m.generate(z, params)
+    assert isinstance(reps, ad.Gathered) and reps.shape == reps.data.shape == (3, 16)
+    sub = m.extract_substructure(s, h, params).data
+    assert reps.data.tobytes() == np.tile(sub, (3, 1)).tobytes()
+    for a, b in zip(recorded.stages, plain.stages, strict=True):
+        assert a.reps.shape == (len(a), 16)
+        assert a.points.tobytes() == b.points.tobytes()
+        assert a.reps.tobytes() == b.reps.tobytes()
+        assert a.scales.tobytes() == b.scales.tobytes()
+    assert tape.replay()
 
 
 def test_shared_sibling_rows_leave_the_gradient_unchanged(monkeypatch):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from pointtree import autodiff as ad
-from pointtree import geometry, training
+from pointtree import dataio, geometry, training
 from pointtree import model as m
 from gradcheck import check_param_grads
+from tapecheck import stored_arrays, tape_bytes
 
 
 def tiny_config(vae=False):
@@ -215,6 +216,29 @@ def test_step_tape_keeps_no_transposed_or_concatenated_layer_input(vae):
         else:
             assert e.saved is None
     assert masks == len(batch) * (len(m.ENCODER_WIDTHS) + gen.stage_count * len(gen.mlp_hidden))
+
+
+def test_a_2048_step_keeps_each_parent_representation_once(monkeypatch):
+    # one step of the 2048 preset at batch 4 keeps at most 55 MB on its
+    # tape (about 48): a copy of each parent representation per sibling and
+    # the update's two products and their sum would add about 42 MB. No
+    # kept array as wide as a representation holds two bit-equal rows, the
+    # accounting reads no gathered copy, and the record replays
+    config = m.preset("2048")
+    params = m.init_parameters(config, seed=0)
+    kinds = ("sphere", "box", "table", "tee")
+    batch = [dataio.synth_shape(kind, 2048, seed=i) for i, kind in enumerate(kinds)]
+    with ad.Tape() as tape:
+        training.total_loss(params, batch, training.TrainConfig())
+    with monkeypatch.context() as patch:
+        patch.setattr(ad.Gathered, "data", property(lambda t: pytest.fail("gathered a copy")))
+        held, arrays = tape_bytes(tape), stored_arrays(tape)
+    assert held <= 55e6
+    wide = [a for a in arrays if a.ndim == 2 and a.shape[1] == config.latent_width]
+    assert sum(len(a) for a in wide) > 0
+    for a in wide:
+        assert len(np.unique(a.view(f"u{a.itemsize}"), axis=0)) == len(a)
+    assert tape.replay()
 
 
 def test_fit_with_an_uneven_last_batch_equals_shape_by_shape(monkeypatch):
