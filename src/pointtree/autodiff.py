@@ -10,10 +10,9 @@ Scope is deliberately small:
 
 * float32 (training default) and float64 (verification) only, never mixed
   inside one operation;
-* broadcasting is limited to scalar-vs-tensor (an operand with exactly one
-  element) and row-vs-matrix (a (w,) operand against an (n, w) one, which is
-  how a bias joins a batch); anything else batched is expressed with
-  explicit stacked matrices or `gather_rows`;
+* broadcasting is row-vs-matrix only (a (w,) operand against an (n, w)
+  one, which is how a bias row joins a batch); anything else batched is
+  expressed with explicit stacked matrices or `gather_rows`;
 * no higher-order derivatives, no in-place mutation of tensors that are on
   a tape.
 
@@ -69,12 +68,12 @@ shape's rows alone would record. Only row-separable kinds accept a Stack:
 matmul (a 2-D Stack first operand, the other plain), linear (every column
 block a 2-D Stack over the same shapes and rows, w and b plain), rep_update
 (s and h 2-D Stacks over the same shapes and rows, ms and mh plain), the
-elementwise kinds against a Stack of the same shapes or a plain scalar or
-row, last-axis norm and max_reduce of a 2-D Stack, concat along axis 1,
-reshape that keeps each shape's rows whole, and gather_rows whose indices
-take each shape's rows from that shape, in shape order. transpose, sum,
-mean, axis-0 concat, axis-0 max_reduce and a reduction of a 1-D Stack
-raise: they would mix shapes.
+elementwise kinds against a Stack of the same shapes or a plain row,
+last-axis norm and max_reduce of a 2-D Stack, concat along axis 1, reshape
+that keeps each shape's rows whole, and gather_rows whose indices take each
+shape's rows from that shape, in shape order. transpose, sum, mean, axis-0
+concat, axis-0 max_reduce and a reduction of a 1-D Stack raise: they would
+mix shapes.
 """
 
 from __future__ import annotations
@@ -146,46 +145,9 @@ class Tensor:
             raise ValueError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
-
-    # arithmetic sugar; python numbers become constants of the tensor's dtype
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            other = Tensor(np.full((), other, dtype=self.dtype))
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            other = Tensor(np.full((), other, dtype=self.dtype))
-        return add(self, scale(other, -1.0))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Gathered(Tensor):
@@ -386,30 +348,25 @@ def _check_dtypes(kind, arrays):
 def _binary_out_shape(kind, a, b):
     if a.shape == b.shape:
         return a.shape
-    if a.size == 1 or b.size == 1:
-        return b.shape if a.size == 1 else a.shape
     if a.ndim == 2 and b.shape == a.shape[1:]:
         return a.shape
     if b.ndim == 2 and a.shape == b.shape[1:]:
         return b.shape
-    _shape_error(kind, (a, b), "shapes must match, or one operand must be scalar or a row")
+    _shape_error(kind, (a, b), "shapes must match, or one operand must be a row of the other")
 
 
 def _unbroadcast(grad, shape):
-    # reduce a full-shape gradient back onto a row or scalar-like operand.
+    # reduce a full-shape (n, w) gradient back onto a (w,) row operand.
     # Rows add in index order, not pairwise, the order a gather_rows scatter
-    # would use; the row rule comes first so that a (1,) row against (n, 1)
-    # is summed that way too. On a C-contiguous grad at least two wide the
-    # axis-0 reduce adds whole rows into the accumulator one after another;
-    # a (n, 1) or other-ordered grad would reduce along its contiguous axis
-    # pairwise, so it takes the last row of a cumsum instead
+    # would use. On a C-contiguous grad at least two wide the axis-0 reduce
+    # adds whole rows into the accumulator one after another; a (n, 1) or
+    # other-ordered grad would reduce along its contiguous axis pairwise, so
+    # it takes the last row of a cumsum instead
     if grad.shape == shape:
         return grad
-    if grad.ndim == 2 and shape == grad.shape[1:]:
-        if shape[0] > 1 and grad.flags["C_CONTIGUOUS"]:
-            return np.add.reduce(grad, axis=0)
-        return np.cumsum(grad, axis=0)[-1] if len(grad) else np.zeros(shape, grad.dtype)
-    return grad.sum().reshape(shape) if np.prod(shape, dtype=int) == 1 else grad.reshape(shape)
+    if shape[0] > 1 and grad.flags["C_CONTIGUOUS"]:
+        return np.add.reduce(grad, axis=0)
+    return np.cumsum(grad, axis=0)[-1] if len(grad) else np.zeros(shape, grad.dtype)
 
 
 def _fwd_add(arrays, attrs):
@@ -1036,8 +993,8 @@ def _apply_stacked(kind, inputs, attrs, fwd):
                 mixes("operands stack different shapes or row counts")
         elif kind == "concat":
             mixes("every concatenated operand must be a Stack")
-        elif kind not in _ROW_OPERANDS and not (t.size == 1 or t.shape == ref.shape[1:]):
-            mixes("a plain operand may only be a scalar or a row")
+        elif kind not in _ROW_OPERANDS and t.shape != ref.shape[1:]:
+            mixes("a plain operand may only be a row")
     if kind in _ROW_OPERANDS:
         split = _ROW_OPERANDS[kind]
         rows_ok = all(type(t) is Stack and t.ndim == 2 for t in inputs[:split])

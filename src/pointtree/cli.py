@@ -44,8 +44,6 @@ def _int_tuple(text: str) -> tuple:
         values = tuple(int(f) for f in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
     return values
 
 
@@ -141,6 +139,14 @@ def _latent(cloud, params) -> np.ndarray:
     return out.data
 
 
+def _sampled_latents(seed: int, n: int, params) -> list:
+    """The n latent codes that `generate` and `eval` draw for one --seed."""
+    if seed < 0:
+        raise UsageError("--seed must be a non-negative integer")
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(params.config.latent_width).astype(params.dtype) for _ in range(n)]
+
+
 def _default_part_stage(config: GeneratorConfig) -> int:
     return 1 if config.stage_count >= 2 else 0
 
@@ -212,11 +218,10 @@ def _cmd_generate(args) -> int:
         raise UsageError(
             "sampling needs a variational checkpoint; this one is deterministic"
         )
+    latents = _sampled_latents(args.seed, args.n, params)
     os.makedirs(args.out, exist_ok=True)
-    rng = np.random.default_rng(args.seed)
     stage = _default_part_stage(params.config)
-    for i in range(args.n):
-        z = rng.standard_normal(params.config.latent_width).astype(params.dtype)
+    for i, z in enumerate(latents):
         trace = model.generate(z, params)
         dataio.export_ply(
             trace,
@@ -311,11 +316,10 @@ def _cmd_eval(args) -> int:
                 f"--n-reference must lie in [1, {len(reference)}] for this set"
             )
         reference = reference[: args.n_reference]
-    rng = np.random.default_rng(args.seed)
-    generated = []
-    for _ in range(args.n_generated):
-        z = rng.standard_normal(params.config.latent_width).astype(params.dtype)
-        generated.append(model.generate(z, params).leaf_points())
+    generated = [
+        model.generate(z, params).leaf_points()
+        for z in _sampled_latents(args.seed, args.n_generated, params)
+    ]
     records = metrics.generation_metrics(reference, generated, threads=args.threads)
     print(metrics.render_records(records))
     return 0

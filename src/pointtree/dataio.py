@@ -1,4 +1,4 @@
-"""Point-cloud files, synthetic shapes, mesh sampling, and colorized export.
+"""Point-cloud files, synthetic shapes, and colorized export.
 
 File formats owned here, all byte-layouts documented in the README:
 
@@ -6,7 +6,6 @@ File formats owned here, all byte-layouts documented in the README:
   holding a part label;
 * binary clouds: 16-byte header (magic "RPGP", u32 version, u32 count,
   u32 reserved, all little-endian) followed by count * 3 float32 values;
-* meshes: the triangles-only subset of OFF;
 * exports: ASCII PLY with xyz floats and an rgb byte colour per vertex.
 
 Synthetic shapes replace a real scanned dataset at desk scale. The
@@ -169,11 +168,10 @@ def save_cloud(path, cloud: PointCloud, binary: bool = False):
 
 @dataclass
 class Dataset:
-    """Named clouds plus the split they belong to; every cloud normalized."""
+    """Named clouds, every one normalized."""
 
     clouds: list
     names: list
-    split: str = "train"
 
     def __post_init__(self):
         if len(self.clouds) == 0:
@@ -235,12 +233,12 @@ def resolve_cloud_paths(source) -> list:
     return paths
 
 
-def load_dataset(source, split: str = "train") -> Dataset:
+def load_dataset(source) -> Dataset:
     """Load and normalize every cloud named by `source`."""
     paths = resolve_cloud_paths(source)
     clouds = [normalize_cloud(load_cloud(p)) for p in paths]
     names = [os.path.splitext(os.path.basename(p))[0] for p in paths]
-    return Dataset(clouds=clouds, names=names, split=split)
+    return Dataset(clouds=clouds, names=names)
 
 
 # ---------------------------------------------------------------------------
@@ -366,93 +364,6 @@ def synth_shape(kind: str, n_points: int, seed: int = 0, jitter: float = 0.0) ->
 
 
 # ---------------------------------------------------------------------------
-# triangle meshes
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TriangleMesh:
-    vertices: np.ndarray  # (M, 3)
-    triangles: np.ndarray  # (T, 3) int indices
-
-    def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=np.float64)
-        self.triangles = np.asarray(self.triangles, dtype=np.int64)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
-            raise ValueError("vertices must be M x 3")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
-            raise ValueError("triangles must be T x 3")
-        if self.triangles.size and (
-            self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices)
-        ):
-            raise ValueError("triangle index out of range")
-
-
-def load_off(path) -> TriangleMesh:
-    """Triangles-only OFF subset: header, counts, vertices, 3-vertex faces."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [
-            ln.strip()
-            for ln in fh
-            if ln.strip() and not ln.strip().startswith("#")
-        ]
-    if not rows or rows[0] != "OFF":
-        raise ValueError(f"{path}: missing OFF header")
-    try:
-        n_vertices, n_faces = (int(f) for f in rows[1].split()[:2])
-    except (IndexError, ValueError):
-        raise ValueError(f"{path}: missing or malformed OFF counts line") from None
-    if len(rows) < 2 + n_vertices + n_faces:
-        raise ValueError(f"{path}: truncated OFF file")
-    vertices = np.array(
-        [_numbers(path, f"vertex {i}", rows[2 + i].split(), float, 3)
-         for i in range(n_vertices)]
-    )
-    triangles = []
-    for i in range(n_faces):
-        count, *corners = _numbers(path, f"face {i}", rows[2 + n_vertices + i].split(), int, 4)
-        if count != 3:
-            raise ValueError(f"{path}: face {i} is not a triangle; only triangles load")
-        triangles.append(corners)
-    try:
-        return TriangleMesh(vertices, np.array(triangles, dtype=np.int64))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def _numbers(path, what, fields, convert, width):
-    """The first `width` of a row's fields as numbers; errors name the file."""
-    try:
-        values = [convert(f) for f in fields[:width]]
-    except ValueError:
-        values = []
-    if len(values) != width:
-        raise ValueError(f"{path}: malformed {what}: {' '.join(fields)!r}")
-    return values
-
-
-def sample_mesh(mesh: TriangleMesh, n_points: int, seed: int = 0) -> PointCloud:
-    """Area-weighted triangle pick, uniform barycentric sample per point."""
-    a = mesh.vertices[mesh.triangles[:, 0]]
-    b = mesh.vertices[mesh.triangles[:, 1]]
-    c = mesh.vertices[mesh.triangles[:, 2]]
-    areas = 0.5 * np.sqrt((np.cross(b - a, c - a) ** 2).sum(axis=1))
-    usable = areas > 0
-    if not usable.any():
-        raise ValueError("all triangles are degenerate")
-    weights = np.where(usable, areas, 0.0)
-    rng = np.random.default_rng(seed)
-    pick = rng.choice(len(areas), size=n_points, p=weights / weights.sum())
-    u = rng.uniform(size=n_points)
-    v = rng.uniform(size=n_points)
-    flip = u + v > 1.0
-    u[flip] = 1.0 - u[flip]
-    v[flip] = 1.0 - v[flip]
-    pts = a[pick] + u[:, None] * (b[pick] - a[pick]) + v[:, None] * (c[pick] - a[pick])
-    return PointCloud(pts)
-
-
-# ---------------------------------------------------------------------------
 # latent interpolation
 # ---------------------------------------------------------------------------
 
@@ -525,6 +436,17 @@ def export_ply(obj, path, color_mode: str = "none", ancestor_stage: int = 1) -> 
             written.append(target)
         return written
     raise ValueError(f"unknown color mode {color_mode!r}")
+
+
+def _numbers(path, what, fields, convert, width):
+    """The first `width` of a row's fields as numbers; errors name the file."""
+    try:
+        values = [convert(f) for f in fields[:width]]
+    except ValueError:
+        values = []
+    if len(values) != width:
+        raise ValueError(f"{path}: malformed {what}: {' '.join(fields)!r}")
+    return values
 
 
 def read_ply(path):

@@ -21,8 +21,9 @@ cross-shape sums, so the record, and with it every gradient, checkpoint and
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -54,13 +55,20 @@ class TrainConfig:
     save_every: int = 0  # checkpoint interval in epochs; 0 writes only the final one
 
     def __post_init__(self):
+        # every float field is finite (abs(nan) < inf is false), and each
+        # range check below is written so that NaN fails it too
+        for f in fields(self):
+            if isinstance(f.default, float) and not abs(getattr(self, f.name)) < math.inf:
+                raise ValueError(f"{f.name} must be finite")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be positive")
-        if self.learning_rate <= 0:
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 < self.final_lr_fraction <= 1.0:
             raise ValueError("final_lr_fraction must lie in (0, 1]")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError("weight_decay must be non-negative")
         if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
             raise ValueError("adam_beta1 and adam_beta2 must lie in [0, 1)")
@@ -90,12 +98,12 @@ def chamfer_loss(pred: ad.Tensor, target_points) -> ad.Tensor:
     """Differentiable symmetric Chamfer distance against a fixed cloud.
 
     `pred` is an (n, 3) tensor on the tape; `target_points` is data.
-    Correspondences are looked up once and frozen into gather indices, so
-    the gradient is the exact subgradient of the min-based loss.
+    Correspondences come from `geometry.chamfer_distance` and are frozen
+    into gather indices, so the gradient is the exact subgradient of the
+    min-based loss.
     """
     target = np.asarray(getattr(target_points, "points", target_points), dtype=pred.dtype)
-    nearest_pred, _ = geometry.nearest_neighbors(target, pred.data)
-    nearest_data, _ = geometry.nearest_neighbors(pred.data, target)
+    _, (nearest_data, nearest_pred) = geometry.chamfer_distance(pred.data, target)
     target_const = ad.Tensor(target)
     # mean row-wise squared distance == mean over all entries times 3
     to_pred = ad.add(target_const, ad.scale(ad.gather_rows(pred, nearest_pred), -1.0))

@@ -424,10 +424,6 @@ def test_binary_elementwise_gradients(op):
     b = rng.normal(size=(3, 4))
     b = np.abs(b) + 0.5  # keep div denominators away from zero
     check_grads(proj_build(lambda ts: op(ts[0], ts[1]), (3, 4)), [a, b])
-    # scalar-vs-tensor broadcast, both directions
-    s = np.array([1.7])
-    check_grads(proj_build(lambda ts: op(ts[0], ts[1]), (3, 4)), [a, s.reshape(1)])
-    check_grads(proj_build(lambda ts: op(ts[0], ts[1]), (3, 4)), [s, np.abs(a) + 0.5])
     # row-vs-matrix broadcast, both directions
     r = np.abs(rng.normal(size=(4,))) + 0.5
     check_grads(proj_build(lambda ts: op(ts[0], ts[1]), (3, 4)), [a, r])
@@ -1038,6 +1034,9 @@ def test_error_paths():
         ad.apply_primitive("softmax", (f32,))
     with pytest.raises(ad.ShapeMismatchError):
         ad.add(f32, ad.Tensor(np.ones(4, dtype=np.float32)))
+    for scalar in (np.float32(2.0), np.ones(1, dtype=np.float32)):  # no scalar broadcast
+        with pytest.raises(ad.ShapeMismatchError):
+            ad.mul(f32, ad.Tensor(scalar))
     # a row must match the matrix's last axis and be 1-D
     for sa, sb in (((3, 4), (3,)), ((3, 4), (1, 4)), ((3, 3), (3, 1))):
         for x, y in ((sa, sb), (sb, sa)):
@@ -1136,7 +1135,7 @@ def test_stacked_primitive_records_what_each_shape_records_alone():
     bias = ad.Tensor(rng.normal(size=6).astype(np.float32), requires_grad=True)
     w8 = ad.Tensor(rng.normal(size=(8, 6)).astype(np.float32), requires_grad=True)
     wt2 = ad.Tensor(rng.normal(size=(6, 4)).astype(np.float32), requires_grad=True)
-    three = ad.Tensor(np.float32(3.0))
+    threes = ad.Tensor(np.full(4, 3.0, dtype=np.float32))
     cases = [
         ("matmul", lambda x, y: ad.matmul(x, w)),
         ("matmul", lambda x, y: ad.matmul(x, wt, transpose_b=True)),
@@ -1147,7 +1146,7 @@ def test_stacked_primitive_records_what_each_shape_records_alone():
         ("rep_update", lambda x, y: ad.rep_update(x, y, wt, wt2)),
         ("add", lambda x, y: ad.add(x, v)),
         ("add", lambda x, y: ad.add(x, y)),
-        ("mul", lambda x, y: ad.mul(x, three)),
+        ("mul", lambda x, y: ad.mul(x, threes)),
         ("div", lambda x, y: ad.div(x, y)),
         ("scale", lambda x, y: ad.scale(x, -0.5)),
         ("tanh", lambda x, y: ad.tanh(x)),

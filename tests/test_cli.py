@@ -94,6 +94,28 @@ def test_train_bad_data_is_runtime_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_train_empty_sources_are_runtime_errors(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    listing = tmp_path / "list.txt"
+    listing.write_text("# no clouds yet\n\n# still none\n")
+    for source, message in ((empty, "directory holds no files"), (listing, "empty path list")):
+        out = tmp_path / "o"
+        code = cli.main(["train", "--data", str(source), "--out", str(out), *TINY_FLAGS])
+        assert code == 2
+        assert f"{source}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_train_takes_a_binary_cloud_as_data(tmp_path):
+    cloud = tmp_path / "one.rpgp"
+    dataio.save_cloud(cloud, dataio.synth_shape("box", 32, seed=2), binary=True)
+    assert dataio.resolve_cloud_paths(cloud) == [str(cloud)]
+    out = tmp_path / "o"
+    assert cli.main(["train", "--data", str(cloud), "--out", str(out), *TINY_FLAGS]) == 0
+    assert json.loads((out / "manifest.json").read_text())["inputs"] == [str(cloud)]
+
+
 # ---------------------------------------------------------------------------
 # config resolution
 # ---------------------------------------------------------------------------
@@ -150,6 +172,7 @@ def test_config_preset_under_file(tmp_path):
 def test_config_unknown_section_rejected(tmp_path, capsys):
     # every bad section or value is reported with the file and `section.key`
     cases = [
+        ([1, 2], "config root must be a JSON object"),
         ({"model": {}}, "unknown config sections"),
         ({"train": 3}, "config section 'train' must be a JSON object"),
         ({"generator": {"nope": 1}}, "generator.nope: unknown key"),
@@ -167,7 +190,14 @@ def test_config_unknown_section_rejected(tmp_path, capsys):
         ({"train": {"adam_eps": 0.0}}, "train.adam_eps: adam_eps must be positive"),
         ({"train": {"kl_warmup_fraction": 1.5}}, "train.kl_warmup_fraction: kl_warmup_fraction must lie in [0, 1]"),
         ({"train": {"kl_warmup_fraction": -0.5}}, "train.kl_warmup_fraction: kl_warmup_fraction must lie in [0, 1]"),
+        ({"train": {"seed": -5}}, "train.seed: seed must be non-negative"),
     ]
+    # json.dumps writes NaN and Infinity, which json.load reads back
+    for key, default in training.TrainConfig().to_dict().items():
+        if not isinstance(default, float):
+            continue
+        for value in (float("nan"), float("inf"), float("-inf")):
+            cases.append(({"train": {key: value}}, f"train.{key}: {key} must be finite"))
     cfg = tmp_path / "cfg.json"
     for content, message in cases:
         cfg.write_text(json.dumps(content))
@@ -180,6 +210,20 @@ def test_config_unknown_section_rejected(tmp_path, capsys):
     code = cli.main(["train", "--data", "d", "--out", "o", "--save-every", "-1", *TINY_FLAGS])
     assert code == 2
     assert "save_every must be non-negative" in capsys.readouterr().err
+    out = tmp_path / "o"
+    code = cli.main(
+        ["train", "--data", "d", "--out", str(out), "--learning-rate", "nan", *TINY_FLAGS]
+    )
+    assert code == 2
+    assert "learning_rate must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_list_flags_reject_what_is_not_comma_separated_ints(capsys):
+    for text in ("4,x", ""):
+        code = cli.main(["train", "--data", "d", "--out", "o", *TINY_FLAGS, "--k-schedule", text])
+        assert code == 1, text
+        assert "expected comma-separated ints" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +319,38 @@ def test_generate_writes_n_plys_deterministically(vae_ckpt, tmp_path):
         ["generate", "--ckpt", str(vae_ckpt), "--n", "1", "--seed", "4", "--out", str(out_c)]
     ) == 0
     assert (out_c / "gen_000.ply").read_bytes() != (out_a / "gen_000.ply").read_bytes()
+
+
+def test_generate_negative_seed_is_usage_error_before_any_output(vae_ckpt, tmp_path, capsys):
+    out = tmp_path / "g"
+    code = cli.main(
+        ["generate", "--ckpt", str(vae_ckpt), "--n", "1", "--seed", "-1", "--out", str(out)]
+    )
+    assert code == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_samples_the_clouds_that_generate_writes(workspace, vae_ckpt, tmp_path, monkeypatch):
+    _, data = workspace
+    out = tmp_path / "g"
+    assert cli.main(
+        ["generate", "--ckpt", str(vae_ckpt), "--n", "3", "--seed", "5", "--out", str(out)]
+    ) == 0
+    written = [dataio.read_ply(out / f"gen_{i:03d}.ply")[0] for i in range(3)]
+    seen = []
+
+    def capture(reference, generated, threads=1):
+        seen.extend(generated)
+        return []
+
+    monkeypatch.setattr(cli.metrics, "generation_metrics", capture)
+    monkeypatch.setattr(cli.metrics, "render_records", lambda records: "")
+    assert cli.main(
+        ["eval", "--ckpt", str(vae_ckpt), "--reference", str(data),
+         "--n-generated", "3", "--seed", "5"]
+    ) == 0
+    assert [p.tobytes() for p in seen] == [p.tobytes() for p in written]
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +477,15 @@ def test_eval_n_reference_subsets_and_validates(workspace, vae_ckpt, capsys):
     assert cli.main(argv + ["--n-reference", "2"]) == 0
     assert "reference 2, generated 2" in capsys.readouterr().out
     assert cli.main(argv + ["--n-reference", "9"]) == 1
+
+
+def test_eval_bad_counts_and_seed_are_usage_errors(workspace, vae_ckpt, capsys):
+    _, data = workspace
+    argv = ["eval", "--ckpt", str(vae_ckpt), "--reference", str(data)]
+    for flags, name in ((["--n-generated", "0"], "--n-generated"),
+                        (["--n-generated", "2", "--seed", "-1"], "--seed")):
+        assert cli.main(argv + flags) == 1
+        assert name in capsys.readouterr().err
 
 
 def test_eval_requires_vae(workspace, plain_ckpt, capsys):

@@ -45,7 +45,8 @@ def test_text_load_with_labels(tmp_path):
         ("1 2 3 4 5\n", 1),  # too many fields
         ("0 0 0\n0 0 0\nx 0 0\n", 3),  # non-numeric
         ("0 0 0 1\n0 0 0\n", 2),  # label column appears then vanishes
-        ("0 0 0\n0 0 0 1.5\n", 2),  # non-integer label
+        ("0 0 0\n0 0 0 1.5\n", 2),  # a label column only from line 2
+        ("0 0 0 1\n0 0 0 1.5\n", 2),  # non-integer label
     ],
 )
 def test_text_load_malformed_reports_line(tmp_path, body, lineno):
@@ -131,10 +132,9 @@ def test_load_dataset_from_directory(tmp_path):
     for i in range(3):
         pts = np.random.default_rng(i).standard_normal((16, 3)).astype(np.float32)
         dataio.save_cloud(tmp_path / f"shape{i}.xyz", PointCloud(pts))
-    ds = dataio.load_dataset(tmp_path, split="test")
+    ds = dataio.load_dataset(tmp_path)
     assert len(ds) == 3
     assert ds.names == ["shape0", "shape1", "shape2"]
-    assert ds.split == "test"
     assert all(c.normalized for c in ds.clouds)
     assert ds[0] is ds.clouds[0]
 
@@ -201,6 +201,13 @@ def test_synth_sphere_unit_norms():
     assert np.abs(norms - 1.0).max() < 1e-6
 
 
+def test_synth_sphere_odd_count_adds_one_point():
+    cloud = dataio.synth_shape("sphere", 9, seed=5)
+    assert cloud.points.shape == (9, 3) and cloud.normalized
+    norms = np.sqrt((cloud.points.astype(np.float64) ** 2).sum(axis=1))
+    assert abs(norms.max() - 1.0) < 1e-6
+
+
 def test_synth_labels():
     table = dataio.synth_shape("table", 2048, seed=1)
     assert set(np.unique(table.labels)) == {0, 1, 2, 3, 4}
@@ -239,123 +246,6 @@ def test_synth_bad_args():
         dataio.synth_shape("torus", 64)
     with pytest.raises(ValueError, match="at least 8"):
         dataio.synth_shape("sphere", 4)
-
-
-# ---------------------------------------------------------------------------
-# meshes
-# ---------------------------------------------------------------------------
-
-UNIT_SQUARE_OFF = """OFF
-4 2 0
-0 0 0
-1 0 0
-1 1 0
-0 1 0
-3 0 1 2
-3 0 2 3
-"""
-
-
-def test_load_off(tmp_path):
-    path = tmp_path / "square.off"
-    path.write_text(UNIT_SQUARE_OFF)
-    mesh = dataio.load_off(path)
-    assert mesh.vertices.shape == (4, 3)
-    np.testing.assert_array_equal(mesh.triangles, [[0, 1, 2], [0, 2, 3]])
-
-
-def test_load_off_rejects_quads(tmp_path):
-    path = tmp_path / "quad.off"
-    path.write_text("OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n")
-    with pytest.raises(ValueError, match="triangle"):
-        dataio.load_off(path)
-    missing = tmp_path / "nohdr.off"
-    missing.write_text("4 1 0\n")
-    with pytest.raises(ValueError, match="OFF header"):
-        dataio.load_off(missing)
-
-
-def test_load_off_truncated_counts_raise_value_error_naming_path(tmp_path):
-    tri = "0 0 0\n1 0 0\n0 1 0\n"
-    cases = (
-        ("hdr.off", "OFF\n"),
-        ("one.off", "OFF\n4\n"),
-        ("nan.off", "OFF\nfour 1 0\n"),
-        ("xy.off", "OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n"),
-        ("word.off", "OFF\n3 1 0\n0 0 0\n1 zero 0\n0 1 0\n3 0 1 2\n"),
-        ("xface.off", "OFF\n3 1 0\n" + tri + "x 0 1 2\n"),
-        ("short.off", "OFF\n3 1 0\n" + tri + "3 0 1\n"),
-        ("range.off", "OFF\n3 1 0\n" + tri + "3 0 1 3\n"),
-    )
-    for name, text in cases:
-        path = tmp_path / name
-        path.write_text(text)
-        with pytest.raises(ValueError, match=name):
-            dataio.load_off(path)
-
-
-def test_mesh_validation():
-    with pytest.raises(ValueError, match="out of range"):
-        dataio.TriangleMesh(np.zeros((3, 3)), [[0, 1, 5]])
-    with pytest.raises(ValueError, match="T x 3"):
-        dataio.TriangleMesh(np.zeros((3, 3)), [[0, 1, 2, 0]])
-
-
-def test_sample_mesh_unit_square_statistics(tmp_path):
-    path = tmp_path / "square.off"
-    path.write_text(UNIT_SQUARE_OFF)
-    cloud = dataio.sample_mesh(dataio.load_off(path), 10000, seed=0)
-    pts = cloud.points
-    assert pts.shape == (10000, 3)
-    assert np.all(pts[:, 2] == 0.0)
-    assert pts[:, 0].min() >= 0 and pts[:, 0].max() <= 1
-    assert pts[:, 1].min() >= 0 and pts[:, 1].max() <= 1
-    # uniform density over the square has mean (0.5, 0.5); the mean of
-    # 10000 samples should land within ~6 sigma of it
-    assert np.abs(pts[:, :2].mean(axis=0) - 0.5).max() < 0.02
-
-
-def test_sample_mesh_area_weighting():
-    # two coplanar triangles with areas 0.5 and 2.0; expected pick ratio
-    # 1:4 checked by chi-square with 1 dof (10.83 = 0.001 critical value)
-    vertices = np.array(
-        [
-            [0, 0, 0],
-            [1, 0, 0],
-            [0, 1, 0],
-            [3, 0, 0],
-            [5, 0, 0],
-            [3, 2, 0],
-        ],
-        dtype=float,
-    )
-    mesh = dataio.TriangleMesh(vertices, [[0, 1, 2], [3, 4, 5]])
-    pts = dataio.sample_mesh(mesh, 10000, seed=4).points
-    n_small = int((pts[:, 0] < 2.0).sum())
-    expected = np.array([2000.0, 8000.0])
-    observed = np.array([n_small, 10000 - n_small], dtype=float)
-    chi2 = ((observed - expected) ** 2 / expected).sum()
-    assert chi2 < 10.83
-
-
-def test_sample_mesh_skips_degenerate_triangles():
-    vertices = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 2, 2]], dtype=float)
-    mesh = dataio.TriangleMesh(vertices, [[3, 3, 3], [0, 1, 2]])
-    pts = dataio.sample_mesh(mesh, 500, seed=1).points
-    # every sample must come from the one non-degenerate triangle (z = 0)
-    assert np.all(pts[:, 2] == 0.0)
-    assert np.all(pts[:, 0] + pts[:, 1] <= 1.0 + 1e-12)
-    degenerate = dataio.TriangleMesh(vertices, [[3, 3, 3]])
-    with pytest.raises(ValueError, match="degenerate"):
-        dataio.sample_mesh(degenerate, 10, seed=0)
-
-
-def test_sample_mesh_deterministic():
-    vertices = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
-    mesh = dataio.TriangleMesh(vertices, [[0, 1, 2]])
-    a = dataio.sample_mesh(mesh, 100, seed=9).points
-    b = dataio.sample_mesh(mesh, 100, seed=9).points
-    assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +421,6 @@ _FORMATS = {
     "rpgp": (lambda p: dataio.save_cloud(p, _LABELLED, binary=True), dataio.load_cloud),
     "xyz": (lambda p: dataio.save_cloud(p, _LABELLED), dataio.load_cloud),
     "ply": (lambda p: dataio.export_ply(_LABELLED, p), dataio.read_ply),
-    "off": (lambda p: p.write_text(UNIT_SQUARE_OFF), dataio.load_off),
     "rpgk": (_small_checkpoint, training.load_checkpoint),
 }
 
