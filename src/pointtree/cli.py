@@ -139,12 +139,17 @@ def _latent(cloud, params) -> np.ndarray:
     return out.data
 
 
-def _sampled_latents(seed: int, n: int, params) -> list:
-    """The n latent codes that `generate` and `eval` draw for one --seed."""
+def _sampled_latents(seed: int, n: int, params):
+    """The n latent codes that `generate` and `eval` draw for one --seed.
+
+    The seed is checked at once; the codes are drawn one at a time as the
+    caller iterates, so `generate` holds one code however large n is.
+    """
     if seed < 0:
         raise UsageError("--seed must be a non-negative integer")
     rng = np.random.default_rng(seed)
-    return [rng.standard_normal(params.config.latent_width).astype(params.dtype) for _ in range(n)]
+    width, dtype = params.config.latent_width, params.dtype
+    return (rng.standard_normal(width).astype(dtype) for _ in range(n))
 
 
 def _default_part_stage(config: GeneratorConfig) -> int:

@@ -21,8 +21,8 @@ cross-shape sums, so the record, and with it every gradient, checkpoint and
 from __future__ import annotations
 
 import json
-import math
 import struct
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -55,11 +55,13 @@ class TrainConfig:
     save_every: int = 0  # checkpoint interval in epochs; 0 writes only the final one
 
     def __post_init__(self):
-        # every float field is finite (abs(nan) < inf is false), and each
-        # range check below is written so that NaN fails it too
+        # every float field holds a finite float: NaN fails the comparison,
+        # and so does an int too large to convert. Each range check below is
+        # written so that NaN fails it too
         for f in fields(self):
-            if isinstance(f.default, float) and not abs(getattr(self, f.name)) < math.inf:
-                raise ValueError(f"{f.name} must be finite")
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not abs(value) <= sys.float_info.max:
+                raise ValueError(f"{f.name} must be a finite float")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be positive")
         if self.seed < 0:

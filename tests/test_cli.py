@@ -196,8 +196,8 @@ def test_config_unknown_section_rejected(tmp_path, capsys):
     for key, default in training.TrainConfig().to_dict().items():
         if not isinstance(default, float):
             continue
-        for value in (float("nan"), float("inf"), float("-inf")):
-            cases.append(({"train": {key: value}}, f"train.{key}: {key} must be finite"))
+        for value in (float("nan"), float("inf"), float("-inf"), 10**400):
+            cases.append(({"train": {key: value}}, f"train.{key}: {key} must be a finite float"))
     cfg = tmp_path / "cfg.json"
     for content, message in cases:
         cfg.write_text(json.dumps(content))
@@ -215,7 +215,7 @@ def test_config_unknown_section_rejected(tmp_path, capsys):
         ["train", "--data", "d", "--out", str(out), "--learning-rate", "nan", *TINY_FLAGS]
     )
     assert code == 2
-    assert "learning_rate must be finite" in capsys.readouterr().err
+    assert "learning_rate must be a finite float" in capsys.readouterr().err
     assert not out.exists()
 
 
