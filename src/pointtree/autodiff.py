@@ -30,33 +30,32 @@ default buffer copies the broadcast operands several rows at a time, which
 made the multiply cost several times the add beside it. A small block
 forms the products of several contraction indices in one multiply, since a
 NumPy call costs about a microsecond however little it does, and still adds
-them one index at a time. None of these choices touches a rounding. A matmul
-applied with the `groups` hint (rows in consecutive groups, such as a
-point's siblings) forms each rounded product that is bit-equal across a
-group, or across groups slot by slot, once and adds it by broadcast; every
-element keeps its chain, so the bytes are those of the full product.
+them one index at a time. None of these choices touches a rounding.
 Gradients still use BLAS, on one thread while `backward` runs: they only
 need determinism at fixed shapes.
+
+gather_rows returns a `Gathered` tensor that holds the input's array and
+the indices; reading its `data` gathers afresh, with the same bytes every
+time. So a stage's parent representations exist once, not once per
+sibling. linear and rep_update read a Gathered operand's indices as
+declared sibling structure, never comparing float bits: each row taken r
+times in turn (a stage's parent index) gives one product per parent, added
+per sibling; r rows tiled group after group (a stage's slot index) give
+one product per slot; any other pattern is gathered in full. Every element
+keeps its chain, so the bytes are those of the gathered product.
 
 A model layer, matmul then a bias row then an optional leaky ReLU, runs as
 one `linear` primitive: the three steps' roundings in their order, the
 three vjps back to back, and one tape entry that keeps the output and the
 pre-activation's sign, packed one bit per element, instead of three arrays.
 Its input may come as column blocks, read as if concatenated along axis 1
-(a stage's embeddings beside its parents' representations), so the tape
-never keeps the concatenated copy; with the `groups` hint the forward never
-builds it either. A max-pool over the rows of a 2-D tensor is
-`max_reduce(x, axis=0)`, which records no transposed copy. The generator's
-representation update, tanh(s @ ms^T + h @ mh^T), is one `rep_update`
-primitive in the same way: the two products with the `transpose_b` and
-`groups` roundings of matmul, added and then passed through tanh in place,
-four vjps back to back, and one entry that keeps only the output.
-
-A recorded gather_rows keeps no rows of its own. Its output is a `Gathered`
-tensor holding the input's array, which the entry keeps anyway, and the
-indices; reading its `data` gathers the rows again, a fresh array with the
-forward's bytes. So a stage's parent representations stay on the tape once,
-not once per sibling, while every vjp and `replay` reads the full rows.
+(a stage's embeddings beside its parents' representations); only the vjp
+builds the concatenation, transiently. A max-pool over the rows of a 2-D
+tensor is `max_reduce(x, axis=0)`, which records no transposed copy. The
+generator's representation update, tanh(s @ ms^T + h @ mh^T), is one
+`rep_update` primitive in the same way: the two products with the
+`transpose_b` rounding of matmul, added and then passed through tanh in
+place, four vjps back to back, and one entry that keeps only the output.
 
 A tape may be consumed by `backward` any number of times; it is a pure
 record, not a one-shot resource.
@@ -71,9 +70,9 @@ block a 2-D Stack over the same shapes and rows, w and b plain), rep_update
 elementwise kinds against a Stack of the same shapes or a plain row,
 last-axis norm and max_reduce of a 2-D Stack, concat along axis 1, reshape
 that keeps each shape's rows whole, and gather_rows whose indices take each
-shape's rows from that shape, in shape order. transpose, sum, mean, axis-0
-concat, axis-0 max_reduce and a reduction of a 1-D Stack raise: they would
-mix shapes.
+shape's rows from that shape, in shape order; a gathered Stack is a
+`Gathered` too. transpose, sum, mean, axis-0 concat, axis-0 max_reduce and
+a reduction of a 1-D Stack raise: they would mix shapes.
 """
 
 from __future__ import annotations
@@ -130,11 +129,11 @@ class Tensor:
 
     @property
     def ndim(self) -> int:
-        return self.data.ndim
+        return len(self.shape)
 
     @property
     def size(self) -> int:
-        return self.data.size
+        return int(np.prod(self.shape, dtype=int))
 
     @property
     def dtype(self):
@@ -147,45 +146,7 @@ class Tensor:
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
-
-
-class Gathered(Tensor):
-    """The output of a recorded gather_rows, kept as its input and indices.
-
-    `rows` is the entry's input array and `indices` its attr, which the
-    tape holds anyway, so the gathered copy costs nothing while the tape
-    lives. Each read of `data` gathers again and returns a fresh array
-    with the forward's bytes; `shape`, `ndim`, `size` and `dtype` are
-    answered without gathering.
-    """
-
-    __slots__ = ("rows", "indices")
-
-    def __init__(self, rows, indices):
-        self.rows = rows
-        self.indices = indices
-        self.requires_grad = True
-
-    @property
-    def data(self):
-        return self.rows[self.indices]
-
-    @property
-    def shape(self) -> tuple:
-        return self.indices.shape + self.rows.shape[1:]
-
-    @property
-    def ndim(self) -> int:
-        return len(self.shape)
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape, dtype=int))
-
-    @property
-    def dtype(self):
-        return self.rows.dtype
+        return f"Tensor(shape={self.shape}, dtype={self.dtype}{flag})"
 
 
 class TapeEntry:
@@ -237,7 +198,7 @@ class Tape:
         """
         for entry in self.entries:
             fwd, _ = _REGISTRY[entry.kind]
-            out, _ = fwd([t.data for t in entry.inputs], entry.attrs)
+            out, _ = fwd(_operands(entry.kind, entry.inputs), entry.attrs)
             recorded = entry.output.data
             if out.shape != recorded.shape or out.tobytes() != recorded.tobytes():
                 return False
@@ -268,25 +229,64 @@ class Stack(Tensor):
         self.tapes = tapes
 
 
+class Gathered:
+    """What gather_rows returns, on a tensor or a Stack: rows[indices] along
+    axis 0, kept as its `rows` and int64 `indices`. Each read of `data`
+    gathers afresh; `shape` and `dtype` are answered without gathering.
+    """
+
+    __slots__ = ()
+
+    @property
+    def data(self):
+        return self.rows[self.indices]
+
+    @property
+    def shape(self) -> tuple:
+        return self.indices.shape + self.rows.shape[1:]
+
+    @property
+    def dtype(self):
+        return self.rows.dtype
+
+
+class _GatheredRows(Gathered, Tensor):
+    __slots__ = ("rows", "indices")
+
+    def __init__(self, rows, indices, requires_grad):
+        self.rows, self.indices, self.requires_grad = rows, indices, requires_grad
+
+
+class _GatheredStack(Gathered, Stack):  # each part gathers its own shape's rows
+    __slots__ = ("rows", "indices")
+
+    def __init__(self, rows, indices, parts, tapes):
+        self.rows, self.indices, self.parts, self.tapes = rows, indices, parts, tapes
+        self.requires_grad = any(p.requires_grad for p in parts)
+
+
 def stack(parts, tapes) -> Stack:
     """One Stack of the per-shape tensors `parts`, one tape per shape.
 
     Records nothing: the parts themselves stay the inputs of every later
     per-shape entry, so gradients reach them as if they were used alone.
+    Parts that all gather from one array stack as one `Gathered` of it.
     """
     parts = tuple(parts)
     if not parts or len(parts) != len(tapes):
         raise ValueError(f"need one tape per part, got {len(parts)} parts and {len(tapes)} tapes")
-    arrays = [p.data for p in parts]
-    _check_dtypes("stack", arrays)
-    if any(a.ndim == 0 or a.shape[1:] != arrays[0].shape[1:] for a in arrays):
-        _shape_error("stack", arrays, "parts must share every axis but the first")
-    return Stack(np.concatenate(arrays), parts, tapes)
+    _check_dtypes("stack", parts)
+    if any(p.ndim == 0 or p.shape[1:] != parts[0].shape[1:] for p in parts):
+        _shape_error("stack", parts, "parts must share every axis but the first")
+    rows = getattr(parts[0], "rows", None)
+    if all(isinstance(p, Gathered) and p.rows is rows for p in parts):
+        return _GatheredStack(rows, np.concatenate([p.indices for p in parts]), parts, tapes)
+    return Stack(np.concatenate([p.data for p in parts]), parts, tapes)
 
 
 def parts(x) -> tuple:
     """The per-shape tensors of a Stack; a plain tensor is its own one part."""
-    return x.parts if type(x) is Stack else (x,)
+    return x.parts if isinstance(x, Stack) else (x,)
 
 
 def per_shape(x, fn) -> list:
@@ -294,7 +294,7 @@ def per_shape(x, fn) -> list:
 
     A plain tensor gives [fn(x)], recorded wherever the caller records.
     """
-    if type(x) is not Stack:
+    if not isinstance(x, Stack):
         return [fn(x)]
     out = []
     for part, tape in zip(x.parts, x.tapes):
@@ -305,7 +305,7 @@ def per_shape(x, fn) -> list:
 
 def each_shape(x, fn) -> Tensor:
     """`per_shape(x, fn)` stacked like `x`: fn(x) itself for a plain tensor."""
-    if type(x) is not Stack:
+    if not isinstance(x, Stack):
         return fn(x)
     return stack(per_shape(x, fn), x.tapes)
 
@@ -425,19 +425,22 @@ def _fwd_matmul(arrays, attrs):
     # expansion path). BLAS would not give that.
     #
     # 1-D operands run as one-row or one-column 2-D products, which form the
-    # same chains. With the `groups` hint (rows of `a` in consecutive groups
-    # of that size) the same chains are computed with each rounded product
-    # formed once per value it can take; see _grouped_matmul. With
-    # `transpose_b` the product is a @ b.T, formed from a contiguous copy of
-    # b.T exactly as a separate transpose would have made it.
+    # same chains. With `transpose_b` the product is a @ b.T, formed from a
+    # contiguous copy of b.T exactly as a separate transpose would have made
+    # it.
     a, b = arrays
     return _block_matmul([a], b, attrs), None
 
 
+def _dense(x):
+    # an operand as an array: a Gathered's rows gathered in full
+    return x.data if isinstance(x, Gathered) else x
+
+
 def _block_matmul(blocks, b, attrs):
     # concatenate(blocks, axis=1) @ b. One block may be 1-D; several are 2-D
-    # with one row count, and only a product without the `groups` hint
-    # builds their concatenation.
+    # with one row count. Only blocks that do not declare sibling structure
+    # are gathered in full and concatenated.
     a = blocks[0]
     arrays = (*blocks, b)
     if attrs.get("transpose_b"):
@@ -446,22 +449,19 @@ def _block_matmul(blocks, b, attrs):
         b = np.ascontiguousarray(b.T)
     if a.ndim not in (1, 2) or b.ndim not in (1, 2):
         _shape_error("matmul", arrays, "operands must be 1-D or 2-D")
-    if len(blocks) > 1 and any(x.ndim != 2 or len(x) != len(a) for x in blocks):
+    if len(blocks) > 1 and any(x.ndim != 2 or x.shape[0] != a.shape[0] for x in blocks):
         _shape_error("matmul", arrays, "column blocks must be 2-D with equal row counts")
     inner = sum(x.shape[-1] for x in blocks)
     if inner != b.shape[0]:
         _shape_error("matmul", arrays, "inner dimensions differ")
     if inner == 0:
         _shape_error("matmul", arrays, "empty contraction axis")
-    groups = attrs.get("groups", 1)
-    if groups > 1 and (a.ndim != 2 or len(a) % groups):
-        _shape_error("matmul", arrays, f"rows of a do not split into groups of {groups}")
     b2 = b.reshape(inner, -1)
     with _small_ufunc_buffer():
-        if groups > 1:
-            out = _grouped_matmul(blocks, b2, groups)
-        else:
-            a2 = np.concatenate(blocks, axis=1) if len(blocks) > 1 else a.reshape(-1, inner)
+        out = _shared_matmul(blocks, b2)
+        if out is None:
+            dense = [_dense(x) for x in blocks]
+            a2 = np.concatenate(dense, axis=1) if len(dense) > 1 else dense[0].reshape(-1, inner)
             out = _rows_matmul(a2, b2)
     return out.reshape(a.shape[:-1] + b.shape[1:])
 
@@ -563,55 +563,47 @@ def _rows_matmul(a, b):
     return out
 
 
-def _block_kind(x, r):
-    """How the rows of the 2-D block `x` repeat over consecutive groups of r.
-
-    "within": every row of a group is a copy of the group's first row;
-    "across": not within, but every group is a copy of the first group, row
-    for row; "plain": neither. Rows are compared as unsigned ints: a float
-    compare would merge 0.0 with -0.0, whose products can differ in sign,
-    and never find a NaN equal to itself.
-    """
-    bits = x.view(f"u{x.itemsize}").reshape(-1, r, x.shape[1])
-    if (bits == bits[:, :1]).all():
-        return "within"
-    return "across" if (bits == bits[:1]).all() else "plain"
+def _takes(x, r, tiled=False):
+    # whether the 2-D Gathered x takes each of its rows r times in turn
+    # (indices 0,..,0, 1,..,1, ...: a stage's parent index) or, tiled, runs
+    # through its r rows once per group of r (0,..,r-1, 0,..,r-1, ...: a
+    # stage's slot index). Only the indices are read, never the rows.
+    if not isinstance(x, Gathered) or x.ndim != 2 or r < 1:
+        return False
+    m, idx = x.rows.shape[0], x.indices
+    if tiled:
+        return m == r and len(idx) % r == 0 and bool((idx.reshape(-1, r) == np.arange(r)).all())
+    return len(idx) == m * r and bool((idx.reshape(m, r) == np.arange(m)[:, None]).all())
 
 
-def _grouped_matmul(blocks, b, r):
-    # concatenate(blocks, axis=1) @ b for 2-D blocks whose rows come in
-    # consecutive groups of r, with every output element's multiply-then-add
-    # chain unchanged. Equal input bits give equal rounded products, so the
-    # first block's whole chain runs at one row per group ("within") or at
-    # the r rows of one group ("across") and is copied into each block of
-    # output; each later block must be within, and its products are formed
-    # once per group and added by broadcast in index order. When the first
-    # block is everything, its chain is repeated down the rows or tiled
-    # group after group. Any other layout (a plain block, a later
-    # across block) runs the product on every row.
+def _shared_matmul(blocks, b):
+    # concatenate(blocks, axis=1) @ b from the rows of Gathered blocks that
+    # declare sibling structure, every element's multiply-then-add chain
+    # unchanged; None for any other blocks. Each block after the first
+    # takes each of its rows r times in turn (r from the last block's row
+    # counts): one row per group of r siblings. The first does the same or
+    # tiles r rows: one row per slot. A rounded product depends only on its
+    # operands, so the first block's chain runs once per group or slot and
+    # is copied into each block of output, and each later block's products
+    # are formed once per group and added by broadcast in index order. A
+    # lone block that repeats has its chain repeated down the rows.
     #
     # A block of output accumulates slot-major, (r, groups, width), so a
     # per-group product is added to r contiguous runs rather than broadcast
     # row by row, and is copied back row-major once per block.
-    kinds = [_block_kind(x, r) for x in blocks]
-    if "plain" in kinds or "across" in kinds[1:]:
-        return _rows_matmul(np.concatenate(blocks, axis=1), b)
-    head, rest = blocks[0], blocks[1:]
-    lead = head.shape[1]
-    n, width = len(head), b.shape[1]
-    if kinds[0] == "within":
-        first = _rows_matmul(head[::r], b[:lead])
-        if not rest:
-            return np.repeat(first, r, axis=0)
-        first = first[None]  # one row per group, the same in every slot
-    else:
-        first = _rows_matmul(head[:r], b[:lead])
-        if not rest:
-            return np.tile(first, (n // r, 1))
-        first = first[:, None]  # one row per slot, the same in every group
-    first = np.broadcast_to(first, (r, n // r, width))
-    shared = np.concatenate([x[::r] for x in rest], axis=1)  # one row per group
-    out = np.empty((n, width), dtype=np.result_type(head, b))
+    head, rest, last = blocks[0], blocks[1:], blocks[-1]
+    r = last.shape[0] // max(1, last.rows.shape[0]) if isinstance(last, Gathered) else 0
+    within = _takes(head, r)
+    if not (within or rest and _takes(head, r, tiled=True)) or not all(_takes(x, r) for x in rest):
+        return None
+    n, width = head.shape[0], b.shape[1]
+    first = _rows_matmul(head.rows, b[: head.shape[1]])
+    if not rest:
+        return np.repeat(first, r, axis=0)
+    # one row per group, the same in every slot, or one per slot
+    first = np.broadcast_to(first[None] if within else first[:, None], (r, n // r, width))
+    columns = [(x.rows, j) for x in rest for j in range(x.shape[1])]
+    out = np.empty((n, width), dtype=first.dtype)
     out3 = out.reshape(n // r, r, width)
     per_block = max(1, _MATMUL_BLOCK // max(1, r * width))  # groups per block
     acc_block = np.empty((r, min(per_block, n // r), width), dtype=out.dtype)
@@ -620,8 +612,8 @@ def _grouped_matmul(blocks, b, r):
         g1 = min(g0 + per_block, n // r)
         acc, t = acc_block[:, : g1 - g0], t_block[: g1 - g0]
         acc[...] = first[:, g0:g1]
-        for k in range(shared.shape[1]):
-            np.multiply(shared[g0:g1, k : k + 1], b[lead + k], out=t)
+        for (rows, j), row_b in zip(columns, b[head.shape[1] :]):
+            np.multiply(rows[g0:g1, j : j + 1], row_b, out=t)
             acc += t
         out3[g0:g1] = acc.transpose(1, 0, 2)
     return out
@@ -644,11 +636,11 @@ def _vjp_matmul(grad, arrays, saved, attrs):
 
 
 def _fwd_linear(arrays, attrs):
-    # x @ w on the fixed-order kernel (with its `groups` hint), then the
-    # bias row and the optional leaky ReLU applied in place: each element
-    # gets exactly the bytes of leaky_relu(add(matmul(x, w), b)). `x` may
-    # arrive as several column blocks (arrays[:-2]), read as their
-    # concatenation along axis 1. Only the output and, when leaky, the sign
+    # x @ w on the fixed-order kernel, then the bias row and the optional
+    # leaky ReLU applied in place: each element gets exactly the bytes of
+    # leaky_relu(add(matmul(x, w), b)). `x` may arrive as several column
+    # blocks (arrays[:-2]), read as their concatenation along axis 1, each
+    # maybe a Gathered. Only the output and, when leaky, the sign
     # of the pre-activation are kept for the vjp, packed eight elements to a
     # byte along each row. The sign comes from the pre-activation: a tiny
     # negative value times the slope can round to -0.0, which reads as
@@ -680,29 +672,37 @@ def _leaky_slopes(keep, dtype):
 
 def _vjp_linear(grad, arrays, saved, attrs):
     # the vjps of leaky_relu, add and matmul in turn, as the three entries
-    # would have run them back to back; several column blocks are joined
-    # for the BLAS product and their gradient split as concat's vjp splits it
+    # would have run them back to back. Several column blocks are written
+    # once into the concatenation the BLAS products read, a block of
+    # repeated parent rows by broadcast from them; their gradients are
+    # column views of gx, the values concat's vjp would copy out
     *blocks, w, b = arrays
     if saved is not None:
         keep = np.unpackbits(saved, axis=-1, count=grad.shape[-1])
         grad = grad * _leaky_slopes(keep, w.dtype)
     gb = _unbroadcast(grad, b.shape)
     if len(blocks) == 1:
-        return (*_vjp_matmul(grad, (blocks[0], w), None, {}), gb)
-    gx, gw = _vjp_matmul(grad, (np.concatenate(blocks, axis=1), w), None, {})
-    gxs = _vjp_concat(gx, blocks, [x.shape[1] for x in blocks], {"axis": 1})
-    return (*gxs, gw, gb)
+        return (*_vjp_matmul(grad, (_dense(blocks[0]), w), None, {}), gb)
+    x = np.empty((grad.shape[0], w.shape[0]), dtype=w.dtype)
+    edges = np.cumsum([0] + [blk.shape[1] for blk in blocks]).tolist()
+    for blk, c0, c1 in zip(blocks, edges, edges[1:]):
+        m = blk.rows.shape[0] if isinstance(blk, Gathered) else 0
+        if _takes(blk, len(x) // max(1, m)):
+            x.reshape(m, -1, x.shape[1])[:, :, c0:c1] = blk.rows[:, None]
+        else:
+            x[:, c0:c1] = _dense(blk)
+    gx, gw = _vjp_matmul(grad, (x, w), None, {})
+    return (*(gx[:, c0:c1] for c0, c1 in zip(edges, edges[1:])), gw, gb)
 
 
 def _fwd_rep_update(arrays, attrs):
     # tanh(s @ ms.T + h @ mh.T): the two fixed-order products, both with
-    # `transpose_b` and h's with the `groups` hint, then the add and the
-    # tanh in place, so each element gets the bytes of
-    # tanh(add(matmul(s, ms), matmul(h, mh))). Only the output is kept,
-    # which tanh's vjp reads.
+    # `transpose_b`, then the add and the tanh in place, so each element
+    # gets the bytes of tanh(add(matmul(s, ms), matmul(h, mh))). Only the
+    # output is kept, which tanh's vjp reads.
     s, h, ms, mh = arrays
     out = _block_matmul([s], ms, {"transpose_b": True})
-    shared = _block_matmul([h], mh, {**attrs, "transpose_b": True})
+    shared = _block_matmul([h], mh, {"transpose_b": True})
     if out.shape != shared.shape:
         _shape_error("rep_update", arrays, "s @ ms.T and h @ mh.T differ in shape")
     out += shared
@@ -714,6 +714,7 @@ def _vjp_rep_update(grad, arrays, saved, attrs):
     # the vjps of tanh, add and the two matmuls, in the order the four
     # entries ran them; add passes its gradient to both products unchanged
     s, h, ms, mh = arrays
+    s, h = _dense(s), _dense(h)
     (grad,) = _vjp_tanh(grad, None, saved, None)
     gh, gmh = _vjp_matmul(grad, (h, mh), None, {"transpose_b": True})
     gs, gms = _vjp_matmul(grad, (s, ms), None, {"transpose_b": True})
@@ -877,13 +878,9 @@ def _vjp_transpose(grad, arrays, saved, attrs):
 
 
 def _fwd_gather_rows(arrays, attrs):
-    x = arrays[0]
-    idx = attrs["indices"]
-    if x.ndim == 0:
-        _shape_error("gather_rows", arrays, "operand must have at least one axis")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        _shape_error("gather_rows", arrays, "index out of range")
-    return x[idx], None
+    # what `replay` recomputes; apply_primitive checks the indices and
+    # returns a Gathered instead
+    return arrays[0][attrs["indices"]], None
 
 
 def _vjp_gather_rows(grad, arrays, saved, attrs):
@@ -933,34 +930,46 @@ def apply_primitive(kind: str, inputs, **attrs) -> Tensor:
 
     Recording happens only when a tape is active and at least one input has
     `requires_grad`. Attribute arguments (`axis`, `shape`, `indices`,
-    `factor`, `groups`, `transpose_b`, `leaky`) parameterize the primitive
-    and are never differentiated. With a `Stack` among the inputs the primitive runs
-    once for all its shapes and records on the shapes' own tapes instead. A
-    recorded gather_rows returns a `Gathered` tensor.
+    `factor`, `transpose_b`, `leaky`) parameterize the primitive and are
+    never differentiated. With a `Stack` among the inputs the primitive runs
+    once for all its shapes and records on the shapes' own tapes instead.
+    gather_rows returns a `Gathered` tensor.
     """
     if kind not in _REGISTRY:
         raise UnknownPrimitiveError(
             f"unknown primitive {kind!r}; known kinds: {', '.join(sorted(_REGISTRY))}"
         )
     inputs = tuple(inputs)
-    arrays = [t.data for t in inputs]
+    arrays = _operands(kind, inputs)
     _check_dtypes(kind, arrays)
-    if "indices" in attrs:
-        attrs["indices"] = np.ascontiguousarray(attrs["indices"], dtype=np.int64)
+    if "indices" in attrs:  # gather_rows, whose forward never runs here
+        idx = attrs["indices"] = np.ascontiguousarray(attrs["indices"], dtype=np.int64)
+        if arrays[0].ndim == 0:
+            _shape_error(kind, arrays, "operand must have at least one axis")
+        if idx.size and (idx.min() < 0 or idx.max() >= arrays[0].shape[0]):
+            _shape_error(kind, arrays, "index out of range")
     fwd, _ = _REGISTRY[kind]
-    if any(type(t) is Stack for t in inputs):
-        return _apply_stacked(kind, inputs, attrs, fwd)
-    out_array, saved = fwd(arrays, attrs)
+    if any(isinstance(t, Stack) for t in inputs):
+        return _apply_stacked(kind, inputs, arrays, attrs, fwd)
     needs_grad = any(t.requires_grad for t in inputs)
-    tape = _active_tape()
-    if tape is None or not needs_grad:
-        return Tensor(out_array, requires_grad=needs_grad)
     if kind == "gather_rows":
-        out = Gathered(arrays[0], attrs["indices"])
+        out, saved = _GatheredRows(arrays[0], attrs["indices"], needs_grad), None
     else:
-        out = Tensor(out_array, requires_grad=True)
-    tape.entries.append(TapeEntry(kind, inputs, out, saved, attrs))
+        out_array, saved = fwd(arrays, attrs)
+        out = Tensor(out_array, requires_grad=needs_grad)
+    tape = _active_tape()
+    if tape is not None and needs_grad:
+        tape.entries.append(TapeEntry(kind, inputs, out, saved, attrs))
     return out
+
+
+def _operands(kind, inputs):
+    # what a primitive's forward and vjp compute on: each input's data,
+    # except that linear's column blocks and rep_update's s and h pass a
+    # Gathered as it is, for its declared structure
+    split = _ROW_OPERANDS[kind] if kind in ("linear", "rep_update") else 0
+    rows = [t if isinstance(t, Gathered) else t.data for t in inputs[:split]]
+    return rows + [t.data for t in inputs[split:]]
 
 
 # kinds whose every output row comes from one input row (or one row block
@@ -973,13 +982,14 @@ _ROW_SEPARABLE = frozenset((
 _ROW_OPERANDS = {"matmul": 1, "linear": -2, "rep_update": 2}
 
 
-def _apply_stacked(kind, inputs, attrs, fwd):
+def _apply_stacked(kind, inputs, arrays, attrs, fwd):
     # One forward over every shape's rows, then one entry per shape on that
     # shape's tape. Row independence makes each row block of the output
     # byte-equal to the part's own forward, so the per-shape entries are
-    # the ones a shape-by-shape loop records. Anything that could mix rows
-    # of different shapes raises instead.
-    ref = next(t for t in inputs if type(t) is Stack)
+    # the ones a shape-by-shape loop records. A gather runs no forward: it
+    # returns a gathered Stack of gathered parts. Anything that could mix
+    # rows of different shapes raises instead.
+    ref = next(t for t in inputs if isinstance(t, Stack))
     rows = [p.shape[0] for p in ref.parts]
 
     def mixes(why):
@@ -988,7 +998,7 @@ def _apply_stacked(kind, inputs, attrs, fwd):
     if kind not in _ROW_SEPARABLE:
         mixes("not a row-separable kind")
     for t in inputs:
-        if type(t) is Stack:
+        if isinstance(t, Stack):
             if t.tapes is not ref.tapes or [p.shape[0] for p in t.parts] != rows:
                 mixes("operands stack different shapes or row counts")
         elif kind == "concat":
@@ -997,11 +1007,9 @@ def _apply_stacked(kind, inputs, attrs, fwd):
             mixes("a plain operand may only be a row")
     if kind in _ROW_OPERANDS:
         split = _ROW_OPERANDS[kind]
-        rows_ok = all(type(t) is Stack and t.ndim == 2 for t in inputs[:split])
-        if not rows_ok or any(type(t) is Stack for t in inputs[split:]):
+        rows_ok = all(isinstance(t, Stack) and t.ndim == 2 for t in inputs[:split])
+        if not rows_ok or any(isinstance(t, Stack) for t in inputs[split:]):
             mixes(f"{kind} needs 2-D Stack row operands and plain weights")
-        if any(r % attrs.get("groups", 1) for r in rows):
-            mixes("a shape's rows do not split into whole groups")
     elif kind in ("norm", "max_reduce") and ref.ndim < 2:
         mixes("a reduction of a 1-D stack")
     elif kind == "max_reduce" and attrs.get("axis", -1) == 0:
@@ -1009,8 +1017,7 @@ def _apply_stacked(kind, inputs, attrs, fwd):
     elif kind == "concat" and attrs["axis"] == 0:
         mixes("axis-0 concat")
 
-    arrays = [t.data for t in inputs]
-    out_array, saved = fwd(arrays, attrs)
+    out_array, saved = (None, None) if kind == "gather_rows" else fwd(arrays, attrs)
     per_attrs = [attrs] * len(rows)
     if kind == "gather_rows":
         idx = attrs["indices"]
@@ -1034,14 +1041,14 @@ def _apply_stacked(kind, inputs, attrs, fwd):
     else:
         out_rows = rows
 
-    columns = [t.parts if type(t) is Stack else (t,) * len(rows) for t in inputs]
+    columns = [t.parts if isinstance(t, Stack) else (t,) * len(rows) for t in inputs]
     slice_saved = isinstance(saved, np.ndarray)
     out_parts = []
     o0 = 0
     for ins, tape, part_attrs, n in zip(zip(*columns), ref.tapes, per_attrs, out_rows):
         o1 = o0 + n
-        if kind == "gather_rows" and ins[0].requires_grad:
-            out = Gathered(ins[0].data, part_attrs["indices"])
+        if kind == "gather_rows":
+            out = _GatheredRows(ins[0].data, part_attrs["indices"], ins[0].requires_grad)
         else:  # a row block of a C-contiguous float array: what Tensor() would keep
             out = Tensor.__new__(Tensor)
             out.data = out_array[o0:o1]
@@ -1051,6 +1058,8 @@ def _apply_stacked(kind, inputs, attrs, fwd):
             tape.entries.append(TapeEntry(kind, ins, out, part_saved, part_attrs))
         out_parts.append(out)
         o0 = o1
+    if kind == "gather_rows":
+        return _GatheredStack(arrays[0], attrs["indices"], tuple(out_parts), ref.tapes)
     return Stack(out_array, tuple(out_parts), ref.tapes)
 
 
@@ -1118,7 +1127,7 @@ def _backward(loss, tape, leaves):
         if grad is None:
             continue
         _, vjp = _REGISTRY[entry.kind]
-        grads = vjp(grad, [t.data for t in entry.inputs], entry.saved, entry.attrs)
+        grads = vjp(grad, _operands(entry.kind, entry.inputs), entry.saved, entry.attrs)
         for inp, g in zip(entry.inputs, grads):
             if g is None or not inp.requires_grad:
                 continue
@@ -1146,28 +1155,18 @@ def _backward(loss, tape, leaves):
 # ---------------------------------------------------------------------------
 
 
-def matmul(a, b, groups: int = 1, transpose_b: bool = False):
-    """`a @ b`, or `a @ b.T` with `transpose_b`; `groups` hints that the
-    rows of `a` come in consecutive groups.
+def matmul(a, b, transpose_b: bool = False):
+    """`a @ b`, or `a @ b.T` with `transpose_b`, on the fixed-order kernel.
 
-    With the hint, a column that is constant inside every group, or that
-    repeats slot by slot from group to group, has each rounded product
-    formed once and shared. Columns are classified by an exact bitwise
-    compare, so the output bytes and the gradient are the same with or
-    without the hint; the rows of a 2-D `a` must split into whole groups.
     `transpose_b` gives the bytes of `matmul(a, transpose(b))`, forward and
     gradients, without recording the transpose.
     """
-    attrs = {}
-    if groups > 1:
-        attrs["groups"] = int(groups)
-    if transpose_b:
-        attrs["transpose_b"] = True
+    attrs = {"transpose_b": True} if transpose_b else {}
     return apply_primitive("matmul", (a, b), **attrs)
 
 
-def linear(x, w, b, groups: int = 1, leaky: bool = False):
-    """`add(matmul(x, w, groups=groups), b)`, then `leaky_relu` when `leaky`.
+def linear(x, w, b, leaky: bool = False):
+    """`add(matmul(x, w), b)`, then `leaky_relu` when `leaky`.
 
     One primitive with the same bytes as that chain, forward and gradients,
     but one tape entry that keeps only the output and, when leaky, the sign
@@ -1175,27 +1174,25 @@ def linear(x, w, b, groups: int = 1, leaky: bool = False):
     as wide as `w`. `x` may be a list of 2-D column blocks with one row
     count, read as `concat(x, axis=1)` with that concat's gradients; the
     entry's inputs are then the blocks, then `w` and `b`, and no
-    concatenated copy is kept.
+    concatenated copy is kept. `gather_rows` blocks whose indices repeat
+    each parent row r times (the first may instead tile r slot rows) have
+    each product formed once per parent or slot, and are never gathered.
     """
-    attrs = {}
-    if groups > 1:
-        attrs["groups"] = int(groups)
-    if leaky:
-        attrs["leaky"] = True
+    attrs = {"leaky": True} if leaky else {}
     blocks = tuple(x) if isinstance(x, (list, tuple)) else (x,)
     return apply_primitive("linear", (*blocks, w, b), **attrs)
 
 
-def rep_update(s, h, ms, mh, groups: int = 1):
-    """`tanh(add(matmul(s, ms, transpose_b=True), matmul(h, mh, groups=groups,
+def rep_update(s, h, ms, mh):
+    """`tanh(add(matmul(s, ms, transpose_b=True), matmul(h, mh,
     transpose_b=True)))` as one primitive.
 
     The same bytes as that chain, forward and gradients, but one tape entry
     that keeps only the output. s and h are both 1-D, or both 2-D with one
-    row per point; `groups` is matmul's hint on the rows of h.
+    row per point. An h gathered by repeating each parent row r times has
+    its product formed once per parent and repeated, and is never gathered.
     """
-    attrs = {"groups": int(groups)} if groups > 1 else {}
-    return apply_primitive("rep_update", (s, h, ms, mh), **attrs)
+    return apply_primitive("rep_update", (s, h, ms, mh))
 
 
 def add(a, b):

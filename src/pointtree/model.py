@@ -237,39 +237,40 @@ def encode(cloud, params: Parameters):
     return encode_batch([cloud], params)[0]
 
 
-def extract_substructure(s, h, params: Parameters, groups: int = 1) -> ad.Tensor:
+def extract_substructure(s, h, params: Parameters) -> ad.Tensor:
     """Representation handed to the children of a point: tanh(Ms s + Mh h).
 
     Takes one point, s (3,) with h (U,), or one per row, s (n, 3) with
     h (n, U). Each row is bit-identical to the one-point call: `s @ Ms^T`
     forms the products of `Ms @ s` and adds them in the same order. Past
-    the root, h arrives in groups of `groups` identical sibling rows, so
-    `h @ Mh^T` computes each group's row once and repeats it (the matmul
-    `groups` hint), with the same bytes. It is one `rep_update` entry on the
-    tape, which keeps only the output.
+    the root, h is the previous stage's child representations, a gather of
+    each parent's row once per sibling: `h @ Mh^T` reads that declared
+    structure, computes each parent's row once and repeats it, with the
+    same bytes. It is one `rep_update` entry on the tape, which keeps only
+    the output.
     """
     s = _as_tensor(s, params.dtype)
     h = _as_tensor(h, params.dtype)
     u = params.config.latent_width
     if s.ndim not in (1, 2) or s.shape[-1] != 3 or h.shape != s.shape[:-1] + (u,):
         raise ValueError(f"expected shapes (3,) and ({u},), or (n, 3) and (n, {u})")
-    return ad.rep_update(s, h, params["sub.ms"], params["sub.mh"], groups=groups)
+    return ad.rep_update(s, h, params["sub.ms"], params["sub.mh"])
 
 
-def _expand_stage(points, reps, scales, stage: int, params: Parameters, rep_groups: int = 1):
+def _expand_stage(points, reps, scales, stage: int, params: Parameters):
     """Split every point of one stage into its k(stage) children.
 
     points (n,3), reps (n,U), scales (n,1) -> child triple plus the parent
     index per child. Children of point i occupy slots [i*k, (i+1)*k).
-    `rep_groups` says that reps come in groups of that many identical
-    sibling rows (k(stage - 1) when they are the previous stage's output).
 
-    Sibling work is shared through the matmul `groups` hint, bit for bit:
-    `h @ Mh^T` runs once per group of `rep_groups` rows, and exp.l0 reads
-    the column blocks `[embeds, child_reps]` in groups of k: the embedding
-    block repeats slot by slot and the rep block is constant per group, so
-    only the adds of its rep products are made per sibling. The two blocks
-    are never concatenated into one array.
+    Sibling work is shared through declared structure, bit for bit: the
+    child reps gather the parents' updated rows by the parent index (each
+    row k times in turn) and the embeddings gather the k slot rows tiled
+    over the parents, and neither builds its per-child copy. exp.l0 reads
+    the blocks `[embeds, child_reps]` by those indices, forming each
+    embedding product once per slot and each rep product once per parent;
+    only the adds run per sibling. The next stage's `h @ Mh^T` runs once
+    per parent the same way.
 
     The three inputs may be Stacks, one row block per shape of a forest;
     the embedding gather and the offset floor are then made per shape.
@@ -280,7 +281,7 @@ def _expand_stage(points, reps, scales, stage: int, params: Parameters, rep_grou
     dtype = params.dtype
 
     parent_idx = np.repeat(np.arange(n, dtype=np.int64), k)
-    sub = extract_substructure(points, reps, params, groups=rep_groups)
+    sub = extract_substructure(points, reps, params)
     child_reps = ad.gather_rows(sub, parent_idx)  # siblings share one row
     slots = np.arange(k, dtype=np.int64)
     embeds = ad.each_shape(  # per shape, as in a one-shape expansion
@@ -290,7 +291,7 @@ def _expand_stage(points, reps, scales, stage: int, params: Parameters, rep_grou
     t = [embeds, child_reps]
     for i in range(len(config.mlp_hidden)):
         w, b = params[f"exp.l{i}.w"], params[f"exp.l{i}.b"]
-        t = ad.linear(t, w, b, groups=k if i == 0 else 1, leaky=True)
+        t = ad.linear(t, w, b, leaky=True)
     offsets = ad.linear(t, params["exp.offset.w"], params["exp.offset.b"])
     raw_scale = ad.linear(t, params["exp.scale.w"], params["exp.scale.b"])
 
@@ -374,10 +375,7 @@ def expansion_graph(z, params: Parameters):
     scales = [ad.each_shape(z, lambda _: ad.Tensor(np.ones((1, 1), dtype=params.dtype)))]
     parents = [None]
     for stage in range(config.stage_count):
-        cp, cr, cs, parent_idx = _expand_stage(
-            points[-1], reps[-1], scales[-1], stage, params,
-            rep_groups=config.k_schedule[stage - 1] if stage else 1,
-        )
+        cp, cr, cs, parent_idx = _expand_stage(points[-1], reps[-1], scales[-1], stage, params)
         points.append(cp)
         reps.append(cr)
         scales.append(cs)

@@ -14,8 +14,9 @@ def _base(a):
 def stored(tensor):
     """The array a tensor keeps alive, read without building anything.
 
-    A `Gathered` tensor keeps its input's rows; reading its `data` would
-    gather a fresh array on every read, which no tape holds.
+    A `Gathered` tensor, a gathered Stack among them, keeps its input's
+    rows; reading its `data` would gather a fresh array on every read,
+    which nothing holds.
     """
     return tensor.rows if isinstance(tensor, ad.Gathered) else tensor.data
 

@@ -156,17 +156,18 @@ def test_single_nan_keeps_its_payload_in_every_kernel_path(dtype):
             hit = out[i] if operand == "a" else out[:, j]
             assert (hit.view(utype) == payload).all(), (name, operand)
             assert np.isfinite(out).sum() == out.size - hit.size, (name, operand)
-    # grouped: one NaN value in each kind of column block, first and later,
-    # in layouts whose products are shared and in layouts run on every row
+    # declared: one NaN value in the rows of each kind of gathered column
+    # block, first and later, in layouts whose products are shared and in
+    # layouts gathered in full
     r, groups = 4, 6
     for kinds in ("aw", "aww", "w", "a", "wa", "nw"):
         for i, kind in enumerate(kinds):
-            blocks = _grouped(rng, kinds, groups, r, dtype)
+            blocks = _declared(rng, kinds, groups, r, dtype)
             b = rng.normal(size=(2 * len(kinds), 33)).astype(dtype)
-            rows = {"w": slice(4, 8), "a": slice(1, None, r), "n": slice(9, 10)}[kind]
-            blocks[i].view(utype)[rows, 1] = payload
-            assert ad._block_kind(blocks[i], r) == _KIND_NAMES[kind]
-            out = ad._block_matmul(blocks, b, {"groups": r})
+            source, rows = {"w": (1, slice(4, 8)), "a": (1, slice(1, None, r)),
+                            "n": (groups * r - 10, slice(9, 10))}[kind]
+            blocks[i].rows.view(utype)[source, 1] = payload
+            out = ad._block_matmul(blocks, b, {})
             assert (out[rows].view(utype) == payload).all(), (kinds, kind)
             assert np.isfinite(out).sum() == out.size - out[rows].size, (kinds, kind)
 
@@ -214,7 +215,7 @@ def test_matmul_kernels_run_with_the_small_buffer_and_restore_it(monkeypatch):
         monkeypatch.setattr(module, name, wrapped)
 
     spy(ad, "_rows_matmul")
-    spy(ad, "_grouped_matmul")
+    spy(ad, "_shared_matmul")
     spy(geometry, "_exhaustive_nn")
     rng = np.random.default_rng(23)
     a = ad.Tensor(rng.normal(size=(8, 5)).astype(np.float32))
@@ -223,13 +224,14 @@ def test_matmul_kernels_run_with_the_small_buffer_and_restore_it(monkeypatch):
     try:
         np.setbufsize(4096)  # any caller's size, not only the default
         ad.matmul(a, b)
-        ad.matmul(a, b, groups=2)
+        ad.linear(ad.gather_rows(a, np.repeat(np.arange(8), 2)), b,
+                  ad.Tensor(np.zeros(3, np.float32)))
         ad.matmul(ad.Tensor(a.data[0]), b)
         geometry.nearest_neighbors(a.data[:, :3], b.data)
         assert np.getbufsize() == 4096
     finally:
         np.setbufsize(outer)
-    assert {name for name, _ in seen} == {"_rows_matmul", "_grouped_matmul", "_exhaustive_nn"}
+    assert {name for name, _ in seen} == {"_rows_matmul", "_shared_matmul", "_exhaustive_nn"}
     assert all(size == ad._UFUNC_BUFSIZE for _, size in seen), seen
 
     def fail(*args):
@@ -261,39 +263,46 @@ def test_matmul_buffer_size_is_restored_in_a_worker_thread():
     assert out.tobytes() == ad.matmul(a, b).data.tobytes()
 
 
-def _runs(rng, lengths, width, dtype):
-    # consecutive runs of identical rows, one random row per run
-    rows = rng.normal(size=(len(lengths), width)).astype(dtype)
-    return np.ascontiguousarray(np.repeat(rows, lengths, axis=0))
-
-
-def _grouped(rng, kinds, groups, r, dtype, width=2):
-    # one column block of `width` columns per kind, over `groups` groups of
-    # r rows: constant inside every group ("w"), repeating slot by slot from
-    # group to group ("a"), or free ("n")
-    blocks = {
-        "w": lambda: np.repeat(rng.normal(size=(groups, width)), r, axis=0),
-        "a": lambda: np.tile(rng.normal(size=(r, width)), (groups, 1)),
-        "n": lambda: rng.normal(size=(groups * r, width)),
+def _declared(rng, kinds, groups, r, dtype, width=2):
+    # one gathered column block of `width` columns per kind, over `groups`
+    # groups of r output rows, declaring its layout by its indices alone:
+    # `groups` parent rows each taken r times in turn ("w"), r slot rows
+    # tiled group after group ("a"), or groups * r rows taken in reverse,
+    # a pattern that is neither ("n")
+    n = groups * r
+    layouts = {
+        "w": (groups, np.repeat(np.arange(groups), r)),
+        "a": (r, np.tile(np.arange(r), groups)),
+        "n": (n, np.arange(n)[::-1]),
     }
-    return [np.ascontiguousarray(blocks[c]().astype(dtype)) for c in kinds]
+    blocks = []
+    for c in kinds:
+        m, idx = layouts[c]
+        blocks.append(ad.gather_rows(ad.Tensor(rng.normal(size=(m, width)).astype(dtype)), idx))
+    return blocks
 
 
-_KIND_NAMES = {"w": "within", "a": "across", "n": "plain"}
-_SHARED_LAYOUTS = ("aw", "aww", "ww", "w", "a")  # block layouts whose products are shared
+def _dense_blocks(blocks):
+    # the gathered blocks in full, side by side
+    return np.concatenate([x.data for x in blocks], axis=1)
+
+
+_SHARED_LAYOUTS = ("aw", "aww", "ww", "w")  # block layouts whose products are shared
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("r", [1, 2, 4, 8])
 def test_grouped_matmul_is_byte_equal_to_index_order_loop(dtype, r, monkeypatch):
-    # column blocks in every layout whose products the grouped kernel
-    # shares and in layouts it runs on every row, over group counts on the
-    # edges of an output block; only a shared layout runs the row kernel on
-    # fewer rows than the output has
+    # gathered column blocks in every layout whose products the declared
+    # path shares and in layouts gathered in full, over group counts on the
+    # edges of an output block, against the index-order loop over the
+    # gathered blocks. The rows every sibling reads hold -0.0, a subnormal
+    # and a NaN row; r = 1 is a stage of one child per point. Only a shared
+    # layout runs the row kernel on fewer rows than the output has
     rng = np.random.default_rng(59 + r)
     m = 257
     per_block = max(1, ad._MATMUL_BLOCK // (r * m))  # groups per row block
-    orders = [*_SHARED_LAYOUTS, "wa", "awa", "n", "nw", "an", "wn"]
+    orders = [*_SHARED_LAYOUTS, "a", "wa", "awa", "n", "nw", "an", "wn"]
     rows_seen = []
     rows_matmul = ad._rows_matmul
 
@@ -304,26 +313,30 @@ def test_grouped_matmul_is_byte_equal_to_index_order_loop(dtype, r, monkeypatch)
     monkeypatch.setattr(ad, "_rows_matmul", spy)
     for groups in (1, 2, per_block - 1, per_block, per_block + 1, 2 * per_block + 3):
         for kinds in orders:
-            blocks = _grouped(rng, kinds, groups, r, dtype)
+            blocks = _declared(rng, kinds, groups, r, dtype)
+            for x in blocks:
+                x.rows[-1, 0] = -0.0
+                x.rows[0, -1] = np.finfo(dtype).smallest_subnormal
+            blocks[-1].rows[len(blocks[-1].rows) // 2] = np.nan
             b = rng.normal(size=(2 * len(kinds), m)).astype(dtype)
             b[-1, 1:] = -0.0
             rows_seen.clear()
-            out = ad._block_matmul(blocks, b, {"groups": r})
-            ref = _matmul_index_order(np.concatenate(blocks, axis=1), b)
+            out = ad._block_matmul(blocks, b, {})
+            ref = _matmul_index_order(_dense_blocks(blocks), b)
             assert out.dtype == ref.dtype and out.shape == ref.shape
             assert out.tobytes() == ref.tobytes(), (groups, kinds)
-            if groups > 1 and r > 1:  # one group or one slot makes a block both
-                assert [ad._block_kind(x, r) for x in blocks] == [_KIND_NAMES[c] for c in kinds]
+            if groups > 1 and r > 1:  # one group or one slot makes layouts coincide
                 assert (max(rows_seen) < groups * r) == (kinds in _SHARED_LAYOUTS), kinds
-            col = ad._block_matmul(blocks, b[:, :1].copy(), {"groups": r})  # a 1-column b
+            col = ad._block_matmul(blocks, b[:, :1].copy(), {})  # a 1-column b
             assert col.tobytes() == ref[:, :1].tobytes(), (groups, kinds)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_grouped_matmul_never_merges_unequal_bits(dtype):
-    # a block that looks constant in each group, or repeated from group to
-    # group, but is not, bit for bit, must not share a product: one element
-    # apart, 0.0 against -0.0, and NaNs with different payloads
+def test_grouped_matmul_never_merges_unequal_bits(dtype, monkeypatch):
+    # the declared path reads indices, never rows: parent or slot rows one
+    # element apart, 0.0 against -0.0, or NaNs with different payloads keep
+    # their own products; and rows bit-equal within each group share
+    # nothing unless their indices declare it
     rng = np.random.default_rng(61)
     r, groups, kinds = 4, 9, "aw"
     b = np.abs(rng.normal(size=(2 * len(kinds), 33))).astype(dtype) + 0.5  # keeps signs visible
@@ -331,31 +344,38 @@ def test_grouped_matmul_never_merges_unequal_bits(dtype):
     other_nan = nan.copy()
     other_nan.view(f"u{nan.itemsize}")[...] ^= 5  # a second payload
     changes = {
-        "one element apart": (6, 0, lambda x: x + 1),
-        "signed zero": (2, 1, lambda x: -0.0),
-        "nan payloads": (4, 1, lambda x: other_nan),
+        "one element apart": lambda x: x + 1,
+        "signed zero": lambda x: -0.0,
+        "nan payloads": lambda x: other_nan,
     }
-    for i, kind in enumerate(kinds):
-        for name, (row, col, change) in changes.items():
-            blocks = _grouped(rng, kinds, groups, r, dtype)
-            x = blocks[i]
+    for i in range(len(kinds)):
+        for name, change in changes.items():
+            blocks = _declared(rng, kinds, groups, r, dtype)
+            x = blocks[i].rows
             if name == "signed zero":
-                x[:, col] = 0.0
+                x[:, 1] = 0.0
             if name == "nan payloads":
-                x[:, col] = nan
-            x[row, col] = change(x[row, col])
-            assert ad._block_kind(x, r) == "plain", (kind, name)
-            out = ad._block_matmul(blocks, b, {"groups": r})
-            assert out.tobytes() == _matmul_index_order(np.concatenate(blocks, axis=1), b).tobytes()
-            # the same bits again, from a row of the same group or the same slot
-            x[row, col] = x[row ^ 1 if kind == "w" else (row + r) % len(x), col]
-            assert ad._block_kind(x, r) == _KIND_NAMES[kind], (kind, name)
+                x[:, 1] = nan
+            x[2, 1] = change(x[2, 1])
+            out = ad._block_matmul(blocks, b, {})
+            assert out.tobytes() == _matmul_index_order(_dense_blocks(blocks), b).tobytes(), name
+    rows_seen = []
+    rows_matmul = ad._rows_matmul
+    monkeypatch.setattr(ad, "_rows_matmul",
+                        lambda a, b: rows_seen.append(len(a)) or rows_matmul(a, b))
+    dense = _dense_blocks(_declared(rng, kinds, groups, r, dtype))
+    for block in (dense, ad.gather_rows(ad.Tensor(dense), np.arange(groups * r))):
+        rows_seen.clear()
+        out = ad._block_matmul([block], b, {})
+        assert out.tobytes() == _matmul_index_order(dense, b).tobytes()
+        assert rows_seen == [groups * r]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_shared_rows_product_is_byte_equal_to_plain_product(dtype):
-    # rows that are whole copies inside each group: every column is within,
-    # so the chain runs once per group and is repeated
+    # a lone block of parent rows, each taken r times in turn: the chain
+    # runs once per parent and is repeated, with the bytes of the product
+    # of the gathered copy
     rng = np.random.default_rng(41)
     m = 257
     block = ad._MATMUL_BLOCK // m  # rows per block
@@ -364,57 +384,59 @@ def test_shared_rows_product_is_byte_equal_to_plain_product(dtype):
     nan_row.view(f"u{nan_row.itemsize}")[:] |= 5  # one payload, not the default NaN
     other_nan = nan_row.copy()
     other_nan.view(f"u{nan_row.itemsize}")[0] ^= 2  # the first product carries its payload
-    one_apart = _runs(rng, [4], 33, dtype)
-    one_apart[2:, 7] += 1  # rows 2 and 3 differ from rows 0 and 1 in one element
+    one_apart = np.repeat(rng.normal(size=(1, 33)).astype(dtype), 2, axis=0)
+    one_apart[1, 7] += 1  # two parents one element apart
     cases = {
-        "groups of 1": (1, _runs(rng, [1] * 9, 33, dtype)),
-        "groups of k": (4, _runs(rng, [4] * 6, 33, dtype)),
-        "crosses a block edge": (8, _runs(rng, [8] * (block // 8 + 3), 33, dtype)),
-        "one group": (2 * block + 6, _runs(rng, [2 * block + 6], 33, dtype)),
-        "nan rows": (
-            2, np.vstack([nan_row, nan_row, other_nan, nan_row, _runs(rng, [2], 33, dtype)])
-        ),
-        "signed zeros": (3, _with_zeros(_runs(rng, [3, 3], 33, dtype))),
+        "groups of 1": (1, rng.normal(size=(9, 33)).astype(dtype)),
+        "groups of k": (4, rng.normal(size=(6, 33)).astype(dtype)),
+        "crosses a block edge": (8, rng.normal(size=(block // 8 + 3, 33)).astype(dtype)),
+        "one group": (2 * block + 6, rng.normal(size=(1, 33)).astype(dtype)),
+        "nan rows": (2, np.vstack([nan_row, other_nan, rng.normal(size=(1, 33)).astype(dtype)])),
+        "signed zeros": (3, _with_zeros(rng.normal(size=(3, 33)).astype(dtype))),
         "one element apart": (2, one_apart),
     }
-    for name, (r, a) in cases.items():
-        plain, _ = ad._fwd_matmul([a, b], {})
-        shared, _ = ad._fwd_matmul([a, b], {"groups": r})
+    for name, (r, parents) in cases.items():
+        a = ad.gather_rows(ad.Tensor(parents), np.repeat(np.arange(len(parents)), r))
+        plain, _ = ad._fwd_matmul([a.data, b], {})
+        shared = ad._block_matmul([a], b, {})
         assert shared.dtype == plain.dtype and shared.shape == plain.shape, name
         assert shared.tobytes() == plain.tobytes(), name
-        vec, _ = ad._fwd_matmul([a, b[:, 0].copy()], {"groups": r})
-        assert vec.tobytes() == ad._fwd_matmul([a, b[:, 0].copy()], {})[0].tobytes(), name
+        vec = ad._block_matmul([a], b[:, 0].copy(), {})
+        assert vec.tobytes() == ad._fwd_matmul([a.data, b[:, 0].copy()], {})[0].tobytes(), name
 
 
 def test_shared_rows_keeps_signed_zero_rows_apart():
-    # 0.0 == -0.0 as floats, but a positive b sends an all -0.0 row to
-    # -0.0 and an all 0.0 row to 0.0, so the two rows share no product
+    # 0.0 == -0.0 as floats, but a positive b sends an all -0.0 row to -0.0
+    # and an all 0.0 row to 0.0: two parents whose rows differ only so keep
+    # their own products, each repeated to its two siblings
     b = np.abs(np.random.default_rng(43).normal(size=(6, 5))).astype(np.float32) + 0.5
     for first, second in ((0.0, -0.0), (-0.0, 0.0)):
-        a = np.array([[first] * 6, [second] * 6, [second] * 6, [second] * 6], dtype=np.float32)
-        out = ad.matmul(ad.Tensor(a), ad.Tensor(b), groups=2).data
+        parents = ad.Tensor(np.array([[first] * 6, [second] * 6], dtype=np.float32))
+        out = ad._block_matmul([ad.gather_rows(parents, np.repeat(np.arange(2), 2))], b, {})
         assert np.all(out == 0.0)
-        signs = (first, second, second, second)
+        signs = (first, first, second, second)
         assert np.signbit(out).tolist() == [[np.signbit(v)] * 5 for v in signs]
 
 
-def test_shared_rows_hint_is_recorded_and_replays():
+def test_shared_rows_gather_is_recorded_and_replays():
+    # a layer fed a parent-index gather records the gather and one linear
+    # entry that reads it, with no attrs; its output is byte-equal to the
+    # layer on the gathered copy, replays, and follows a changed parent row
     rng = np.random.default_rng(47)
-    h = ad.Tensor(_runs(rng, [4, 4, 4], 6, np.float32), requires_grad=True)
+    parents = ad.Tensor(rng.normal(size=(3, 6)).astype(np.float32), requires_grad=True)
     w = ad.Tensor(rng.normal(size=(6, 6)).astype(np.float32), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=6).astype(np.float32), requires_grad=True)
     with ad.Tape() as tape:
-        ad.tensor_sum(ad.tanh(ad.add(ad.matmul(h, w, groups=4), ad.matmul(h, w))))
-    hinted, plain = (e for e in tape.entries if e.kind == "matmul")
-    assert hinted.attrs == {"groups": 4} and plain.attrs == {}
-    assert hinted.output.data.tobytes() == plain.output.data.tobytes()
+        h = ad.gather_rows(parents, np.repeat(np.arange(3), 4))
+        shared = ad.linear(h, w, b)
+        plain = ad.linear(ad.Tensor(h.data), w, b)
+    gather, declared, _ = tape.entries
+    assert gather.kind == "gather_rows" and gather.output is h
+    assert declared.inputs[0] is h and declared.attrs == {}
+    assert shared.data.tobytes() == plain.data.tobytes()
     assert tape.replay()
-    h.data[0, 0] += 1.0  # breaks the first group; the product must follow
+    parents.data[1, 0] += 1.0  # the second parent's four siblings must follow
     assert not tape.replay()
-    for groups in (5, 24):  # rows must split into whole groups
-        with pytest.raises(ad.ShapeMismatchError, match=f"groups of {groups}"):
-            ad.matmul(h, w, groups=groups)
-    with pytest.raises(ad.ShapeMismatchError, match="groups of 2"):
-        ad.matmul(ad.Tensor(h.data[0]), w, groups=2)
 
 
 @pytest.mark.parametrize("op", [ad.add, ad.mul, ad.div])
@@ -472,29 +494,33 @@ def test_row_broadcast_over_zero_rows_has_zero_gradient():
     np.testing.assert_array_equal(ad.backward(loss, tape, leaves=[b])[b].data, np.zeros(3))
 
 
-def _linear_chain(x, w, b, groups=1, leaky=False):
-    y = ad.add(ad.matmul(x, w, groups=groups), b)
+def _linear_chain(x, w, b, leaky=False):
+    y = ad.add(ad.matmul(x, w), b)
     return ad.leaky_relu(y) if leaky else y
 
 
+def _siblings(parents, k):
+    # each parent row taken k times in turn, as a stage's parent index takes it
+    return ad.gather_rows(parents, np.repeat(np.arange(parents.shape[0]), k))
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("groups", [1, 4])
+@pytest.mark.parametrize("k", [1, 4])
 @pytest.mark.parametrize("leaky", [False, True])
-def test_linear_is_byte_equal_to_matmul_add_leaky_relu(dtype, groups, leaky):
+def test_linear_is_byte_equal_to_matmul_add_leaky_relu(dtype, k, leaky):
     # forward bytes and every gradient against the three-primitive chain,
-    # shape by shape and as one Stack of three shapes. Column 0 of w is
-    # zero and b[0] is the negative subnormal of least magnitude, so that
-    # column's pre-activation is negative while its leaky output rounds to
-    # -0.0: the vjp must take the slope from the pre-activation's sign.
-    # x also holds -0.0 and one NaN
+    # shape by shape and as one Stack of three shapes, on parent rows each
+    # taken k times in turn: linear reads that declared structure, the
+    # chain's matmul the gathered copy. Column 0 of w is zero and b[0] is
+    # the negative subnormal of least magnitude, so that column's
+    # pre-activation is negative while its leaky output rounds to -0.0: the
+    # vjp must take the slope from the pre-activation's sign. The parents
+    # also hold -0.0 and one NaN
     rng = np.random.default_rng(79)
     rows = (8, 4, 12)  # whole groups of 4
-    xs0 = []
-    for r in rows:  # two columns constant inside each group, three not
-        shared = np.repeat(rng.normal(size=(r // groups, 2)), groups, axis=0)
-        xs0.append(np.concatenate([shared, rng.normal(size=(r, 3))], axis=1).astype(dtype))
+    xs0 = [rng.normal(size=(r // k, 5)).astype(dtype) for r in rows]
     xs0[0][1, 3] = -0.0
-    xs0[1][2, 4] = np.nan
+    xs0[1][0, 4] = np.nan
     w0 = rng.normal(size=(5, 6)).astype(dtype)
     w0[:, 0] = 0.0
     b0 = rng.normal(size=6).astype(dtype)
@@ -507,9 +533,9 @@ def test_linear_is_byte_equal_to_matmul_add_leaky_relu(dtype, groups, leaky):
         with ad.Tape() as tape:
             if stacked:
                 with ad.shape_tapes(len(rows)) as tapes:
-                    outs = op(ad.stack(xs, tapes), w, b, groups=groups, leaky=leaky).parts
+                    outs = op(_siblings(ad.stack(xs, tapes), k), w, b, leaky=leaky).parts
             else:
-                outs = [op(x, w, b, groups=groups, leaky=leaky) for x in xs]
+                outs = [op(_siblings(x, k), w, b, leaky=leaky) for x in xs]
             terms = [ad.tensor_sum(ad.mul(o, ad.Tensor(p))) for o, p in zip(outs, projs)]
             loss = ad.add(ad.add(terms[0], terms[1]), terms[2])
         grads = ad.backward(loss, tape, leaves=[*xs, w, b])
@@ -524,30 +550,28 @@ def test_linear_is_byte_equal_to_matmul_add_leaky_relu(dtype, groups, leaky):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("groups", [1, 4])
+@pytest.mark.parametrize("k", [1, 4])
 @pytest.mark.parametrize("leaky", [False, True])
-def test_block_linear_is_byte_equal_to_concat_then_linear(dtype, groups, leaky):
-    # a layer fed two column blocks against the same layer fed their
-    # concat: forward bytes, the gradient of each block, w and b, and
-    # replay, shape by shape and as one Stack of three shapes. The first
-    # block repeats slot by slot and the second is constant in each group
-    # of 4, a stage's [embeddings, parent reps], so groups=4 runs the
-    # shared kernel. The blocks hold -0.0, a subnormal and a NaN, and
+def test_block_linear_is_byte_equal_to_concat_then_linear(dtype, k, leaky):
+    # a layer fed two gathered column blocks against the same layer fed
+    # their concat: forward bytes, the gradient of every source row, w and
+    # b, and replay, shape by shape and as one Stack of three shapes. The
+    # first block tiles k slot rows that every shape shares and the second
+    # takes each parent row k times in turn, a stage's [embeddings, parent
+    # reps], so the layer runs the declared kernel; k = 1 is a stage of one
+    # child per point. The rows hold -0.0, a subnormal and a NaN, and
     # w[:, 0] = 0 with b[0] the negative subnormal of least magnitude puts
     # a leaky output of -0.0 over a negative pre-activation. The block
     # layer records one entry fewer per shape, and its tape holds exactly
     # the concatenated copy fewer bytes
     rng = np.random.default_rng(83)
     rows = (8, 4, 12)
-    blocks0 = []
-    for r in rows:
-        across = np.tile(rng.normal(size=(4, 3)), (r // 4, 1)).astype(dtype)
-        within = np.repeat(rng.normal(size=(r // 4, 4)), 4, axis=0).astype(dtype)
-        blocks0.append([across, within])
-    blocks0[0][0][:, 1] = -0.0
-    blocks0[1][0][:, 2] = np.finfo(dtype).smallest_subnormal
-    blocks0[2][1][4:8, 3] = np.nan
-    blocks0[0][1][:4, 0] = -0.0
+    slots0 = rng.normal(size=(k, 3)).astype(dtype)
+    slots0[:, 1] = -0.0
+    slots0[-1, 2] = np.finfo(dtype).smallest_subnormal
+    parents0 = [rng.normal(size=(r // k, 4)).astype(dtype) for r in rows]
+    parents0[2][4 // k : 8 // k, 3] = np.nan
+    parents0[0][: 4 // k, 0] = -0.0
     w0 = rng.normal(size=(7, 6)).astype(dtype)
     w0[:, 0] = 0.0
     b0 = rng.normal(size=6).astype(dtype)
@@ -555,22 +579,27 @@ def test_block_linear_is_byte_equal_to_concat_then_linear(dtype, groups, leaky):
     projs = [rng.normal(size=(r, 6)).astype(dtype) for r in rows]
 
     def run(blocked, stacked):
-        xs = [[ad.Tensor(a.copy(), requires_grad=True) for a in pair] for pair in blocks0]
+        slots = ad.Tensor(slots0.copy(), requires_grad=True)
+        parents = [ad.Tensor(a.copy(), requires_grad=True) for a in parents0]
         w, b = (ad.Tensor(a.copy(), requires_grad=True) for a in (w0, b0))
+
+        def embed(p):
+            return ad.gather_rows(slots, np.tile(np.arange(k), p.shape[0]))
 
         def layer(pair):
             x = list(pair) if blocked else ad.concat(pair, axis=1)
-            return ad.linear(x, w, b, groups=groups, leaky=leaky)
+            return ad.linear(x, w, b, leaky=leaky)
 
         with ad.Tape() as tape:
             if stacked:
                 with ad.shape_tapes(len(rows)) as tapes:
-                    outs = layer([ad.stack([p[j] for p in xs], tapes) for j in range(2)]).parts
+                    reps = ad.stack(parents, tapes)
+                    outs = layer([ad.each_shape(reps, embed), _siblings(reps, k)]).parts
             else:
-                outs = [layer(pair) for pair in xs]
+                outs = [layer([embed(p), _siblings(p, k)]) for p in parents]
             terms = [ad.tensor_sum(ad.mul(o, ad.Tensor(p))) for o, p in zip(outs, projs)]
             loss = ad.add(ad.add(terms[0], terms[1]), terms[2])
-        grads = ad.backward(loss, tape, leaves=[x for pair in xs for x in pair] + [w, b])
+        grads = ad.backward(loss, tape, leaves=[slots, *parents, w, b])
         assert tape.replay()
         data = [o.data.tobytes() for o in outs] + [g.data.tobytes() for g in grads.values()]
         return data, len(tape), tape_bytes(tape)
@@ -583,87 +612,87 @@ def test_block_linear_is_byte_equal_to_concat_then_linear(dtype, groups, leaky):
         assert entries == ref_entries - len(rows)
         assert held == ref_held - concat_bytes
     with pytest.raises(ad.ShapeMismatchError, match="equal row counts"):
-        ad.linear([ad.Tensor(blocks0[0][0]), ad.Tensor(blocks0[1][1])],
+        ad.linear([ad.Tensor(np.ones((8, 3), dtype)), ad.Tensor(np.ones((4, 4), dtype))],
                   ad.Tensor(w0), ad.Tensor(b0))
     with pytest.raises(ad.ShapeMismatchError, match="inner dimensions"):
-        ad.linear([ad.Tensor(blocks0[0][0])] * 2, ad.Tensor(w0), ad.Tensor(b0))
+        ad.linear([ad.Tensor(np.ones((8, 3), dtype))] * 2, ad.Tensor(w0), ad.Tensor(b0))
     with pytest.raises(ad.ShapeMismatchError, match="linear"):
         ad.linear([], ad.Tensor(w0), ad.Tensor(b0))
 
 
-def _rep_update_chain(s, h, ms, mh, groups=1):
-    return ad.tanh(ad.add(ad.matmul(s, ms, transpose_b=True),
-                          ad.matmul(h, mh, groups=groups, transpose_b=True)))
+def _rep_update_chain(s, h, ms, mh):
+    return ad.tanh(ad.add(ad.matmul(s, ms, transpose_b=True), ad.matmul(h, mh, transpose_b=True)))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("groups", [1, 4])
-def test_rep_update_is_byte_equal_to_tanh_of_two_matmuls(dtype, groups, monkeypatch):
-    # forward bytes, the gradient of s, h, ms and mh, and replay against
-    # the four-primitive chain: 2-D rows shape by shape and as one Stack
-    # of three shapes, and one point as 1-D vectors. h is constant inside
-    # each group of 4, a stage's parent representations, so groups=4 runs
-    # the shared kernel (on h alone); the inputs hold -0.0, a subnormal and
+@pytest.mark.parametrize("k", [1, 4])
+def test_rep_update_is_byte_equal_to_tanh_of_two_matmuls(dtype, k, monkeypatch):
+    # forward bytes, the gradient of s, h's parent rows, ms and mh, and
+    # replay against the four-primitive chain: 2-D rows shape by shape and
+    # as one Stack of three shapes, and one point as 1-D vectors. h takes
+    # each parent row k times in turn, a stage's child representations, so
+    # the update runs the declared kernel (on h alone) while the chain's
+    # matmul reads the gathered copy; the inputs hold -0.0, a subnormal and
     # a NaN. The chain records four entries per shape and keeps the two
     # products and their sum besides, which the one entry does not
     rng = np.random.default_rng(113)
     u, rows = 6, (8, 4, 12)
     ss0 = [rng.normal(size=(r, 3)).astype(dtype) for r in rows]
-    hs0 = [np.repeat(rng.normal(size=(r // 4, u)), 4, axis=0).astype(dtype) for r in rows]
+    ps0 = [rng.normal(size=(r // k, u)).astype(dtype) for r in rows]
     ss0[0][1, 2] = -0.0
-    hs0[0][:4, 1] = -0.0
-    hs0[1][:, 3] = np.finfo(dtype).smallest_subnormal
-    hs0[2][4:8, 0] = np.nan
+    ps0[0][: 4 // k, 1] = -0.0
+    ps0[1][:, 3] = np.finfo(dtype).smallest_subnormal
+    ps0[2][4 // k : 8 // k, 0] = np.nan
     ms0 = rng.normal(size=(u, 3)).astype(dtype)
     mh0 = rng.normal(size=(u, u)).astype(dtype)
     mh0[2, 1] = -0.0
     projs = [rng.normal(size=(r, u)).astype(dtype) for r in rows]
 
     def run(op, stacked, point=False):
-        take = (lambda a: a[1]) if point else (lambda a: a)
-        ss = [ad.Tensor(take(a).copy(), requires_grad=True) for a in ss0]
-        hs = [ad.Tensor(take(a).copy(), requires_grad=True) for a in hs0]
+        ss = [ad.Tensor((a[1] if point else a).copy(), requires_grad=True) for a in ss0]
+        ps = [ad.Tensor((a[1 // k] if point else a).copy(), requires_grad=True) for a in ps0]
         ms, mh = (ad.Tensor(a.copy(), requires_grad=True) for a in (ms0, mh0))
-        hint = 1 if point else groups
         with ad.Tape() as tape:
             if stacked:
                 with ad.shape_tapes(len(rows)) as tapes:
-                    s, h = ad.stack(ss, tapes), ad.stack(hs, tapes)
-                    outs = op(s, h, ms, mh, groups=hint).parts
+                    s, h = ad.stack(ss, tapes), _siblings(ad.stack(ps, tapes), k)
+                    outs = op(s, h, ms, mh).parts
             else:
-                outs = [op(s, h, ms, mh, groups=hint) for s, h in zip(ss, hs)]
-            terms = [ad.tensor_sum(ad.mul(o, ad.Tensor(take(p)))) for o, p in zip(outs, projs)]
+                hs = ps if point else [_siblings(p, k) for p in ps]
+                outs = [op(s, h, ms, mh) for s, h in zip(ss, hs)]
+            terms = [ad.tensor_sum(ad.mul(o, ad.Tensor(p[1] if point else p)))
+                     for o, p in zip(outs, projs)]
             loss = ad.add(ad.add(terms[0], terms[1]), terms[2])
-        grads = ad.backward(loss, tape, leaves=[*ss, *hs, ms, mh])
+        grads = ad.backward(loss, tape, leaves=[*ss, *ps, ms, mh])
         assert tape.replay()
         data = [o.data.tobytes() for o in outs] + [g.data.tobytes() for g in grads.values()]
         return data, len(tape), tape_bytes(tape)
 
-    kernel, grouped = ad._grouped_matmul, []
+    kernel, shared = ad._shared_matmul, []
 
-    def spy(blocks, b, r):
-        grouped.append(blocks[0])
-        return kernel(blocks, b, r)
+    def spy(blocks, b):
+        out = kernel(blocks, b)
+        if out is not None:
+            shared.append(blocks[0])
+        return out
 
-    monkeypatch.setattr(ad, "_grouped_matmul", spy)
+    monkeypatch.setattr(ad, "_shared_matmul", spy)
     kept = 3 * sum(rows) * u * np.dtype(dtype).itemsize  # two products and their sum
     for stacked, point in ((False, False), (True, False), (False, True)):
-        grouped.clear()
+        shared.clear()
         data, entries, held = run(ad.rep_update, stacked, point)
-        assert bool(grouped) == (groups > 1 and not point)
-        assert all(a.shape[1] == u for a in grouped)  # h's rows, never s's
+        assert bool(shared) == (not point)
+        assert all(a.shape[1] == u for a in shared)  # h's rows, never s's
         ref_data, ref_entries, ref_held = run(_rep_update_chain, stacked, point)
         assert data == ref_data, (stacked, point)
         assert entries == ref_entries - 3 * len(rows)
         if not point:
             assert held == ref_held - kept
-    nan_rows = ad.rep_update(*(ad.Tensor(a) for a in (ss0[2], hs0[2], ms0, mh0)), groups=groups)
+    s, ms, mh = ad.Tensor(ss0[2]), ad.Tensor(ms0), ad.Tensor(mh0)
+    nan_rows = ad.rep_update(s, _siblings(ad.Tensor(ps0[2]), k), ms, mh)
     assert np.isnan(nan_rows.data[4:8]).all() and not np.isnan(nan_rows.data[:4]).any()
-    s, h = ad.Tensor(ss0[0]), ad.Tensor(hs0[1])
     with pytest.raises(ad.ShapeMismatchError, match="differ in shape"):
-        ad.rep_update(s, h, ad.Tensor(ms0), ad.Tensor(mh0))
-    with pytest.raises(ad.ShapeMismatchError, match="groups of 3"):
-        ad.rep_update(s, ad.Tensor(hs0[0]), ad.Tensor(ms0), ad.Tensor(mh0), groups=3)
+        ad.rep_update(ad.Tensor(ss0[0]), _siblings(ad.Tensor(ps0[1]), k), ms, mh)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -738,9 +767,9 @@ def test_linear_gradients(leaky):
     assert np.abs(x @ w + b).min() > 1e-2 and np.abs(x[0] @ w + b).min() > 1e-2
     check_grads(proj_build(lambda ts: ad.linear(*ts, leaky=leaky), (4, 3)), [x, w, b])
     check_grads(proj_build(lambda ts: ad.linear(*ts, leaky=leaky), (3,)), [x[0], w, b])
-    pairs = np.repeat(x[:2], 2, axis=0)
-    check_grads(proj_build(lambda ts: ad.linear(*ts, groups=2, leaky=leaky), (4, 3)),
-                [pairs, w, b])
+    # two parent rows, each taken twice: the declared kernel and its vjp
+    siblings = proj_build(lambda ts: ad.linear(_siblings(ts[0], 2), *ts[1:], leaky=leaky), (4, 3))
+    check_grads(siblings, [x[:2], w, b])
 
 
 def test_linear_rejects_a_bias_that_is_not_one_row_of_w():
@@ -831,6 +860,25 @@ def test_readme_counts_every_primitive():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         (count,) = re.findall(r"(\d+) primitives", fh.read())
     assert int(count) == len(ad._REGISTRY)
+
+
+def test_docs_name_no_groups_keyword():
+    # sibling structure is declared by gather indices; no README line and
+    # no docstring of the package names the `groups` keyword it replaced
+    import ast
+
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        texts = {"README.md": fh.read()}
+    package = os.path.join(ROOT, "src", "pointtree")
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                    texts[f"{name}:{getattr(node, 'name', '')}"] = ast.get_docstring(node) or ""
+    assert len(texts) > 100
+    assert [where for where, text in texts.items() if re.search(r"\bgroups\s*=|`groups`", text)] == []
 
 
 def test_scale_gradient():
@@ -1072,20 +1120,21 @@ def test_int_input_becomes_float32():
         ad.Tensor([1, 2], dtype=np.int64)
 
 
-@pytest.mark.parametrize("groups", [1, 3])
-def test_transposed_b_matmul_is_byte_equal_to_transpose_then_matmul(groups):
+@pytest.mark.parametrize("r", [1, 3])
+def test_transposed_b_matmul_is_byte_equal_to_transpose_then_matmul(r):
+    # rows of `a` repeated r times, as siblings' copies of a parent row
     rng = np.random.default_rng(61)
-    a0 = np.repeat(rng.normal(size=(4, 5)), groups, axis=0).astype(np.float32)
+    a0 = np.repeat(rng.normal(size=(4, 5)), r, axis=0).astype(np.float32)
     b0 = rng.normal(size=(7, 5)).astype(np.float32)
-    w = ad.Tensor(rng.normal(size=(4 * groups, 7)).astype(np.float32))
+    w = ad.Tensor(rng.normal(size=(4 * r, 7)).astype(np.float32))
 
     def run(fused):
         a, b = (ad.Tensor(x.copy(), requires_grad=True) for x in (a0, b0))
         with ad.Tape() as tape:
             if fused:
-                out = ad.matmul(a, b, groups=groups, transpose_b=True)
+                out = ad.matmul(a, b, transpose_b=True)
             else:
-                out = ad.matmul(a, ad.transpose(b), groups=groups)
+                out = ad.matmul(a, ad.transpose(b))
             loss = ad.tensor_sum(ad.mul(out, w))
         grads = ad.backward(loss, tape, leaves=[a, b])
         assert tape.replay()
@@ -1168,7 +1217,8 @@ def test_stacked_primitive_records_what_each_shape_records_alone():
         out = op(x, y)
         assert isinstance(out, ad.Stack) and len(out.parts) == len(rows)
         _assert_entries_match_each_part(out, tapes, op, (x, y), kind)
-    # a 1-D stack reshaped back into rows, and a grouped product
+    # a 1-D stack reshaped back into rows, and products of gathered
+    # siblings, which linear and rep_update read as declared structure
     tapes = [ad.Tape() for _ in rows]
     flat = ad.reshape(_stacked(rows, 6, rng, tapes), (sum(rows) * 6,))
 
@@ -1176,20 +1226,21 @@ def test_stacked_primitive_records_what_each_shape_records_alone():
         return ad.reshape(f, (f.size // 3, 3))
 
     _assert_entries_match_each_part(op(flat), tapes, op, (flat,), "reshape")
-    grouped = _stacked((4, 2, 6), 4, rng, tapes)
+    grouped = _siblings(_stacked((2, 1, 3), 4, rng, tapes), 2)
+    assert isinstance(grouped, ad.Gathered) and isinstance(grouped, ad.Stack)
 
     def op(g):
-        return ad.matmul(g, w, groups=2)
+        return ad.matmul(g, w)
 
     _assert_entries_match_each_part(op(grouped), tapes, op, (grouped,), "matmul")
 
     def op(g):
-        return ad.linear(g, w, bias, groups=2, leaky=True)
+        return ad.linear(g, w, bias, leaky=True)
 
     _assert_entries_match_each_part(op(grouped), tapes, op, (grouped,), "linear")
 
     def op(g):
-        return ad.rep_update(g, g, wt, wt2, groups=2)
+        return ad.rep_update(g, g, wt, wt2)
 
     _assert_entries_match_each_part(op(grouped), tapes, op, (grouped,), "rep_update")
 
@@ -1231,11 +1282,8 @@ def test_stack_rejects_every_primitive_that_would_mix_shapes():
         lambda: ad.add(x, foreign),
         lambda: ad.matmul(ad.Tensor(np.ones((3, 5), dtype=np.float32)), x),
         lambda: ad.matmul(flat, ad.Tensor(np.ones((20, 1), dtype=np.float32))),
-        lambda: ad.matmul(x, w, groups=2),  # 3 rows of one shape
-        lambda: ad.matmul(_stacked((1, 3), 4, rng, tapes), w, groups=2),  # 4 rows in all
         lambda: ad.linear(x, w, stacked_bias),
         lambda: ad.linear(flat, ad.Tensor(np.ones((20, 2), dtype=np.float32)), b2),
-        lambda: ad.linear(x, w, b2, groups=2),
         lambda: ad.linear([x, plain], ad.Tensor(np.ones((8, 2), dtype=np.float32)), b2),
         lambda: ad.linear([x, foreign], ad.Tensor(np.ones((8, 2), dtype=np.float32)), b2),
         lambda: ad.linear(x, _stacked((2, 3), 2, rng, tapes), b2),  # a stacked w
@@ -1247,7 +1295,6 @@ def test_stack_rejects_every_primitive_that_would_mix_shapes():
         lambda: ad.rep_update(x, x, x, w4),  # a stacked ms
         lambda: ad.rep_update(flat, flat, ad.Tensor(np.ones((2, 20), dtype=np.float32)),
                               ad.Tensor(np.ones((2, 20), dtype=np.float32))),
-        lambda: ad.rep_update(x, x, w4, w4, groups=2),  # 3 rows of one shape
         lambda: ad.reshape(x, (4, 5)),
         lambda: ad.reshape(x, (2, 10)),
         lambda: ad.gather_rows(x, np.array([3, 0])),  # shapes out of order

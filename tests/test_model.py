@@ -5,6 +5,7 @@ from pointtree import autodiff as ad
 from pointtree import dataio, training
 from pointtree import model as m
 from gradcheck import check_grads, check_param_grads
+from tapecheck import stored, stored_arrays
 
 CONTAIN_SLACK = 1e-5  # float rounding can overshoot the radius bound by ulps
 
@@ -243,22 +244,17 @@ def test_generate_is_deterministic():
         np.testing.assert_array_equal(sa.scales, sb.scales)
 
 
-def _hint_ignored(monkeypatch):
-    # the hinted forwards as they were before sibling runs were shared
-    for kind in ("matmul", "linear", "rep_update"):
-        fwd, vjp = ad._REGISTRY[kind]
-
-        def unhinted(arrays, attrs, fwd=fwd):
-            return fwd(arrays, {key: v for key, v in attrs.items() if key != "groups"})
-
-        monkeypatch.setitem(ad._REGISTRY, kind, (unhinted, vjp))
+def _gathered_in_full(monkeypatch):
+    # every primitive, forward, vjp and replay, reads a gather's rows in
+    # full, as before sibling structure was declared
+    monkeypatch.setattr(ad, "_operands", lambda kind, inputs: [t.data for t in inputs])
 
 
 def test_shared_sibling_rows_leave_every_generate_stage_unchanged(monkeypatch):
     params = m.init_parameters(m.preset("2048"), seed=5)
     z = np.random.default_rng(53).normal(size=512).astype(np.float32)
     shared = m.generate(z, params)
-    _hint_ignored(monkeypatch)
+    _gathered_in_full(monkeypatch)
     full = m.generate(z, params)
     for a, b in zip(shared.stages, full.stages, strict=True):
         assert a.points.tobytes() == b.points.tobytes()
@@ -267,28 +263,26 @@ def test_shared_sibling_rows_leave_every_generate_stage_unchanged(monkeypatch):
 
 
 def test_sibling_groups_share_every_rep_column(monkeypatch):
-    # a wrong group size or a block that stops matching the model's
-    # layout would quietly fall back to full-cost products with the same
-    # bytes; pin what every stage's hinted column blocks classify as
+    # a gather whose indices stop declaring the model's layout would quietly
+    # fall back to full-cost products with the same bytes; pin that every
+    # stage's exp.l0 and h @ Mh^T past the root run the declared kernel on
+    # the layout the stage's branching factor gives
     config = m.preset("2048")
     params = m.init_parameters(config, seed=5)
     z = np.random.default_rng(53).normal(size=512).astype(np.float32)
     seen = []
-    for kind in ("rep_update", "linear"):  # sub.mh in a rep_update, exp.l0 as a linear
-        fwd, vjp = ad._REGISTRY[kind]
+    kernel = ad._shared_matmul
 
-        def record(arrays, attrs, fwd=fwd, kind=kind):
-            if kind == "rep_update":  # arrays (s, h, ms, mh): the hint is h @ mh.T's
-                blocks, w = arrays[1:2], arrays[3]
-            else:
-                blocks, w = arrays[:-2], arrays[-2]
-            seen.append((blocks, w.shape, attrs.get("groups", 1)))
-            return fwd(arrays, attrs)
+    def record(blocks, b):
+        out = kernel(blocks, b)
+        seen.append((blocks, b.shape, out is not None))
+        return out
 
-        monkeypatch.setitem(ad._REGISTRY, kind, (record, vjp))
+    monkeypatch.setattr(ad, "_shared_matmul", record)
     # one shape, then a forest of three expanded as one Stack per stage
     rng = np.random.default_rng(59)
     latents = [z] + [rng.normal(size=512).astype(np.float32) for _ in range(2)]
+    l0_shape, u = params["exp.l0.w"].shape, config.latent_width
     for roots in (1, 3):
         seen.clear()
         if roots == 1:
@@ -296,16 +290,17 @@ def test_sibling_groups_share_every_rep_column(monkeypatch):
         else:
             with ad.shape_tapes(roots) as tapes:
                 m.expansion_graph(ad.stack([ad.Tensor(x) for x in latents], tapes), params)
-        l0 = [(a, g) for a, shape, g in seen if shape == params["exp.l0.w"].shape]
-        mh = [(a, g) for a, shape, g in seen if shape == params["sub.mh"].shape]
-        assert [g for _, g in l0] == list(config.k_schedule)
-        assert [g for _, g in mh] == [1, *config.k_schedule[:-1]]
-        assert [len(a[0]) for a, _ in l0] == [roots * n for n in config.stage_sizes()[1:]]
-        for blocks, g in l0:  # [embeddings, parent reps], never concatenated
-            assert [x.shape[1] for x in blocks] == [config.embed_width, config.latent_width]
-            assert [ad._block_kind(x, g) for x in blocks] == ["across", "within"]
-        for (a,), g in mh:
-            assert ad._block_kind(a, g) == "within"
+        l0 = [(blocks, ran) for blocks, shape, ran in seen if shape == l0_shape]
+        mh = [(blocks, ran) for blocks, shape, ran in seen if shape == (u, u)]
+        assert [ran for _, ran in l0] == [True] * config.stage_count
+        assert [ran for _, ran in mh] == [False] + [True] * (config.stage_count - 1)
+        assert [a[0].shape[0] for a, _ in l0] == [roots * n for n in config.stage_sizes()[1:]]
+        for (embeds, reps), k in zip((a for a, _ in l0), config.k_schedule):
+            assert [embeds.shape[1], reps.shape[1]] == [config.embed_width, u]
+            assert ad._takes(embeds, k, tiled=True) and ad._takes(reps, k)
+        assert not isinstance(mh[0][0][0], ad.Gathered)  # the roots' codes
+        for ((h,), _), k in zip(mh[1:], config.k_schedule):
+            assert ad._takes(h, k)
 
 
 def test_recorded_expansions_still_read_every_siblings_rep():
@@ -332,6 +327,35 @@ def test_recorded_expansions_still_read_every_siblings_rep():
     assert tape.replay()
 
 
+def test_forest_expansion_keeps_child_reps_as_their_parents_rows(monkeypatch):
+    # under shape tapes each stage's child representations are held as the
+    # parents' rows, never as one row per child: the gathered Stack and
+    # each shape's part, counted without reading any gathered copy. No
+    # representation-wide array on a tape is longer than the last stage's
+    # parents, and every tape replays
+    config = m.GeneratorConfig(k_schedule=(3, 4, 2), latent_width=16, embed_width=8,
+                               mlp_hidden=(12,))
+    params = m.init_parameters(config, seed=6)
+    rng = np.random.default_rng(71)
+    latents = [ad.Tensor(rng.normal(size=16).astype(np.float32), requires_grad=True)
+               for _ in range(3)]
+    sizes = config.stage_sizes()
+    with ad.shape_tapes(3) as tapes:
+        _, reps, _, _ = m.expansion_graph(ad.stack(latents, tapes), params)
+    with monkeypatch.context() as patch:
+        patch.setattr(ad.Gathered, "data", property(lambda t: pytest.fail("gathered a copy")))
+        for stage in range(1, len(sizes)):
+            assert reps[stage].shape == (3 * sizes[stage], 16)
+            assert stored(reps[stage]).shape == (3 * sizes[stage - 1], 16)
+            assert [stored(p).shape[0] for p in reps[stage].parts] == [sizes[stage - 1]] * 3
+        weights = {id(t.data) for _, t in params.items()}
+        for tape in tapes:
+            wide = [a for a in stored_arrays(tape)
+                    if a.ndim == 2 and a.shape[1] == 16 and id(a) not in weights]
+            assert max(len(a) for a in wide) == sizes[-2]
+    assert all(tape.replay() for tape in tapes)
+
+
 def test_shared_sibling_rows_leave_the_gradient_unchanged(monkeypatch):
     # the acceptance overfit generator on three of its 24-point shapes
     config = m.GeneratorConfig(k_schedule=(4, 4, 4), latent_width=64, embed_width=32,
@@ -347,7 +371,7 @@ def test_shared_sibling_rows_leave_the_gradient_unchanged(monkeypatch):
         return len(tape), [g.data.tobytes() for g in grads.values()]
 
     shared = gradient()
-    _hint_ignored(monkeypatch)
+    _gathered_in_full(monkeypatch)
     assert gradient() == shared
 
 

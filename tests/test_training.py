@@ -165,6 +165,46 @@ def test_forest_loss_equals_shape_by_shape_bit_for_bit(vae, k_schedule, sizes):
     assert runs[0] == runs[1]
 
 
+def test_forest_step_gradients_equal_the_unfused_chain(monkeypatch):
+    # a non-final stage's child representations feed two consumers: that
+    # stage's exp.l0 and the next stage's h @ Mh^T. Their per-sibling
+    # gradients are added first, and only then does the parent-index
+    # gather sum them per parent. A recorded forest step must give every
+    # parameter gradient of the unfused chain byte for byte: the gathered
+    # representations read in full, then concat, matmul, add, leaky_relu
+    # and tanh as entries of their own
+    gen = m.GeneratorConfig(k_schedule=(3, 4, 2), latent_width=16, embed_width=8,
+                            mlp_hidden=(24, 12))
+    params = m.init_parameters(gen, seed=4)
+    leaves = [t for _, t in params.items()]
+    batch = [small_dataset(1, n_points=n, seed=40 + i)[0] for i, n in enumerate((20, 24, 17))]
+
+    def step():
+        with ad.Tape() as tape:
+            training.total_loss(params, batch, training.TrainConfig(reg_weight=5e-5))
+        loss = tape.entries[-1].output
+        grads = ad.backward(loss, tape, leaves=leaves)
+        return [grads[t].data.tobytes() for t in leaves], Counter(e.kind for e in tape.entries)
+
+    def linear(x, w, b, leaky=False):
+        x = ad.concat(list(x), axis=1) if isinstance(x, (list, tuple)) else x
+        y = ad.add(ad.matmul(x, w), b)
+        return ad.leaky_relu(y) if leaky else y
+
+    def rep_update(s, h, ms, mh):
+        products = ad.matmul(s, ms, transpose_b=True), ad.matmul(h, mh, transpose_b=True)
+        return ad.tanh(ad.add(*products))
+
+    fused, kinds = step()
+    assert kinds["rep_update"] == len(batch) * gen.stage_count
+    monkeypatch.setattr(ad, "linear", linear)
+    monkeypatch.setattr(ad, "rep_update", rep_update)
+    monkeypatch.setattr(ad, "_operands", lambda kind, inputs: [t.data for t in inputs])
+    unfused, kinds = step()
+    assert kinds["linear"] == kinds["rep_update"] == 0 and kinds["concat"] > 0
+    assert fused == unfused
+
+
 @pytest.mark.parametrize("vae", [False, True])
 def test_every_layer_records_one_linear_entry_per_shape(vae):
     # the acceptance overfit generator: each weight matrix enters the tape
