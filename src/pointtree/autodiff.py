@@ -50,12 +50,20 @@ three vjps back to back, and one tape entry that keeps the output and the
 pre-activation's sign, packed one bit per element, instead of three arrays.
 Its input may come as column blocks, read as if concatenated along axis 1
 (a stage's embeddings beside its parents' representations); only the vjp
-builds the concatenation, transiently. A max-pool over the rows of a 2-D
-tensor is `max_reduce(x, axis=0)`, which records no transposed copy. The
+builds the concatenation, transiently, and frees it before forming the
+input's gradient. A max-pool over the rows of a 2-D tensor is
+`max_reduce(x, axis=0)`, which records no transposed copy. The
 generator's representation update, tanh(s @ ms^T + h @ mh^T), is one
 `rep_update` primitive in the same way: the two products with the
 `transpose_b` rounding of matmul, added and then passed through tanh in
 place, four vjps back to back, and one entry that keeps only the output.
+
+Transients are bounded by a block. linear applies its bias, sign bits and
+leaky ReLU in place one block of whole rows at a time, and axis-0
+max_reduce reduces a contiguous transposed copy of one slab of columns at
+a time, each at most _MATMUL_BLOCK elements (or one row or column); the
+matmul kernels work in blocks already. So no forward makes a second
+output-sized array, and each byte is the one the whole-array steps give.
 
 A tape may be consumed by `backward` any number of times; it is a pure
 record, not a one-shot resource.
@@ -86,7 +94,7 @@ import os
 import numpy as np
 
 LEAKY_SLOPE = 0.2  # fixed negative slope for leaky_relu
-_MATMUL_BLOCK = 65536  # output elements per matmul block (256 KB of float32)
+_MATMUL_BLOCK = 65536  # elements per matmul, linear or max_reduce block (256 KB of float32)
 _MATMUL_RUN = 2048  # rows of `a` per block when a product has more rows than columns
 _UFUNC_BUFSIZE = 64  # ufunc buffer elements inside the matmul and scan kernels
 
@@ -651,16 +659,28 @@ def _fwd_linear(arrays, attrs):
     # at most y for y >= 0 and at least y below 0 (equal only at 0 and
     # infinities, which have the same bits either way); where y is NaN,
     # NumPy returns the first operand, slope * y, the value the select took.
+    #
+    # The bias, the sign bits and the leaky ReLU run in place, one block of
+    # whole rows at a time (at most _MATMUL_BLOCK elements, or one row), so
+    # the mask and the scaled copy never grow past a block. Each step is
+    # elementwise or packs along its own row, so every byte is the one the
+    # whole array would get.
     *blocks, w, b = arrays
     if not blocks or w.ndim != 2 or b.shape != w.shape[1:]:
         _shape_error("linear", arrays, "needs x, a 2-D w and b a row as wide as w")
     out = _block_matmul(blocks, w, attrs)
-    out += b
     if not attrs.get("leaky"):
+        out += b
         return out, None
-    keep = np.packbits(out >= 0, axis=-1)
-    np.maximum(out * out.dtype.type(LEAKY_SLOPE), out, out=out)
-    return out, keep
+    rows = out.reshape(-1, out.shape[-1])  # a 1-D head is one row
+    step = max(1, _MATMUL_BLOCK // max(1, rows.shape[1]))
+    keep = np.empty((len(rows), -(-rows.shape[1] // 8)), dtype=np.uint8)
+    for r0 in range(0, len(rows), step):
+        o = rows[r0 : r0 + step]
+        o += b
+        keep[r0 : r0 + step] = np.packbits(o >= 0, axis=-1)
+        np.maximum(o * out.dtype.type(LEAKY_SLOPE), o, out=o)
+    return out, keep.reshape(out.shape[:-1] + keep.shape[1:])
 
 
 def _leaky_slopes(keep, dtype):
@@ -675,11 +695,15 @@ def _vjp_linear(grad, arrays, saved, attrs):
     # would have run them back to back. Several column blocks are written
     # once into the concatenation the BLAS products read, a block of
     # repeated parent rows by broadcast from them; their gradients are
-    # column views of gx, the values concat's vjp would copy out
+    # column views of gx, the values concat's vjp would copy out.
+    #
+    # The gradient is multiplied into the array of slopes, never into
+    # `grad`, which add's vjp may have handed to another input too; and the
+    # concatenation is freed after gw = x.T @ grad, before gx is formed.
     *blocks, w, b = arrays
     if saved is not None:
-        keep = np.unpackbits(saved, axis=-1, count=grad.shape[-1])
-        grad = grad * _leaky_slopes(keep, w.dtype)
+        slopes = _leaky_slopes(np.unpackbits(saved, axis=-1, count=grad.shape[-1]), w.dtype)
+        grad = np.multiply(grad, slopes, out=slopes)
     gb = _unbroadcast(grad, b.shape)
     if len(blocks) == 1:
         return (*_vjp_matmul(grad, (_dense(blocks[0]), w), None, {}), gb)
@@ -691,7 +715,9 @@ def _vjp_linear(grad, arrays, saved, attrs):
             x.reshape(m, -1, x.shape[1])[:, :, c0:c1] = blk.rows[:, None]
         else:
             x[:, c0:c1] = _dense(blk)
-    gx, gw = _vjp_matmul(grad, (x, w), None, {})
+    gw = x.T @ grad
+    del x
+    gx = grad @ w.T
     return (*(gx[:, c0:c1] for c0, c1 in zip(edges, edges[1:])), gw, gb)
 
 
@@ -808,19 +834,29 @@ def _vjp_mean(grad, arrays, saved, attrs):
 
 def _fwd_max_reduce(arrays, attrs):
     # the max along the last axis, or with axis 0 down each column of a 2-D
-    # array; ties route to the lowest index. Axis 0 reduces a transient
-    # contiguous copy of x.T, which the tape never keeps: NumPy's strided
-    # and contiguous max reductions break a tie between 0.0 and -0.0
-    # differently, and this keeps the bytes of max_reduce(transpose(x))
+    # array; ties route to the lowest index (argmax takes the first
+    # occurrence). Axis 0 reduces contiguous copies of x.T, which the tape
+    # never keeps: NumPy's strided and contiguous max reductions break a
+    # tie between 0.0 and -0.0 differently, and this keeps the bytes of
+    # max_reduce(transpose(x)). The copies are made one slab of columns at
+    # a time (at most _MATMUL_BLOCK elements, or one column); each column
+    # still reduces along one contiguous row.
     x = arrays[0]
-    if attrs.get("axis", -1) == 0:
-        if x.ndim != 2:
-            _shape_error("max_reduce", arrays, "axis 0 needs a 2-D operand")
-        x = np.ascontiguousarray(x.T)
-    if x.ndim == 0 or x.shape[-1] == 0:
+    axis0 = attrs.get("axis", -1) == 0
+    if axis0 and x.ndim != 2:
+        _shape_error("max_reduce", arrays, "axis 0 needs a 2-D operand")
+    if x.ndim == 0 or x.shape[0 if axis0 else -1] == 0:
         _shape_error("max_reduce", arrays, "the reduced axis must be non-empty")
-    idx = np.argmax(x, axis=-1)  # first occurrence: ties route to lowest index
-    return np.max(x, axis=-1), idx
+    if not axis0:
+        return np.max(x, axis=-1), np.argmax(x, axis=-1)
+    step = max(1, _MATMUL_BLOCK // len(x))
+    out = np.empty(x.shape[1], dtype=x.dtype)
+    idx = np.empty(x.shape[1], dtype=np.intp)
+    for c0 in range(0, x.shape[1], step):
+        t = np.ascontiguousarray(x[:, c0 : c0 + step].T)
+        out[c0 : c0 + step] = np.max(t, axis=-1)
+        idx[c0 : c0 + step] = np.argmax(t, axis=-1)
+    return out, idx
 
 
 def _vjp_max_reduce(grad, arrays, saved, attrs):

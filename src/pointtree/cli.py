@@ -227,9 +227,9 @@ def _cmd_generate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     stage = _default_part_stage(params.config)
     for i, z in enumerate(latents):
-        trace = model.generate(z, params)
+        # no name keeps a trace, so each is freed before the next is drawn
         dataio.export_ply(
-            trace,
+            model.generate(z, params),
             os.path.join(args.out, f"gen_{i:03d}.ply"),
             color_mode="by_ancestor",
             ancestor_stage=stage,
@@ -264,6 +264,7 @@ def _cmd_interpolate(args) -> int:
         dataio.export_ply(trace, target, color_mode="by_ancestor", ancestor_stage=stage)
         if args.all_stages:
             dataio.export_ply(trace, target, color_mode="by_stage")
+        del trace  # freed before the next step's trace is drawn
     _write_manifest(
         os.path.join(args.out, "manifest.json"),
         "interpolate",

@@ -240,27 +240,13 @@ def fit(dataset, gen_config: GeneratorConfig, config: TrainConfig, out_dir=None)
     params = init_parameters(gen_config, seed=config.seed)
     state = OptimizerState.for_params(params)
     rng = np.random.default_rng(config.seed)
-    leaves = [t for _, t in params.items()]
     log = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(dataset))
         sums = {"cd": 0.0, "reg": 0.0, "kl": 0.0, "total": 0.0}
         for batch_index, start in enumerate(range(0, len(dataset), config.batch_size)):
             batch = [dataset[i] for i in order[start : start + config.batch_size]]
-            with ad.Tape() as tape:
-                loss, comps = total_loss(
-                    params,
-                    batch,
-                    config,
-                    rng=rng,
-                    kl_weight=config.kl_weight * kl_ramp(epoch, config),
-                )
-            if not np.isfinite(comps["total"]):
-                raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_index}: {comps}"
-                )
-            grads = ad.backward(loss, tape, leaves=leaves)
-            adamw_step(params, grads, state, config, lr=scheduled_lr(epoch, config))
+            comps = _train_step(params, batch, state, config, rng, epoch, batch_index)
             for key in sums:
                 sums[key] += comps[key] * len(batch)
         record = {"epoch": epoch}
@@ -285,6 +271,27 @@ def fit(dataset, gen_config: GeneratorConfig, config: TrainConfig, out_dir=None)
     return params, log
 
 
+def _train_step(params, batch, state, config, rng, epoch, batch_index):
+    """One AdamW step on `batch`; returns its loss components.
+
+    The step's tape and gradients die with the call, so neither the next
+    step's forward nor a checkpoint write runs beside them.
+    """
+    with ad.Tape() as tape:
+        loss, comps = total_loss(
+            params,
+            batch,
+            config,
+            rng=rng,
+            kl_weight=config.kl_weight * kl_ramp(epoch, config),
+        )
+    if not np.isfinite(comps["total"]):
+        raise RuntimeError(f"non-finite loss at epoch {epoch}, batch {batch_index}: {comps}")
+    grads = ad.backward(loss, tape, leaves=[t for _, t in params.items()])
+    adamw_step(params, grads, state, config, lr=scheduled_lr(epoch, config))
+    return comps
+
+
 # ---------------------------------------------------------------------------
 # checkpoint file format
 #
@@ -303,11 +310,10 @@ def save_checkpoint(path, params: Parameters, opt_state=None, train_config=None,
         entries += [(f"opt.m.{n}", opt_state.m[n]) for n in params.names()]
         entries += [(f"opt.v.{n}", opt_state.v[n]) for n in params.names()]
     manifest = []
-    payload = bytearray()
+    offset = 0
     for name, array in entries:
-        raw = np.ascontiguousarray(array, dtype="<f4").tobytes()
-        manifest.append({"name": name, "shape": list(array.shape), "offset": len(payload)})
-        payload += raw
+        manifest.append({"name": name, "shape": list(array.shape), "offset": offset})
+        offset += 4 * array.size
     header = {
         "generator": params.config.to_dict(),
         "train": train_config.to_dict() if train_config is not None else None,
@@ -321,13 +327,14 @@ def save_checkpoint(path, params: Parameters, opt_state=None, train_config=None,
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(bytes(payload))
+        for _, array in entries:  # each slab straight from its array, no joined payload
+            fh.write(np.ascontiguousarray(array, dtype="<f4"))
 
 
 def load_checkpoint(path):
     """Restore (params, opt_state, train_config, step) from a checkpoint file."""
     with open(path, "rb") as fh:
-        raw = fh.read()
+        raw = memoryview(fh.read())  # slices of it copy nothing
     if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
     (version,) = struct.unpack_from("<I", raw, 4)
@@ -337,7 +344,7 @@ def load_checkpoint(path):
     if len(raw) < 12 + header_len:
         raise ValueError(f"{path}: truncated header")
     try:
-        header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
+        header = json.loads(str(raw[12 : 12 + header_len], "utf-8"))
     except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
         raise ValueError(f"{path}: header is not UTF-8 JSON: {exc}") from None
     body = raw[12 + header_len :]
@@ -365,6 +372,7 @@ def load_checkpoint(path):
         end = start + 4 * count
         if end > len(body):
             raise ValueError(f"{path}: truncated payload at {name}")
+        # copied out of the file's bytes, so each array is writable and its own
         arrays[name] = np.frombuffer(body[start:end], dtype="<f4").reshape(shape).copy()
         payload_end = end
     if len(body) > payload_end:

@@ -1,4 +1,6 @@
-"""Tape memory accounting shared by the test suite."""
+"""Tape and allocation memory accounting shared by the test suite."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -40,3 +42,23 @@ def tape_bytes(tape) -> int:
     """
     held = {id(_base(a)): _base(a).nbytes for a in stored_arrays(tape)}
     return sum(held.values())
+
+
+def traced_peak(fn):
+    """(fn(), the most bytes allocated above the starting point while fn ran).
+
+    Counted by tracemalloc, which sees NumPy's array buffers as well as
+    Python objects; tracing starts and stops here unless it is already on.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak - base

@@ -6,7 +6,7 @@ import pytest
 
 from pointtree import autodiff as ad
 from gradcheck import check_grads, numeric_grad, rel_err
-from tapecheck import tape_bytes
+from tapecheck import tape_bytes, traced_peak
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -757,6 +757,112 @@ def test_max_reduce_down_columns_is_byte_equal_to_transpose_then_max_reduce(dtyp
             bad()
 
 
+def _edge_values(rng, shape, dtype, edges):
+    # random values with -0.0, a NaN, +-1 and subnormals of both signs,
+    # those also on the rows or columns at each block edge
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = np.array([-0.0, 0.0, np.nan, 1.0, -1.0, tiny, -tiny, 3 * tiny], dtype=dtype)
+    x = rng.normal(size=shape).astype(dtype)
+    pick = rng.random(shape) < 0.3
+    x[pick] = rng.choice(specials, size=int(pick.sum()))
+    for e in edges:
+        x[max(0, e - 1) : e + 1] = rng.choice(specials, size=x[max(0, e - 1) : e + 1].shape)
+    return x
+
+
+def _linear_reference(x, w, b, leaky):
+    # leaky_relu(add(matmul(x, w), b)) and the packed sign, over the whole array
+    pre = ad._block_matmul([x], w, {})
+    pre += b
+    if not leaky:
+        return pre, None
+    return np.maximum(pre * pre.dtype.type(ad.LEAKY_SLOPE), pre), np.packbits(pre >= 0, axis=-1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows, width", [(257, 256), (300, 219), (5, 65537), (0, 9), (None, 13)])
+@pytest.mark.parametrize("leaky", [False, True])
+def test_linear_row_blocks_are_byte_equal_to_the_whole_array(dtype, rows, width, leaky):
+    # the bias, sign bits and leaky ReLU run one block of whole rows at a
+    # time; against the same steps over the whole array, with row counts
+    # and widths that are no multiple of the block or of 8, a block of one
+    # row (width past _MATMUL_BLOCK), no rows and a 1-D head (rows None).
+    # Each element's pre-activation is x[i] * w[j] + b[j] exactly (one
+    # contraction index), so -0.0, NaN and subnormals of both signs land on
+    # either side of every block edge; a negative subnormal times the
+    # slope rounds to -0.0 while its sign bit stays 0
+    rng = np.random.default_rng(rows or 1)
+    step = max(1, ad._MATMUL_BLOCK // width)
+    edges = range(step, rows or 0, step)
+    x = _edge_values(rng, (1,) if rows is None else (rows, 1), dtype, edges)
+    w = _edge_values(rng, (1, width), dtype, ())
+    b = _edge_values(rng, (width,), dtype, ())
+    attrs = {"leaky": True} if leaky else {}
+    with np.errstate(all="ignore"):
+        out, keep = ad._fwd_linear([x, w, b], attrs)
+        ref, ref_keep = _linear_reference(x, w, b, leaky)
+    assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+    if leaky:
+        assert keep.shape == ref_keep.shape and keep.tobytes() == ref_keep.tobytes()
+    else:
+        assert keep is None
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stacked_linear_row_blocks_are_byte_equal_per_shape(dtype):
+    # three shapes as one Stack whose block edge (299 rows at width 219)
+    # falls inside the second shape: each shape's output and recorded sign
+    # bits are those of the whole-array steps on that shape alone
+    rng = np.random.default_rng(113)
+    rows, width = (100, 150, 87), 219
+    xs0 = [_edge_values(rng, (r, 1), dtype, ()) for r in rows]
+    w0, b0 = (_edge_values(rng, s, dtype, ()) for s in ((1, width), (width,)))
+    xs = [ad.Tensor(x, requires_grad=True) for x in xs0]
+    with ad.shape_tapes(len(rows)) as tapes, np.errstate(all="ignore"):
+        out = ad.linear(ad.stack(xs, tapes), ad.Tensor(w0), ad.Tensor(b0), leaky=True)
+        refs = [_linear_reference(x, w0, b0, True) for x in xs0]
+    for part, tape, (ref, ref_keep) in zip(out.parts, tapes, refs):
+        (entry,) = tape.entries
+        assert part.data.tobytes() == ref.tobytes()
+        assert entry.saved.tobytes() == ref_keep.tobytes()
+        assert tape.replay()
+
+
+def test_leaky_linear_transients_stay_within_a_block():
+    # an encoder-sized layer allocates its output, its packed sign bits
+    # and block-sized scratch, never a second output-sized array
+    rng = np.random.default_rng(127)
+    x = ad.Tensor(rng.normal(size=(8192, 128)).astype(np.float32))
+    w = ad.Tensor(rng.normal(size=(128, 256)).astype(np.float32))
+    b = ad.Tensor(rng.normal(size=256).astype(np.float32))
+    out, peak = traced_peak(lambda: ad.linear(x, w, b, leaky=True))
+    assert peak <= out.data.nbytes + x.data.nbytes + 2 * 2**20
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows, width", [(1000, 200), (8192, 9), (7, 9), (65537, 3)])
+def test_max_reduce_column_slabs_are_byte_equal_to_one_transposed_copy(dtype, rows, width):
+    # axis-0 max_reduce copies and reduces one slab of columns at a time;
+    # against one contiguous copy of x.T, with slabs of 65, 8, all and
+    # one column, columns whose maximum is a tie of 0.0 and -0.0, NaNs
+    # and subnormals on both sides of every slab edge
+    rng = np.random.default_rng(rows)
+    x = -np.abs(_edge_values(rng, (width, rows), dtype, ())).T.copy()
+    x[:, ::3] = rng.choice(np.array([0.0, -0.0], dtype=dtype), size=x[:, ::3].shape)
+    x[:, 1::5] = rng.choice(np.array([-0.0, np.finfo(dtype).smallest_subnormal], dtype=dtype),
+                            size=x[:, 1::5].shape)
+    xt = np.ascontiguousarray(x.T)
+    out, idx = ad._fwd_max_reduce([x], {"axis": 0})
+    assert out.tobytes() == np.max(xt, axis=-1).tobytes()
+    assert idx.tobytes() == np.argmax(xt, axis=-1).tobytes()
+
+
+def test_max_reduce_down_columns_transients_stay_within_a_slab():
+    x = ad.Tensor(np.random.default_rng(131).normal(size=(8192, 256)).astype(np.float32))
+    out, peak = traced_peak(lambda: ad.max_reduce(x, axis=0))
+    assert peak <= out.data.nbytes + 2**20
+
+
 @pytest.mark.parametrize("leaky", [False, True])
 def test_linear_gradients(leaky):
     rng = np.random.default_rng(89)
@@ -770,6 +876,21 @@ def test_linear_gradients(leaky):
     # two parent rows, each taken twice: the declared kernel and its vjp
     siblings = proj_build(lambda ts: ad.linear(_siblings(ts[0], 2), *ts[1:], leaky=leaky), (4, 3))
     check_grads(siblings, [x[:2], w, b])
+
+
+def test_linear_vjp_leaves_a_gradient_it_shares_alone():
+    # add's vjp hands one gradient array to both its inputs; the leaky
+    # layer's vjp must scale its own copy, so the other input still gets
+    # the upstream gradient itself
+    rng = np.random.default_rng(137)
+    x, w, b, y = (ad.Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+                  for s in ((6, 5), (5, 4), (4,), (6, 4)))
+    proj = rng.normal(size=(6, 4)).astype(np.float32)
+    with ad.Tape() as tape:
+        out = ad.linear(x, w, b, leaky=True)
+        loss = ad.tensor_sum(ad.mul(ad.add(out, y), ad.Tensor(proj)))
+    assert (out.data < 0).any()
+    assert ad.backward(loss, tape, leaves=[y])[y].data.tobytes() == proj.tobytes()
 
 
 def test_linear_rejects_a_bias_that_is_not_one_row_of_w():

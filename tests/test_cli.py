@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -381,6 +382,32 @@ def test_interpolate_all_stages(workspace, plain_ckpt, tmp_path):
     assert code == 0
     names = set(os.listdir(out))
     assert {"step_00.ply", "step_00_d0.ply", "step_00_d1.ply", "step_00_d2.ply"} <= names
+
+
+@pytest.mark.parametrize("command", ["generate", "interpolate"])
+def test_sampling_commands_free_each_trace_before_drawing_the_next(
+    command, workspace, plain_ckpt, vae_ckpt, tmp_path, monkeypatch
+):
+    # a command that writes one PLY per latent holds no earlier trace while
+    # it draws the next, so its memory does not grow with the count
+    _, data = workspace
+    drawn, held = [], []
+    generate = model.generate
+
+    def tracked(z, params):
+        held.append(sum(ref() is not None for ref in drawn))
+        trace = generate(z, params)
+        drawn.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(model, "generate", tracked)
+    if command == "generate":
+        argv = ["generate", "--ckpt", str(vae_ckpt), "--n", "3"]
+    else:
+        argv = ["interpolate", "--ckpt", str(plain_ckpt), "--a", str(data / "box.xyz"),
+                "--b", str(data / "cylinder.xyz"), "--steps", "3", "--all-stages"]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert held == [0, 0, 0]
 
 
 def test_interpolate_bad_steps(workspace, plain_ckpt, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,7 +8,7 @@ from pointtree import autodiff as ad
 from pointtree import dataio, geometry, training
 from pointtree import model as m
 from gradcheck import check_param_grads
-from tapecheck import stored_arrays, tape_bytes
+from tapecheck import stored_arrays, tape_bytes, traced_peak
 
 
 def tiny_config(vae=False):
@@ -430,6 +431,51 @@ def test_fit_writes_checkpoints(tmp_path):
         "checkpoint_epoch00002.rpgk",
         "checkpoint_epoch00004.rpgk",
     ]
+
+
+def test_fit_does_not_peak_inside_save_checkpoint(tmp_path, monkeypatch):
+    # the last step's tape and gradients are gone before the final write,
+    # and each write streams its slabs: no checkpoint write reaches the
+    # traced peak of the training steps before it
+    steps, saves = [], []
+    save = training.save_checkpoint
+
+    def traced_save(*args, **kwargs):
+        current, peak = tracemalloc.get_traced_memory()
+        steps.append(peak)
+        _, above = traced_peak(lambda: save(*args, **kwargs))
+        saves.append(current + above)
+
+    monkeypatch.setattr(training, "save_checkpoint", traced_save)
+    config = training.TrainConfig(epochs=2, batch_size=2, save_every=1)
+    traced_peak(lambda: training.fit(small_dataset(2, n_points=10), tiny_config(), config,
+                                     out_dir=str(tmp_path)))
+    assert len(saves) == 3
+    assert max(saves) < max(steps)
+
+
+def test_checkpoint_io_copies_no_payload(tmp_path):
+    # save writes each slab from its array and load copies each slab out
+    # of the file's bytes once: the file is the header then the slabs in
+    # manifest order, save's traced peak stays below one slab beyond the
+    # header, load's below the file plus the arrays it returns, and every
+    # loaded array is writable and owns its memory
+    gen = m.GeneratorConfig(k_schedule=(2, 2), latent_width=32, embed_width=8,
+                            mlp_hidden=(64, 64), vae_mode=True)
+    params = m.init_parameters(gen, seed=3)
+    state = training.OptimizerState.for_params(params)
+    path = tmp_path / "ck.rpgk"
+    _, peak = traced_peak(lambda: training.save_checkpoint(path, params, opt_state=state))
+    slabs = [params[n].data for n in params.names()]
+    slabs += [state.m[n] for n in params.names()] + [state.v[n] for n in params.names()]
+    assert peak < max(a.nbytes for a in slabs) + 2**16
+    raw = path.read_bytes()
+    header_len = int.from_bytes(raw[8:12], "little")
+    assert raw[12 + header_len :] == b"".join(a.astype("<f4").tobytes() for a in slabs)
+    (loaded, opt, _, _), peak = traced_peak(lambda: training.load_checkpoint(path))
+    assert peak < len(raw) + sum(a.nbytes for a in slabs) + 2**16
+    for a in [loaded[n].data for n in loaded.names()] + [*opt.m.values(), *opt.v.values()]:
+        assert a.flags.writeable and a.flags.owndata
 
 
 def test_checkpoint_round_trip_bit_identical(tmp_path):
