@@ -6,7 +6,9 @@ File formats owned here, all byte-layouts documented in the README:
   holding a part label;
 * binary clouds: 16-byte header (magic "RPGP", u32 version, u32 count,
   u32 reserved, all little-endian) followed by count * 3 float32 values;
-* exports: ASCII PLY with xyz floats and an rgb byte colour per vertex.
+* exports: ASCII PLY written from a generation trace, a fixed 10-line
+  header then xyz floats and an rgb byte colour per vertex. The package
+  writes these and never reads them back.
 
 Synthetic shapes replace a real scanned dataset at desk scale. The
 composite kinds (table, tee) carry ground-truth part labels so that
@@ -406,97 +408,25 @@ def _stage_suffix_path(path, stage):
     return f"{base}_d{stage}{ext or '.ply'}"
 
 
-def export_ply(obj, path, color_mode: str = "none", ancestor_stage: int = 1) -> list:
-    """Write a cloud or a generation trace as colored ASCII PLY.
+def export_ply(trace, path, color_mode: str, ancestor_stage: int = 1) -> list:
+    """Write a generation trace as coloured ASCII PLY; returns the written paths.
 
-    Modes: "none" paints everything white; "by_ancestor" labels the leaf
-    points of a trace by their ancestor at `ancestor_stage` and cycles the
-    16-colour palette; "by_stage" writes one file per stage (suffix _d<n>),
-    each in its stage's palette colour. Returns the list of written paths.
+    Modes: "by_ancestor" labels the leaf points by their ancestor at
+    `ancestor_stage` and cycles the 16-colour palette; "by_stage" writes one
+    file per stage (suffix _d<n>), each in its stage's palette colour.
     """
-    if color_mode == "none":
-        points = obj.leaf_points() if isinstance(obj, GenerationTrace) else np.asarray(
-            getattr(obj, "points", obj)
-        )
-        _write_ply(path, points, [(255, 255, 255)] * len(points))
-        return [str(path)]
-    if not isinstance(obj, GenerationTrace):
-        raise ValueError(f"color mode {color_mode!r} needs a generation trace")
+    if not isinstance(trace, GenerationTrace):
+        raise ValueError(f"PLY export needs a generation trace, got {type(trace).__name__}")
     if color_mode == "by_ancestor":
-        depth = obj.config.stage_count
-        labels = segment(obj, depth, ancestor_stage)
+        labels = segment(trace, trace.config.stage_count, ancestor_stage)
         colors = [PALETTE[int(label) % len(PALETTE)] for label in labels]
-        _write_ply(path, obj.leaf_points(), colors)
+        _write_ply(path, trace.leaf_points(), colors)
         return [str(path)]
     if color_mode == "by_stage":
         written = []
-        for d, stage in enumerate(obj.stages):
+        for d, stage in enumerate(trace.stages):
             target = _stage_suffix_path(path, d)
             _write_ply(target, stage.points, [PALETTE[d % len(PALETTE)]] * len(stage))
             written.append(target)
         return written
     raise ValueError(f"unknown color mode {color_mode!r}")
-
-
-def _numbers(path, what, fields, convert, width):
-    """The first `width` of a row's fields as numbers; errors name the file."""
-    try:
-        values = [convert(f) for f in fields[:width]]
-    except ValueError:
-        values = []
-    if len(values) != width:
-        raise ValueError(f"{path}: malformed {what}: {' '.join(fields)!r}")
-    return values
-
-
-def read_ply(path):
-    """Parse an ASCII PLY with float x/y/z properties (and anything else).
-
-    Returns (points, colors) where colors is None unless red/green/blue
-    uchar properties are present. Covers the files this package writes and
-    the common single-element layout other tools emit.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0].strip() != "ply":
-        raise ValueError(f"{path}: not a PLY file")
-    n_vertex = None
-    props = []
-    body_at = None
-    for i, line in enumerate(lines[1:], start=1):
-        fields = line.split()
-        if not fields:
-            continue
-        if fields[0] == "format":
-            if fields[1:2] != ["ascii"]:
-                raise ValueError(f"{path}: only ascii PLY is supported")
-        elif fields[0] == "element":
-            if fields[1:2] == ["vertex"]:
-                (n_vertex,) = _numbers(path, "vertex count", fields[2:], int, 1)
-                if n_vertex < 0:
-                    raise ValueError(f"{path}: negative vertex count {n_vertex}")
-            elif n_vertex is not None and body_at is None:
-                raise ValueError(f"{path}: non-vertex elements are not supported")
-        elif fields[0] == "property" and n_vertex is not None:
-            props.append(fields[-1])
-        elif fields[0] == "end_header":
-            body_at = i + 1
-            break
-    if n_vertex is None or body_at is None:
-        raise ValueError(f"{path}: malformed header")
-    missing = [c for c in ("x", "y", "z") if c not in props]
-    if missing:
-        raise ValueError(f"{path}: vertex element has no {'/'.join(missing)} property")
-    want = {name: props.index(name) for name in ("x", "y", "z")}
-    has_color = all(c in props for c in ("red", "green", "blue"))
-    points = np.empty((n_vertex, 3), dtype=np.float32)
-    colors = np.empty((n_vertex, 3), dtype=np.int64) if has_color else None
-    for row in range(n_vertex):
-        try:
-            fields = lines[body_at + row].split()
-            points[row] = [float(fields[want[c]]) for c in ("x", "y", "z")]
-            if has_color:
-                colors[row] = [int(fields[props.index(c)]) for c in ("red", "green", "blue")]
-        except (IndexError, ValueError):
-            raise ValueError(f"{path}: vertex {row} is missing, short or non-numeric") from None
-    return points, colors

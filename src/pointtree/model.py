@@ -331,10 +331,13 @@ def expand_point(s, h, alpha: float, stage: int, params: Parameters):
 
 @dataclass
 class StageState:
-    """One stage of an expansion: positions, shared reps, radii, tree links."""
+    """One stage of an expansion: positions, radii and tree links.
+
+    The structural representations are the generator's internal state, not
+    part of its output; `expansion_graph` returns them as lazy gathers.
+    """
 
     points: np.ndarray  # (n, 3)
-    reps: np.ndarray  # (n, latent_width)
     scales: np.ndarray  # (n,) movement radii, positive
     parent: np.ndarray | None  # (n,) index into the previous stage; None at root
 
@@ -344,7 +347,11 @@ class StageState:
 
 @dataclass
 class GenerationTrace:
-    """All stages of one generated shape; the last stage is the output cloud."""
+    """The tree of one generated shape, a stage per level, root first.
+
+    The last stage is the output cloud; its parent links chain every leaf
+    to its ancestor at each earlier stage.
+    """
 
     config: GeneratorConfig
     stages: list = field(default_factory=list)
@@ -384,18 +391,11 @@ def expansion_graph(z, params: Parameters):
 
 
 def generate(z, params: Parameters) -> GenerationTrace:
-    """Run the full expansion and materialize the tree."""
-    points, reps, scales, parents = expansion_graph(z, params)
+    """Run the full expansion and keep its tree: points, radii, parent links."""
+    points, _, scales, parents = expansion_graph(z, params)
     trace = GenerationTrace(config=params.config)
-    for pt, rep, sc, par in zip(points, reps, scales, parents):
-        trace.stages.append(
-            StageState(
-                points=pt.data,
-                reps=rep.data,
-                scales=sc.data.reshape(-1),
-                parent=par,
-            )
-        )
+    for pt, sc, par in zip(points, scales, parents):
+        trace.stages.append(StageState(points=pt.data, scales=sc.data.reshape(-1), parent=par))
     return trace
 
 

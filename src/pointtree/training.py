@@ -21,6 +21,8 @@ cross-shape sums, so the record, and with it every gradient, checkpoint and
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -252,22 +254,17 @@ def fit(dataset, gen_config: GeneratorConfig, config: TrainConfig, out_dir=None)
         record = {"epoch": epoch}
         record.update({k: sums[k] / len(dataset) for k in ("cd", "reg", "kl", "total")})
         log.append(record)
-        if out_dir is not None and config.save_every and (epoch + 1) % config.save_every == 0:
+        if out_dir is None:
+            continue
+        due = []
+        if config.save_every and (epoch + 1) % config.save_every == 0:
+            due.append(f"checkpoint_epoch{epoch + 1:05d}.rpgk")
+        if epoch + 1 == config.epochs:
+            due.append("checkpoint.rpgk")
+        for name in due:
             save_checkpoint(
-                f"{out_dir}/checkpoint_epoch{epoch + 1:05d}.rpgk",
-                params,
-                opt_state=state,
-                train_config=config,
-                step=state.step,
+                f"{out_dir}/{name}", params, opt_state=state, train_config=config, step=state.step
             )
-    if out_dir is not None:
-        save_checkpoint(
-            f"{out_dir}/checkpoint.rpgk",
-            params,
-            opt_state=state,
-            train_config=config,
-            step=state.step,
-        )
     return params, log
 
 
@@ -332,53 +329,63 @@ def save_checkpoint(path, params: Parameters, opt_state=None, train_config=None,
 
 
 def load_checkpoint(path):
-    """Restore (params, opt_state, train_config, step) from a checkpoint file."""
-    with open(path, "rb") as fh:
-        raw = memoryview(fh.read())  # slices of it copy nothing
-    if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (header_len,) = struct.unpack_from("<I", raw, 8)
-    if len(raw) < 12 + header_len:
-        raise ValueError(f"{path}: truncated header")
-    try:
-        header = json.loads(str(raw[12 : 12 + header_len], "utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
-        raise ValueError(f"{path}: header is not UTF-8 JSON: {exc}") from None
-    body = raw[12 + header_len :]
-    config = _header_value(path, header, "generator", GeneratorConfig.from_dict)
-    train_config = _header_value(
-        path, header, "train", lambda d: None if d is None else TrainConfig.from_dict(d)
-    )
-    step = _header_value(path, header, "step", _of_type(int))
-    has_optimizer = _header_value(path, header, "has_optimizer", _of_type(bool))
-    manifest = _header_value(path, header, "manifest", _manifest_entries)
+    """Restore (params, opt_state, train_config, step) from a checkpoint file.
 
-    # the slabs must tile the payload in manifest order, each name once, so
-    # no entry can read another's bytes or skip any
-    arrays = {}
-    payload_end = 0
-    for name, shape, start in manifest:
-        if type(start) is not int or start != payload_end:
-            raise ValueError(
-                f"{path}: manifest entry {name} starts at offset {start!r}, "
-                f"expected {payload_end} (slabs must follow each other)"
-            )
-        if name in arrays:
-            raise ValueError(f"{path}: manifest entry {name} appears twice")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        end = start + 4 * count
-        if end > len(body):
-            raise ValueError(f"{path}: truncated payload at {name}")
-        # copied out of the file's bytes, so each array is writable and its own
-        arrays[name] = np.frombuffer(body[start:end], dtype="<f4").reshape(shape).copy()
-        payload_end = end
-    if len(body) > payload_end:
-        raise ValueError(
-            f"{path}: {len(body) - payload_end} trailing bytes after the last manifest slab"
+    The header is checked against the file's size before any array is made;
+    each slab is then read straight into its own array.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(12)
+        if len(prefix) < 12 or prefix[:4] != CHECKPOINT_MAGIC:
+            raise ValueError(f"{path}: not a checkpoint file (bad magic)")
+        version, header_len = struct.unpack_from("<II", prefix, 4)
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        if size < 12 + header_len:
+            raise ValueError(f"{path}: truncated header")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+            raise ValueError(f"{path}: header is not UTF-8 JSON: {exc}") from None
+        body_len = size - 12 - header_len
+        config = _header_value(path, header, "generator", GeneratorConfig.from_dict)
+        train_config = _header_value(
+            path, header, "train", lambda d: None if d is None else TrainConfig.from_dict(d)
         )
+        step = _header_value(path, header, "step", _of_type(int))
+        has_optimizer = _header_value(path, header, "has_optimizer", _of_type(bool))
+        manifest = _header_value(path, header, "manifest", _manifest_entries)
+
+        # the slabs must tile the payload in manifest order, each name once, so
+        # no entry can read another's bytes or skip any
+        seen = set()
+        payload_end = 0
+        for name, shape, start in manifest:
+            if type(start) is not int or start != payload_end:
+                raise ValueError(
+                    f"{path}: manifest entry {name} starts at offset {start!r}, "
+                    f"expected {payload_end} (slabs must follow each other)"
+                )
+            if name in seen:
+                raise ValueError(f"{path}: manifest entry {name} appears twice")
+            seen.add(name)
+            payload_end = start + 4 * math.prod(shape)  # Python ints never wrap
+            if payload_end > body_len:
+                raise ValueError(f"{path}: truncated payload at {name}")
+        if body_len > payload_end:
+            raise ValueError(
+                f"{path}: {body_len - payload_end} trailing bytes after the last manifest slab"
+            )
+        arrays = {}
+        for name, shape, _ in manifest:
+            try:  # an empty shape may still have a dimension NumPy cannot hold
+                arrays[name] = np.empty(shape, dtype="<f4")
+            except ValueError:
+                raise ValueError(f"{path}: manifest entry {name} has shape {list(shape)}, "
+                                 "too large for an array") from None
+            if fh.readinto(arrays[name]) != arrays[name].nbytes:  # the file shrank
+                raise ValueError(f"{path}: truncated payload at {name}")
 
     from .model import parameter_spec
 

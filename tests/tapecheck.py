@@ -44,12 +44,8 @@ def tape_bytes(tape) -> int:
     return sum(held.values())
 
 
-def traced_peak(fn):
-    """(fn(), the most bytes allocated above the starting point while fn ran).
-
-    Counted by tracemalloc, which sees NumPy's array buffers as well as
-    Python objects; tracing starts and stops here unless it is already on.
-    """
+def _traced(fn):
+    # (fn(), bytes held above the start once fn returned, peak above the start)
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -57,8 +53,28 @@ def traced_peak(fn):
         tracemalloc.reset_peak()
         base, _ = tracemalloc.get_traced_memory()
         result = fn()
-        _, peak = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         if started:
             tracemalloc.stop()
-    return result, peak - base
+    return result, held - base, peak - base
+
+
+def traced_peak(fn):
+    """(fn(), the most bytes allocated above the starting point while fn ran).
+
+    Counted by tracemalloc, which sees NumPy's array buffers as well as
+    Python objects; tracing starts and stops here unless it is already on.
+    """
+    result, _, peak = _traced(fn)
+    return result, peak
+
+
+def traced_held(fn):
+    """(fn(), the bytes still allocated above the starting point once fn returned).
+
+    Counted as `traced_peak` counts: what fn's result keeps alive, and
+    anything else fn left behind.
+    """
+    result, held, _ = _traced(fn)
+    return result, held

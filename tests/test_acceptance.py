@@ -190,6 +190,7 @@ def test_criterion_2_structural_invariants():
         params = model.init_parameters(config, seed=int(rng.integers(0, 2**31)))
         z = rng.standard_normal(config.latent_width).astype(np.float32)
         trace = model.generate(z, params)
+        reps = model.expansion_graph(z, params)[1]
 
         sizes = [len(stage) for stage in trace.stages]
         assert sizes == config.stage_sizes()  # |next| = k(d) * |current|
@@ -208,7 +209,7 @@ def test_criterion_2_structural_invariants():
             # all children of one parent receive byte-identical representations
             k = len(stage) // len(parent)
             if k > 1:
-                fam = stage.reps.reshape(len(parent), k, -1)
+                fam = reps[depth].data.reshape(len(parent), k, -1)
                 assert (fam == fam[:, :1, :]).all()
 
         cloud = rng.standard_normal((int(rng.integers(5, 41)), 3)).astype(np.float32)

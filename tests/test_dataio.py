@@ -1,4 +1,4 @@
-"""File formats, synthetic shapes, mesh sampling, and PLY export.
+"""File formats, synthetic shapes, and PLY export.
 
 Format tests use hand-packed byte fixtures rather than the writer, so a
 bug shared by reader and writer cannot hide. Sampling distributions are
@@ -296,26 +296,25 @@ def _tiny_trace():
     return model.generate(z, params)
 
 
-def test_ply_round_trip_cloud(tmp_path):
-    pts = np.random.default_rng(2).standard_normal((37, 3)).astype(np.float32)
-    path = tmp_path / "cloud.ply"
-    written = dataio.export_ply(PointCloud(pts), path, color_mode="none")
-    assert written == [str(path)]
-    text = path.read_text()
-    assert "element vertex 37" in text
-    assert text.startswith("ply\nformat ascii 1.0\n")
-    back, colors = dataio.read_ply(path)
-    np.testing.assert_array_equal(back, pts)
-    assert np.all(colors == 255)
+def _read_ply(path):
+    # the package writes a fixed 10-line header, then "x y z red green blue"
+    rows = np.loadtxt(path, skiprows=10, ndmin=2)
+    return rows[:, :3].astype(np.float32), rows[:, 3:].astype(np.int64)
 
 
 def test_ply_by_ancestor_colors_match_segmentation(tmp_path):
     trace = _tiny_trace()
     path = tmp_path / "parts.ply"
-    dataio.export_ply(trace, path, color_mode="by_ancestor", ancestor_stage=1)
+    written = dataio.export_ply(trace, path, color_mode="by_ancestor", ancestor_stage=1)
+    assert written == [str(path)]
+    assert path.read_text().startswith(
+        "ply\nformat ascii 1.0\nelement vertex 4\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "property uchar red\nproperty uchar green\nproperty uchar blue\nend_header\n"
+    )
     labels = model.segment(trace, 2, 1)
-    pts, colors = dataio.read_ply(path)
-    np.testing.assert_array_equal(pts, trace.leaf_points())
+    pts, colors = _read_ply(path)
+    assert pts.tobytes() == trace.leaf_points().tobytes()  # %.9g round-trips float32
     for row, label in enumerate(labels):
         assert tuple(colors[row]) == dataio.PALETTE[label % 16]
 
@@ -329,7 +328,7 @@ def test_ply_by_stage_writes_one_file_per_stage(tmp_path):
         "gen_d2.ply",
     ]
     for d, p in enumerate(written):
-        pts, colors = dataio.read_ply(p)
+        pts, colors = _read_ply(p)
         assert pts.shape[0] == len(trace.stages[d])
         np.testing.assert_array_equal(pts, trace.stages[d].points)
         assert all(tuple(c) == dataio.PALETTE[d % 16] for c in colors)
@@ -337,34 +336,13 @@ def test_ply_by_stage_writes_one_file_per_stage(tmp_path):
 
 def test_ply_errors(tmp_path):
     cloud = PointCloud(np.eye(3, dtype=np.float32))
-    with pytest.raises(ValueError, match="generation trace"):
-        dataio.export_ply(cloud, tmp_path / "x.ply", color_mode="by_ancestor")
-    with pytest.raises(ValueError, match="unknown color mode"):
-        dataio.export_ply(_tiny_trace(), tmp_path / "x.ply", color_mode="rainbow")
-
-
-def test_read_ply_tolerates_extra_properties(tmp_path):
-    path = tmp_path / "foreign.ply"
-    path.write_text(
-        "ply\nformat ascii 1.0\ncomment from another tool\n"
-        "element vertex 2\n"
-        "property float x\nproperty float y\nproperty float z\n"
-        "property float confidence\n"
-        "end_header\n"
-        "1 2 3 0.9\n4 5 6 0.1\n"
-    )
-    pts, colors = dataio.read_ply(path)
-    np.testing.assert_array_equal(pts, [[1, 2, 3], [4, 5, 6]])
-    assert colors is None
-
-
-def test_read_ply_rejects_binary(tmp_path):
-    path = tmp_path / "bin.ply"
-    path.write_text(
-        "ply\nformat binary_little_endian 1.0\nelement vertex 0\nend_header\n"
-    )
-    with pytest.raises(ValueError, match="ascii"):
-        dataio.read_ply(path)
+    for mode in ("by_ancestor", "by_stage"):
+        with pytest.raises(ValueError, match="generation trace"):
+            dataio.export_ply(cloud, tmp_path / "x.ply", color_mode=mode)
+    for mode in ("rainbow", "none"):
+        with pytest.raises(ValueError, match="unknown color mode"):
+            dataio.export_ply(_tiny_trace(), tmp_path / "x.ply", color_mode=mode)
+    assert os.listdir(tmp_path) == []
 
 
 def test_synth_then_save_load_preserves_labels(tmp_path):
@@ -374,30 +352,6 @@ def test_synth_then_save_load_preserves_labels(tmp_path):
     back = normalize_cloud(dataio.load_cloud(path))
     np.testing.assert_array_equal(back.labels, cloud.labels)
     np.testing.assert_allclose(back.points, cloud.points, atol=1e-6)
-
-
-def test_read_ply_truncated_body_raises_value_error_naming_path(tmp_path):
-    header = (
-        "ply\nformat ascii 1.0\nelement vertex 2\n"
-        "property float x\nproperty float y\nproperty float z\nend_header\n"
-    )
-    for name, body in (("short.ply", "0 0 0\n1 2\n"), ("missing.ply", "0 0 0\n")):
-        path = tmp_path / name
-        path.write_text(header + body)
-        with pytest.raises(ValueError, match=name):
-            dataio.read_ply(path)
-    # malformed headers: no x property, a non-numeric, absent or negative count
-    malformed = (
-        ("nox.ply", header.replace("property float x\n", ""), "no x property"),
-        ("word.ply", header.replace("vertex 2", "vertex x"), "vertex count"),
-        ("bare.ply", header.replace("vertex 2", "vertex"), "vertex count"),
-        ("neg.ply", header.replace("vertex 2", "vertex -2"), "negative"),
-    )
-    for name, text, what in malformed:
-        path = tmp_path / name
-        path.write_text(text + "0 0 0\n1 2 3\n")
-        with pytest.raises(ValueError, match=f"{name}.*{what}"):
-            dataio.read_ply(path)
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +374,11 @@ _LABELLED = PointCloud(
 _FORMATS = {
     "rpgp": (lambda p: dataio.save_cloud(p, _LABELLED, binary=True), dataio.load_cloud),
     "xyz": (lambda p: dataio.save_cloud(p, _LABELLED), dataio.load_cloud),
-    "ply": (lambda p: dataio.export_ply(_LABELLED, p), dataio.read_ply),
     "rpgk": (_small_checkpoint, training.load_checkpoint),
 }
+# kind -> writer for every file a command writes; PLY exports are never read
+_WRITERS = {kind: writer for kind, (writer, _) in _FORMATS.items()}
+_WRITERS["ply"] = lambda p: dataio.export_ply(_tiny_trace(), p, color_mode="by_ancestor")
 
 
 def _prefix_lengths(kind, raw):
@@ -505,7 +461,7 @@ def test_atomic_write_keeps_previous_file_until_complete(tmp_path, binary):
 
 @pytest.mark.parametrize("kind", ["ply", "rpgk", "rpgp", "xyz"])
 def test_writers_replace_whole_files_or_nothing(tmp_path, monkeypatch, kind):
-    writer, _ = _FORMATS[kind]
+    writer = _WRITERS[kind]
     fresh, path = tmp_path / "fresh", tmp_path / "out"
     writer(fresh)
     path.write_bytes(b"previous\n")

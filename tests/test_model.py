@@ -5,7 +5,7 @@ from pointtree import autodiff as ad
 from pointtree import dataio, training
 from pointtree import model as m
 from gradcheck import check_grads, check_param_grads
-from tapecheck import stored, stored_arrays
+from tapecheck import stored, stored_arrays, traced_held
 
 CONTAIN_SLACK = 1e-5  # float rounding can overshoot the radius bound by ulps
 
@@ -211,6 +211,7 @@ def test_generation_structure_across_random_configs():
         params = m.init_parameters(config, seed=trial)
         z = rng.normal(size=config.latent_width).astype(np.float32)
         trace = m.generate(z, params)
+        reps = m.expansion_graph(z, params)[1]
         sizes = config.stage_sizes()
         assert [len(s) for s in trace.stages] == sizes
         assert trace.stages[0].scales[0] == 1.0
@@ -229,9 +230,9 @@ def test_generation_structure_across_random_configs():
             dist = np.sqrt((gap**2).sum(axis=1))
             assert np.all(dist <= child.scales * (1 + CONTAIN_SLACK) + 1e-12)
             # siblings carry identical representation rows
-            reps = child.reps.reshape(sizes[d], k, -1)
+            family = reps[d + 1].data.reshape(sizes[d], k, -1)
             for j in range(1, k):
-                np.testing.assert_array_equal(reps[:, j], reps[:, 0])
+                np.testing.assert_array_equal(family[:, j], family[:, 0])
 
 
 def test_generate_is_deterministic():
@@ -244,6 +245,17 @@ def test_generate_is_deterministic():
         np.testing.assert_array_equal(sa.scales, sb.scales)
 
 
+def test_a_generate_trace_holds_only_the_tree():
+    # points, radii and parent links of the 2731 points of a 2048-leaf
+    # shape come to about 66 KB; a (n, 512) float32 representation per
+    # stage would add 5.3 MB
+    params = m.init_parameters(m.preset("2048"), seed=5)
+    z = np.random.default_rng(53).normal(size=512).astype(np.float32)
+    trace, held = traced_held(lambda: m.generate(z, params))
+    assert [len(s) for s in trace.stages] == params.config.stage_sizes()
+    assert held < 2**19
+
+
 def _gathered_in_full(monkeypatch):
     # every primitive, forward, vjp and replay, reads a gather's rows in
     # full, as before sibling structure was declared
@@ -253,13 +265,14 @@ def _gathered_in_full(monkeypatch):
 def test_shared_sibling_rows_leave_every_generate_stage_unchanged(monkeypatch):
     params = m.init_parameters(m.preset("2048"), seed=5)
     z = np.random.default_rng(53).normal(size=512).astype(np.float32)
-    shared = m.generate(z, params)
+    shared = m.generate(z, params), m.expansion_graph(z, params)[1]
     _gathered_in_full(monkeypatch)
-    full = m.generate(z, params)
-    for a, b in zip(shared.stages, full.stages, strict=True):
+    full = m.generate(z, params), m.expansion_graph(z, params)[1]
+    for a, b in zip(shared[0].stages, full[0].stages, strict=True):
         assert a.points.tobytes() == b.points.tobytes()
-        assert a.reps.tobytes() == b.reps.tobytes()
         assert a.scales.tobytes() == b.scales.tobytes()
+    for a, b in zip(shared[1], full[1], strict=True):
+        assert a.data.tobytes() == b.data.tobytes()
 
 
 def test_sibling_groups_share_every_rep_column(monkeypatch):
@@ -305,8 +318,8 @@ def test_sibling_groups_share_every_rep_column(monkeypatch):
 
 def test_recorded_expansions_still_read_every_siblings_rep():
     # on a tape the siblings' reps are kept as their parent's row: still
-    # expand_point gives (k, U) reps, each the parent's update, and generate
-    # full reps, byte-equal to an unrecorded run
+    # expand_point gives (k, U) reps, each the parent's update, and every
+    # stage (n, U) reps, byte-equal to an unrecorded run
     config = m.GeneratorConfig(k_schedule=(4, 3), latent_width=16, embed_width=8,
                                mlp_hidden=(16,))
     params = m.init_parameters(config, seed=2)
@@ -314,16 +327,16 @@ def test_recorded_expansions_still_read_every_siblings_rep():
     s, h, z = (rng.normal(size=n).astype(np.float32) for n in (3, 16, 16))
     with ad.Tape() as tape:
         _, reps, _ = m.expand_point(s, h, 0.5, 1, params)
-        recorded = m.generate(z, params)
-    plain = m.generate(z, params)
+        recorded = m.expansion_graph(z, params)
+    plain = m.expansion_graph(z, params)
     assert isinstance(reps, ad.Gathered) and reps.shape == reps.data.shape == (3, 16)
     sub = m.extract_substructure(s, h, params).data
     assert reps.data.tobytes() == np.tile(sub, (3, 1)).tobytes()
-    for a, b in zip(recorded.stages, plain.stages, strict=True):
-        assert a.reps.shape == (len(a), 16)
-        assert a.points.tobytes() == b.points.tobytes()
-        assert a.reps.tobytes() == b.reps.tobytes()
-        assert a.scales.tobytes() == b.scales.tobytes()
+    for a, b in zip(recorded[:3], plain[:3], strict=True):  # points, reps, scales
+        for sa, sb, n in zip(a, b, config.stage_sizes(), strict=True):
+            assert sa.data.shape[0] == n
+            assert sa.data.tobytes() == sb.data.tobytes()
+    assert recorded[1][-1].data.shape == (12, 16)
     assert tape.replay()
 
 
@@ -382,6 +395,7 @@ def test_isolated_path_replay_reproduces_representations_bitwise():
         params = m.init_parameters(config, seed=trial)
         z = rng.normal(size=config.latent_width).astype(np.float32)
         trace = m.generate(z, params)
+        reps = m.expansion_graph(z, params)[1]
         depth = config.stage_count
         for _ in range(3):
             leaf = int(rng.integers(config.leaf_count))
@@ -389,11 +403,11 @@ def test_isolated_path_replay_reproduces_representations_bitwise():
             for d in range(depth, 0, -1):
                 chain.append(int(trace.stages[d].parent[chain[-1]]))
             chain.reverse()  # index of the ancestor at each stage 0..depth
-            rep = trace.stages[0].reps[0]
+            rep = reps[0].data[0]
             for d in range(depth):
                 anchor = trace.stages[d].points[chain[d]]
                 rep = m.extract_substructure(anchor, rep, params).data
-            np.testing.assert_array_equal(rep, trace.stages[depth].reps[leaf])
+            np.testing.assert_array_equal(rep, reps[depth].data[leaf])
 
 
 def test_isolated_expansion_replay_reproduces_children_bitwise():
@@ -402,15 +416,16 @@ def test_isolated_expansion_replay_reproduces_children_bitwise():
     params = m.init_parameters(config, seed=9)
     z = rng.normal(size=config.latent_width).astype(np.float32)
     trace = m.generate(z, params)
+    reps = [r.data for r in m.expansion_graph(z, params)[1]]
     for d, k in enumerate(config.k_schedule):
         stage = trace.stages[d]
         i = int(rng.integers(len(stage)))
         cp, cr, cs = m.expand_point(
-            stage.points[i], stage.reps[i], float(stage.scales[i]), d, params
+            stage.points[i], reps[d][i], float(stage.scales[i]), d, params
         )
         lo, hi = i * k, (i + 1) * k
         np.testing.assert_array_equal(cp.data, trace.stages[d + 1].points[lo:hi])
-        np.testing.assert_array_equal(cr.data, trace.stages[d + 1].reps[lo:hi])
+        np.testing.assert_array_equal(cr.data, reps[d + 1][lo:hi])
         np.testing.assert_array_equal(cs.data, trace.stages[d + 1].scales[lo:hi])
 
 

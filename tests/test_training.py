@@ -455,11 +455,11 @@ def test_fit_does_not_peak_inside_save_checkpoint(tmp_path, monkeypatch):
 
 
 def test_checkpoint_io_copies_no_payload(tmp_path):
-    # save writes each slab from its array and load copies each slab out
-    # of the file's bytes once: the file is the header then the slabs in
-    # manifest order, save's traced peak stays below one slab beyond the
-    # header, load's below the file plus the arrays it returns, and every
-    # loaded array is writable and owns its memory
+    # save writes each slab from its array and load reads each slab into
+    # its own array: the file is the header then the slabs in manifest
+    # order, save's traced peak stays below one slab beyond the header,
+    # load's below the arrays it returns, and every loaded array is
+    # writable and owns its memory
     gen = m.GeneratorConfig(k_schedule=(2, 2), latent_width=32, embed_width=8,
                             mlp_hidden=(64, 64), vae_mode=True)
     params = m.init_parameters(gen, seed=3)
@@ -473,9 +473,21 @@ def test_checkpoint_io_copies_no_payload(tmp_path):
     header_len = int.from_bytes(raw[8:12], "little")
     assert raw[12 + header_len :] == b"".join(a.astype("<f4").tobytes() for a in slabs)
     (loaded, opt, _, _), peak = traced_peak(lambda: training.load_checkpoint(path))
-    assert peak < len(raw) + sum(a.nbytes for a in slabs) + 2**16
+    assert peak < sum(a.nbytes for a in slabs) + 2**16
     for a in [loaded[n].data for n in loaded.names()] + [*opt.m.values(), *opt.v.values()]:
         assert a.flags.writeable and a.flags.owndata
+
+
+def test_loading_a_2048_checkpoint_peaks_at_its_arrays(tmp_path):
+    # the variational 2048 preset holds 3.0 MB of weights; holding the
+    # file's bytes beside them would peak at twice that
+    params = m.init_parameters(m.GeneratorConfig(k_schedule=(8, 4, 4, 4, 4), vae_mode=True))
+    path = tmp_path / "ck.rpgk"
+    training.save_checkpoint(path, params)
+    (loaded, _, _, _), peak = traced_peak(lambda: training.load_checkpoint(path))
+    arrays = sum(loaded[n].data.nbytes for n in loaded.names())
+    assert arrays > 3 * 10**6
+    assert peak < arrays + 2**19
 
 
 def test_checkpoint_round_trip_bit_identical(tmp_path):
@@ -600,3 +612,32 @@ def test_checkpoint_manifest_must_tile_the_payload(tmp_path):
         assert message in str(err.value), name
     loaded, _, _, step = training.load_checkpoint(rewritten(lambda manifest: None))
     assert step == 3 and loaded["enc.pp0.b"].data.tobytes() == params["enc.pp0.b"].data.tobytes()
+
+
+@pytest.mark.parametrize("entry,shape,message", [
+    # 2**32 * 2**32 floats wrap to 0 in int64; sizes are checked against
+    # the file in Python ints before any array is made
+    (0, [2**32, 2**32], "truncated payload at enc.pp0.w"),
+    # no bytes, but a dimension NumPy cannot make an array of
+    (-1, [0, 2**62], "manifest entry emb.d1 has shape [0, 4611686018427387904], too large"),
+])
+def test_a_manifest_shape_no_array_can_hold_names_the_file(tmp_path, entry, shape, message):
+    import json
+    import math
+    import re
+    import struct
+
+    path = tmp_path / "ck.rpgk"
+    training.save_checkpoint(path, m.init_parameters(tiny_config(), seed=12), step=3)
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 8)
+    header = json.loads(raw[12 : 12 + header_len].decode())
+    edited = header["manifest"][entry]
+    edited["shape"] = shape
+    # the payload ends where the edited slab would, or where the file does
+    body = raw[12 + header_len :][: edited["offset"] + 4 * math.prod(shape)]
+    blob = json.dumps(header, separators=(",", ":")).encode()
+    huge = tmp_path / "huge.rpgk"
+    huge.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + body)
+    with pytest.raises(ValueError, match=re.escape(f"huge.rpgk: {message}")):
+        training.load_checkpoint(huge)
