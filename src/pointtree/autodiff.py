@@ -571,17 +571,23 @@ def _rows_matmul(a, b):
     return out
 
 
+def _runs(idx, m, r) -> bool:
+    # whether the indices take each of m rows r times in turn, 0,..,0,
+    # 1,..,1, ...: a stage's parent index
+    return r >= 1 and len(idx) == m * r and bool((idx.reshape(m, r) == np.arange(m)[:, None]).all())
+
+
 def _takes(x, r, tiled=False):
     # whether the 2-D Gathered x takes each of its rows r times in turn
-    # (indices 0,..,0, 1,..,1, ...: a stage's parent index) or, tiled, runs
-    # through its r rows once per group of r (0,..,r-1, 0,..,r-1, ...: a
-    # stage's slot index). Only the indices are read, never the rows.
+    # (`_runs`) or, tiled, runs through its r rows once per group of r
+    # (0,..,r-1, 0,..,r-1, ...: a stage's slot index). Only the indices are
+    # read, never the rows.
     if not isinstance(x, Gathered) or x.ndim != 2 or r < 1:
         return False
     m, idx = x.rows.shape[0], x.indices
     if tiled:
         return m == r and len(idx) % r == 0 and bool((idx.reshape(-1, r) == np.arange(r)).all())
-    return len(idx) == m * r and bool((idx.reshape(m, r) == np.arange(m)[:, None]).all())
+    return _runs(idx, m, r)
 
 
 def _shared_matmul(blocks, b):
@@ -920,16 +926,16 @@ def _fwd_gather_rows(arrays, attrs):
 
 
 def _vjp_gather_rows(grad, arrays, saved, attrs):
-    # Indices 0,..,0, 1,..,1, ... (k of each, a stage's parent index) sum
-    # each row's k gradient rows with k strided adds from zero, the adds
-    # np.add.at makes for them in the same order, without its per-index
-    # cost. Any other pattern goes through np.add.at.
+    # Indices that take each row k times in turn (`_runs`, a stage's parent
+    # index) sum each row's k gradient rows with k strided adds from zero,
+    # the adds np.add.at makes for them in the same order, without its
+    # per-index cost. Any other pattern goes through np.add.at.
     x = arrays[0]
     idx = attrs["indices"]
     gx = np.zeros_like(x)
     n = len(x)
     k = len(idx) // n if n else 0
-    if k and len(idx) == k * n and (idx.reshape(n, k) == np.arange(n)[:, None]).all():
+    if _runs(idx, n, k):
         for j in range(k):
             gx += grad[j::k]
     else:

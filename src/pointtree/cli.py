@@ -152,10 +152,6 @@ def _sampled_latents(seed: int, n: int, params):
     return (rng.standard_normal(width).astype(dtype) for _ in range(n))
 
 
-def _default_part_stage(config: GeneratorConfig) -> int:
-    return 1 if config.stage_count >= 2 else 0
-
-
 def _load_params(path):
     params, _, train_config, step = training.load_checkpoint(path)
     return params, train_config, step
@@ -174,12 +170,9 @@ def _cmd_train(args) -> int:
     params, log = training.fit(dataset, gen_config, train_config, out_dir=args.out)
     log_path = os.path.join(args.out, "log.csv")
     with dataio.atomic_write(log_path) as fh:
-        fh.write("epoch,cd,reg,kl,total\n")
+        fh.write(",".join(log[0]) + "\n")
         for entry in log:
-            fh.write(
-                f"{entry['epoch']},{entry['cd']!r},{entry['reg']!r},"
-                f"{entry['kl']!r},{entry['total']!r}\n"
-            )
+            fh.write(",".join(map(repr, entry.values())) + "\n")
     _write_manifest(
         os.path.join(args.out, "manifest.json"),
         "train",
@@ -195,21 +188,39 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_reconstruct(args) -> int:
+def _render_input(args, command, level=None):
+    """The one path of `reconstruct` and `segment`.
+
+    Loads the checkpoint, then normalizes, encodes and regenerates the
+    input cloud, and writes the leaves coloured by their ancestor at
+    `level` (`model.default_part_stage` when None) with the manifest beside
+    them; `segment`'s manifest records the stage as "level". A level the
+    model lacks is refused before the input is read. Returns the cloud,
+    the trace and the stage.
+    """
     params, _, _ = _load_params(args.ckpt)
+    stage_count = params.config.stage_count
+    if level is not None and not 0 <= level < stage_count:
+        raise UsageError(f"--level must lie in [0, {stage_count - 1}] for this model")
     cloud = normalize_cloud(dataio.load_cloud(args.input))
     trace = model.generate(_latent(cloud, params), params)
-    stage = _default_part_stage(params.config)
+    stage = model.default_part_stage(params.config) if level is None else level
     dataio.export_ply(trace, args.out, color_mode="by_ancestor", ancestor_stage=stage)
-    cd = float(chamfer_distance(cloud.points, trace.leaf_points())[0])
     base, _ = os.path.splitext(str(args.out))
     _write_manifest(
         base + ".manifest.json",
-        "reconstruct",
+        command,
         [args.ckpt, args.input],
         os.path.dirname(str(args.out)) or ".",
         generator=params.config,
+        **({"level": stage} if command == "segment" else {}),
     )
+    return cloud, trace, stage
+
+
+def _cmd_reconstruct(args) -> int:
+    cloud, trace, _ = _render_input(args, "reconstruct")
+    cd = float(chamfer_distance(cloud.points, trace.leaf_points())[0])
     print(f"reconstruction cd: {cd * 1e4:.6g} (x 1e4)")
     print(f"wrote {args.out}")
     return 0
@@ -225,14 +236,12 @@ def _cmd_generate(args) -> int:
         )
     latents = _sampled_latents(args.seed, args.n, params)
     os.makedirs(args.out, exist_ok=True)
-    stage = _default_part_stage(params.config)
     for i, z in enumerate(latents):
         # no name keeps a trace, so each is freed before the next is drawn
         dataio.export_ply(
             model.generate(z, params),
             os.path.join(args.out, f"gen_{i:03d}.ply"),
             color_mode="by_ancestor",
-            ancestor_stage=stage,
         )
     _write_manifest(
         os.path.join(args.out, "manifest.json"),
@@ -257,11 +266,10 @@ def _cmd_interpolate(args) -> int:
         _latent(cloud_a, params), _latent(cloud_b, params), args.steps
     )
     os.makedirs(args.out, exist_ok=True)
-    stage = _default_part_stage(params.config)
     for i, z in enumerate(path):
         trace = model.generate(z, params)
         target = os.path.join(args.out, f"step_{i:02d}.ply")
-        dataio.export_ply(trace, target, color_mode="by_ancestor", ancestor_stage=stage)
+        dataio.export_ply(trace, target, color_mode="by_ancestor")
         if args.all_stages:
             dataio.export_ply(trace, target, color_mode="by_stage")
         del trace  # freed before the next step's trace is drawn
@@ -278,28 +286,10 @@ def _cmd_interpolate(args) -> int:
 
 
 def _cmd_segment(args) -> int:
-    params, _, _ = _load_params(args.ckpt)
-    if not 0 <= args.level < params.config.stage_count:
-        raise UsageError(
-            f"--level must lie in [0, {params.config.stage_count - 1}] for this model"
-        )
-    cloud = normalize_cloud(dataio.load_cloud(args.input))
-    trace = model.generate(_latent(cloud, params), params)
-    dataio.export_ply(
-        trace, args.out, color_mode="by_ancestor", ancestor_stage=args.level
-    )
-    base, _ = os.path.splitext(str(args.out))
-    _write_manifest(
-        base + ".manifest.json",
-        "segment",
-        [args.ckpt, args.input],
-        os.path.dirname(str(args.out)) or ".",
-        generator=params.config,
-        level=args.level,
-    )
+    cloud, trace, stage = _render_input(args, "segment", args.level)
     print(f"wrote {args.out}")
     if cloud.labels is not None:
-        part = model.segment(trace, params.config.stage_count, args.level)
+        part = model.segment(trace, trace.config.stage_count, stage)
         predicted = metrics.transfer_labels(trace.leaf_points(), part, cloud.points)
         print(f"purity: {metrics.purity(predicted, cloud.labels):.6g}")
     return 0
@@ -315,7 +305,7 @@ def _cmd_eval(args) -> int:
         raise UsageError(
             "evaluation samples new shapes; it needs a variational checkpoint"
         )
-    reference = dataio.load_dataset(args.reference).clouds
+    reference = dataio.load_dataset(args.reference)
     if args.n_reference is not None:
         if not 1 <= args.n_reference <= len(reference):
             raise UsageError(
@@ -362,7 +352,7 @@ def _cmd_inspect(args) -> int:
 
 def _add_config_flags(sub):
     sub.add_argument("--config", help="JSON config file with generator/train sections")
-    sub.add_argument("--preset", choices=("2048", "3125"), help="named generator size")
+    sub.add_argument("--preset", choices=tuple(model.PRESETS), help="named generator size")
     sub.add_argument("--k-schedule", dest="k_schedule", type=_int_tuple)
     sub.add_argument("--latent-width", dest="latent_width", type=int)
     sub.add_argument("--embed-width", dest="embed_width", type=int)
@@ -418,7 +408,8 @@ def _build_parser() -> _Parser:
     seg = subs.add_parser("segment", help="color a cloud by learned ancestor parts")
     seg.add_argument("--ckpt", required=True)
     seg.add_argument("--input", required=True)
-    seg.add_argument("--level", type=int, default=1, help="ancestor stage for parts")
+    seg.add_argument("--level", type=int, default=None,
+                     help="ancestor stage for parts (default: 1, or 0 for a one-stage model)")
     seg.add_argument("--out", required=True, help="output PLY path")
     seg.set_defaults(handler=_cmd_segment)
 

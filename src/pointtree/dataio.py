@@ -21,12 +21,11 @@ import contextlib
 import os
 import secrets
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import PointCloud, normalize_cloud
-from .model import GenerationTrace, segment
+from .model import GenerationTrace, default_part_stage, segment
 
 CLOUD_MAGIC = b"RPGP"
 CLOUD_VERSION = 1
@@ -168,29 +167,6 @@ def save_cloud(path, cloud: PointCloud, binary: bool = False):
             fh.write(line + "\n")
 
 
-@dataclass
-class Dataset:
-    """Named clouds, every one normalized."""
-
-    clouds: list
-    names: list
-
-    def __post_init__(self):
-        if len(self.clouds) == 0:
-            raise ValueError("empty dataset")
-        if len(self.names) != len(self.clouds):
-            raise ValueError("names and clouds differ in length")
-        for name, cloud in zip(self.names, self.clouds):
-            if not cloud.normalized:
-                raise ValueError(f"dataset cloud {name!r} is not normalized")
-
-    def __len__(self):
-        return len(self.clouds)
-
-    def __getitem__(self, i):
-        return self.clouds[i]
-
-
 def resolve_cloud_paths(source) -> list:
     """Expand a data source into cloud file paths.
 
@@ -235,12 +211,9 @@ def resolve_cloud_paths(source) -> list:
     return paths
 
 
-def load_dataset(source) -> Dataset:
-    """Load and normalize every cloud named by `source`."""
-    paths = resolve_cloud_paths(source)
-    clouds = [normalize_cloud(load_cloud(p)) for p in paths]
-    names = [os.path.splitext(os.path.basename(p))[0] for p in paths]
-    return Dataset(clouds=clouds, names=names)
+def load_dataset(source) -> list:
+    """The normalized clouds named by `source`, in `resolve_cloud_paths` order."""
+    return [normalize_cloud(load_cloud(p)) for p in resolve_cloud_paths(source)]
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +381,20 @@ def _stage_suffix_path(path, stage):
     return f"{base}_d{stage}{ext or '.ply'}"
 
 
-def export_ply(trace, path, color_mode: str, ancestor_stage: int = 1) -> list:
+def export_ply(trace, path, color_mode: str, ancestor_stage: int | None = None) -> list:
     """Write a generation trace as coloured ASCII PLY; returns the written paths.
 
     Modes: "by_ancestor" labels the leaf points by their ancestor at
-    `ancestor_stage` and cycles the 16-colour palette; "by_stage" writes one
-    file per stage (suffix _d<n>), each in its stage's palette colour.
+    `ancestor_stage` and cycles the 16-colour palette; left as None, that
+    stage is `model.default_part_stage`: 1, or 0 for a one-stage model.
+    "by_stage" writes one file per stage (suffix _d<n>), each in its
+    stage's palette colour.
     """
     if not isinstance(trace, GenerationTrace):
         raise ValueError(f"PLY export needs a generation trace, got {type(trace).__name__}")
     if color_mode == "by_ancestor":
+        if ancestor_stage is None:
+            ancestor_stage = default_part_stage(trace.config)
         labels = segment(trace, trace.config.stage_count, ancestor_stage)
         colors = [PALETTE[int(label) % len(PALETTE)] for label in labels]
         _write_ply(path, trace.leaf_points(), colors)

@@ -77,15 +77,16 @@ class GeneratorConfig:
         return cls(**d)
 
 
+# named default architectures, keyed by their leaf count: the branching
+# schedule of each; every other field keeps its default
+PRESETS = {"2048": (8, 4, 4, 4, 4), "3125": (5, 5, 5, 5, 5)}
+
+
 def preset(name: str) -> GeneratorConfig:
-    """Named default architectures, keyed by their leaf count."""
-    presets = {
-        "2048": GeneratorConfig(k_schedule=(8, 4, 4, 4, 4)),
-        "3125": GeneratorConfig(k_schedule=(5, 5, 5, 5, 5)),
-    }
-    if name not in presets:
-        raise ValueError(f"unknown preset {name!r}; available: {sorted(presets)}")
-    return presets[name]
+    """A fresh config for one of the `PRESETS`."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
+    return GeneratorConfig(k_schedule=PRESETS[name])
 
 
 def parameter_spec(config: GeneratorConfig) -> list:
@@ -397,6 +398,15 @@ def generate(z, params: Parameters) -> GenerationTrace:
     for pt, sc, par in zip(points, scales, parents):
         trace.stages.append(StageState(points=pt.data, scales=sc.data.reshape(-1), parent=par))
     return trace
+
+
+def default_part_stage(config: GeneratorConfig) -> int:
+    """The ancestor stage that names parts unless one is chosen.
+
+    Stage 1, the root's children; a one-stage model has no stage between
+    the root and its leaves, so there it is 0, one part.
+    """
+    return 1 if config.stage_count >= 2 else 0
 
 
 def segment(trace: GenerationTrace, d: int, d_ancestor: int) -> np.ndarray:

@@ -231,7 +231,8 @@ def scheduled_lr(epoch: int, config: TrainConfig) -> float:
 
 
 def fit(dataset, gen_config: GeneratorConfig, config: TrainConfig, out_dir=None):
-    """Train from scratch on a list of normalized clouds.
+    """Train from scratch on a list of normalized clouds, such as the one
+    `dataio.load_dataset` returns.
 
     Returns (Parameters, log) where the log holds one dict per epoch with
     the mean loss components. When `out_dir` is given, checkpoints land

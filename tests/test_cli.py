@@ -456,12 +456,38 @@ def test_segment_no_purity_without_labels(workspace, plain_ckpt, tmp_path, capsy
 
 def test_segment_level_out_of_range(workspace, plain_ckpt, tmp_path, capsys):
     _, data = workspace
-    code = cli.main(
-        ["segment", "--ckpt", str(plain_ckpt), "--input", str(data / "box.xyz"),
-         "--level", "5", "--out", str(tmp_path / "s.ply")]
-    )
-    assert code == 1
-    assert "--level" in capsys.readouterr().err
+    # the level is judged before the input is read, so a missing input
+    # does not turn the usage error into a runtime one
+    for source in (data / "box.xyz", tmp_path / "missing.xyz"):
+        code = cli.main(
+            ["segment", "--ckpt", str(plain_ckpt), "--input", str(source),
+             "--level", "5", "--out", str(tmp_path / "s.ply")]
+        )
+        assert code == 1
+        assert "--level" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_segment_defaults_to_the_stage_reconstruct_colours_by(workspace, tmp_path, capsys):
+    # a one-stage model has no stage 1: both commands colour by stage 0,
+    # byte for byte, and segment records the stage it used
+    _, data = workspace
+    ckpt_dir = tmp_path / "one_stage"
+    argv = ["train", "--data", str(data), "--out", str(ckpt_dir), *TINY_FLAGS]
+    assert cli.main([*argv, "--k-schedule", "4"]) == 0
+    ckpt, source = str(ckpt_dir / "checkpoint.rpgk"), str(data / "tee.xyz")
+    recon, parts = tmp_path / "recon.ply", tmp_path / "parts.ply"
+    assert cli.main(["reconstruct", "--ckpt", ckpt, "--input", source, "--out", str(recon)]) == 0
+    assert cli.main(["segment", "--ckpt", ckpt, "--input", source, "--out", str(parts)]) == 0
+    # one part holds every point, so purity is the share of the commonest label
+    share = np.bincount(dataio.load_cloud(source).labels).max() / 64
+    assert f"purity: {share:.6g}" in capsys.readouterr().out
+    assert parts.read_bytes() == recon.read_bytes()
+    _, colors = _read_ply(parts)
+    assert {tuple(c) for c in colors} == {dataio.PALETTE[0]}
+    manifest = json.loads((tmp_path / "parts.manifest.json").read_text())
+    assert manifest["command"] == "segment" and manifest["level"] == 0
+    assert "level" not in json.loads((tmp_path / "recon.manifest.json").read_text())
 
 
 # ---------------------------------------------------------------------------

@@ -134,19 +134,27 @@ def test_load_dataset_from_directory(tmp_path):
         dataio.save_cloud(tmp_path / f"shape{i}.xyz", PointCloud(pts))
     ds = dataio.load_dataset(tmp_path)
     assert len(ds) == 3
-    assert ds.names == ["shape0", "shape1", "shape2"]
-    assert all(c.normalized for c in ds.clouds)
-    assert ds[0] is ds.clouds[0]
+    assert all(c.normalized for c in ds)
+    for i, cloud in enumerate(ds):
+        expected = normalize_cloud(dataio.load_cloud(tmp_path / f"shape{i}.xyz"))
+        np.testing.assert_array_equal(cloud.points, expected.points)
 
 
 def test_load_dataset_from_list_file(tmp_path):
-    for i in range(2):
-        pts = np.random.default_rng(i).standard_normal((8, 3))
+    # listed out of name order: the list keeps the order of the paths
+    for i in range(3):
+        pts = np.random.default_rng(i).standard_normal((8, 3)) * (i + 1)
         dataio.save_cloud(tmp_path / f"c{i}.xyz", PointCloud(pts))
     listing = tmp_path / "clouds.txt"
-    listing.write_text("c0.xyz\n# comment\nc1.xyz\n")
+    listing.write_text("c2.xyz\n# comment\nc0.xyz\nc1.xyz\n")
     ds = dataio.load_dataset(listing)
-    assert ds.names == ["c0", "c1"]
+    assert type(ds) is list
+    paths = dataio.resolve_cloud_paths(listing)
+    assert [os.path.basename(p) for p in paths] == ["c2.xyz", "c0.xyz", "c1.xyz"]
+    assert len(ds) == len(paths)
+    for path, cloud in zip(paths, ds):
+        assert cloud.normalized
+        np.testing.assert_array_equal(cloud.points, normalize_cloud(dataio.load_cloud(path)).points)
 
 
 def test_leading_comments_and_blanks_do_not_decide_a_files_kind(tmp_path):
@@ -154,7 +162,7 @@ def test_leading_comments_and_blanks_do_not_decide_a_files_kind(tmp_path):
     scan = tmp_path / "scan.xyz"
     scan.write_text("# a scan\n\n0 0 0\n1 0 0\n0 1 0\n")
     assert dataio.resolve_cloud_paths(scan) == [str(scan)]
-    assert dataio.load_dataset(scan).names == ["scan"]
+    assert len(dataio.load_dataset(scan)) == 1
     dataio.save_cloud(tmp_path / "c0.xyz", PointCloud(np.eye(3, dtype=np.float32)))
     listing = tmp_path / "clouds.txt"
     listing.write_text("\n# clouds\nc0.xyz\n")
@@ -165,18 +173,8 @@ def test_load_dataset_single_cloud_file(tmp_path):
     path = tmp_path / "one.xyz"
     dataio.save_cloud(path, PointCloud(np.eye(3, dtype=np.float32)))
     ds = dataio.load_dataset(path)
-    assert len(ds) == 1 and ds.names == ["one"]
-
-
-def test_dataset_validation():
-    cloud = dataio.synth_shape("box", 32, seed=0)
-    with pytest.raises(ValueError, match="empty"):
-        dataio.Dataset(clouds=[], names=[])
-    with pytest.raises(ValueError, match="length"):
-        dataio.Dataset(clouds=[cloud], names=["a", "b"])
-    raw = PointCloud(np.eye(3) * 5.0)
-    with pytest.raises(ValueError, match="not normalized"):
-        dataio.Dataset(clouds=[raw], names=["raw"])
+    assert len(ds) == 1
+    np.testing.assert_array_equal(ds[0].points, normalize_cloud(dataio.load_cloud(path)).points)
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +285,9 @@ def test_interpolate_errors():
 # ---------------------------------------------------------------------------
 
 
-def _tiny_trace():
+def _tiny_trace(k_schedule=(2, 2)):
     config = model.GeneratorConfig(
-        k_schedule=(2, 2), latent_width=8, embed_width=4, mlp_hidden=(8,)
+        k_schedule=k_schedule, latent_width=8, embed_width=4, mlp_hidden=(8,)
     )
     params = model.init_parameters(config, seed=0)
     z = np.random.default_rng(1).standard_normal(8).astype(np.float32)
@@ -317,6 +315,21 @@ def test_ply_by_ancestor_colors_match_segmentation(tmp_path):
     assert pts.tobytes() == trace.leaf_points().tobytes()  # %.9g round-trips float32
     for row, label in enumerate(labels):
         assert tuple(colors[row]) == dataio.PALETTE[label % 16]
+
+
+def test_ply_by_ancestor_defaults_to_the_models_part_stage(tmp_path):
+    # stage 0 names the parts when there is no stage between the root and
+    # the leaves, else stage 1
+    for k_schedule, stage in (((4,), 0), ((2, 2), 1)):
+        trace = _tiny_trace(k_schedule)
+        path = tmp_path / f"parts_{len(k_schedule)}.ply"
+        dataio.export_ply(trace, path, "by_ancestor")
+        assert model.default_part_stage(trace.config) == stage
+        labels = model.segment(trace, len(k_schedule), stage)
+        _, colors = _read_ply(path)
+        assert [tuple(c) for c in colors] == [dataio.PALETTE[label % 16] for label in labels]
+    _, colors = _read_ply(tmp_path / "parts_1.ply")
+    assert {tuple(c) for c in colors} == {dataio.PALETTE[0]}
 
 
 def test_ply_by_stage_writes_one_file_per_stage(tmp_path):
