@@ -17,32 +17,30 @@ Scope is deliberately small:
   a tape.
 
 One deliberate trade: matmul does not call BLAS in the forward direction.
-It accumulates rank-1 updates in index order, so each output element's
-value is independent of the other array extents and of row position. That
-costs throughput but makes batched computation bit-identical to per-row
-computation, which turns several model guarantees (exact permutation
-invariance, exact isolated path replay) from approximate into exact. The
-output is filled in cache-sized blocks; a block changes which elements are
-in flight together, never the order of any element's adds. Each multiply is
-a scalar times a run of values, taken along whichever output axis is
-longer, and runs with NumPy's ufunc buffer cut to a few elements: the
-default buffer copies the broadcast operands several rows at a time, which
-made the multiply cost several times the add beside it. A small block
-forms the products of several contraction indices in one multiply, since a
-NumPy call costs about a microsecond however little it does, and still adds
-them one index at a time. None of these choices touches a rounding.
-Gradients still use BLAS, on one thread while `backward` runs: they only
-need determinism at fixed shapes.
+It accumulates in index order along the contraction axis, so each output
+element's value is independent of the other array extents and of row
+position. That costs throughput but makes batched computation
+bit-identical to per-row computation, which turns several model guarantees
+(exact permutation invariance, exact isolated path replay) from
+approximate into exact. The loop is NumPy's einsum ("ik,kj->ij", never
+BLAS), called once per block of _ROW_BLOCK rows: it keeps the contraction
+index outside each output row, so every element gets its multiply-then-add
+chain in index order, each step rounded on its own. Two of einsum's ways
+are mended, and change no other byte: a one-column product gets a zero
+second column, which keeps einsum from summing along the contraction axis
+in another order, and an element whose every product is -0.0 gets back the
+-0.0 that einsum's +0.0 start loses. Gradients still use BLAS, on one
+thread while `backward` runs: they only need determinism at fixed shapes.
 
 gather_rows returns a `Gathered` tensor that holds the input's array and
 the indices; reading its `data` gathers afresh, with the same bytes every
 time. So a stage's parent representations exist once, not once per
-sibling. linear and rep_update read a Gathered operand's indices as
-declared sibling structure, never comparing float bits: each row taken r
-times in turn (a stage's parent index) gives one product per parent, added
-per sibling; r rows tiled group after group (a stage's slot index) give
-one product per slot; any other pattern is gathered in full. Every element
-keeps its chain, so the bytes are those of the gathered product.
+sibling. linear, rep_update and matmul never gather a Gathered operand in
+full: the kernel gathers one row block at a time, column block beside
+column block. A lone operand whose indices take each row r times in turn
+(a stage's parent index, as `h @ Mh^T` reads it) is declared sibling
+structure: its product is formed once per row and repeated, the bytes of
+the gathered product. Only indices are read, never float bits.
 
 A model layer, matmul then a bias row then an optional leaky ReLU, runs as
 one `linear` primitive: the three steps' roundings in their order, the
@@ -62,8 +60,9 @@ Transients are bounded by a block. linear applies its bias, sign bits and
 leaky ReLU in place one block of whole rows at a time, and axis-0
 max_reduce reduces a contiguous transposed copy of one slab of columns at
 a time, each at most _MATMUL_BLOCK elements (or one row or column); the
-matmul kernels work in blocks already. So no forward makes a second
-output-sized array, and each byte is the one the whole-array steps give.
+matmul kernel gathers its operand _ROW_BLOCK rows at a time. So no forward
+makes a second output-sized array, and each byte is the one the
+whole-array steps give.
 
 A tape may be consumed by `backward` any number of times; it is a pure
 record, not a one-shot resource.
@@ -95,8 +94,7 @@ import numpy as np
 
 LEAKY_SLOPE = 0.2  # fixed negative slope for leaky_relu
 _MATMUL_BLOCK = 65536  # elements per matmul, linear or max_reduce block (256 KB of float32)
-_MATMUL_RUN = 2048  # rows of `a` per block when a product has more rows than columns
-_UFUNC_BUFSIZE = 64  # ufunc buffer elements inside the matmul and scan kernels
+_ROW_BLOCK = 32  # rows of `a` per einsum call in the fixed-order matmul
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -423,8 +421,8 @@ def _vjp_scale(grad, arrays, saved, attrs):
 
 
 def _fwd_matmul(arrays, attrs):
-    # Accumulates strictly in index order along the contraction axis, one
-    # rank-1 update at a time. Each output element is then a fixed chain of
+    # Accumulates strictly in index order along the contraction axis
+    # (`_rows_matmul`). Each output element is then a fixed chain of
     # multiply-then-add roundings that depends only on the participating
     # operand values, never on the other extents or on row position. Batched
     # products therefore agree bit-for-bit with their per-row counterparts,
@@ -447,8 +445,10 @@ def _dense(x):
 
 def _block_matmul(blocks, b, attrs):
     # concatenate(blocks, axis=1) @ b. One block may be 1-D; several are 2-D
-    # with one row count. Only blocks that do not declare sibling structure
-    # are gathered in full and concatenated.
+    # with one row count. A lone Gathered block that takes each of its rows
+    # r times in turn (a stage's parent index) has its product formed once
+    # per row and repeated; every other operand is gathered and
+    # concatenated one row block at a time inside the kernel.
     a = blocks[0]
     arrays = (*blocks, b)
     if attrs.get("transpose_b"):
@@ -464,110 +464,68 @@ def _block_matmul(blocks, b, attrs):
         _shape_error("matmul", arrays, "inner dimensions differ")
     if inner == 0:
         _shape_error("matmul", arrays, "empty contraction axis")
-    b2 = b.reshape(inner, -1)
-    with _small_ufunc_buffer():
-        out = _shared_matmul(blocks, b2)
-        if out is None:
-            dense = [_dense(x) for x in blocks]
-            a2 = np.concatenate(dense, axis=1) if len(dense) > 1 else dense[0].reshape(-1, inner)
-            out = _rows_matmul(a2, b2)
+    b2 = np.ascontiguousarray(b.reshape(inner, -1))
+    r = len(a.indices) // len(a.rows) if isinstance(a, Gathered) and len(a.rows) else 0
+    if len(blocks) == 1 and _takes(a, r):
+        out = np.repeat(_rows_matmul([a.rows], b2), r, axis=0)
+    else:
+        out = _rows_matmul([x if x.ndim == 2 else _dense(x).reshape(1, inner) for x in blocks], b2)
     return out.reshape(a.shape[:-1] + b.shape[1:])
 
 
-@contextlib.contextmanager
-def _small_ufunc_buffer():
-    # The kernels below multiply a per-row scalar by a run of values, a
-    # stride-0 broadcast. NumPy's ufunc iterator copies such operands
-    # through its buffer (8192 elements by default) several rows at a time,
-    # which made the multiply cost about four times the add beside it on
-    # runs of a few hundred elements. A buffer of _UFUNC_BUFSIZE elements
-    # sends those operands to the inner loop almost directly. The size only
-    # decides how elementwise work is cut into pieces. Inside run only
-    # elementwise arithmetic, compares, copies and exact reductions (min,
-    # max, argmin, all), never a float sum, whose pairwise blocking can
-    # follow the buffer; so no value depends on it. The multiply that forms
-    # a chunk of products at once is elementwise too, and the adds after it
-    # stay one in-place add per contraction index. NumPy 1.x keeps the size
-    # per thread rather than per context, hence the explicit restore.
-    previous = np.setbufsize(_UFUNC_BUFSIZE)
-    try:
-        yield
-    finally:
-        np.setbufsize(previous)
+def _rows_matmul(blocks, b):
+    # concatenate(blocks, axis=1) @ b for 2-D blocks with one row count,
+    # each an array or a Gathered, through NumPy's einsum loop, one call per
+    # _ROW_BLOCK rows; unless `a` is one plain array, the blocks' rows are
+    # joined, gathered where declared, in one reused (_ROW_BLOCK, inner)
+    # scratch. einsum ("ik,kj->ij",
+    # never BLAS) keeps k outside each row of the output: every element
+    # gets its multiply-then-add chain in index order from its row of `a`
+    # and its column of `b` alone, so a row's bytes do not depend on the
+    # rows beside it. Two of einsum's ways are mended here:
+    #
+    # * with one column in `b` its iterator runs k innermost and sums with a
+    #   SIMD reduction in another order, so `b` gets a zero second column
+    #   and only the first is kept;
+    # * it starts each sum at +0.0, so where every product is -0.0 it gives
+    #   +0.0 and the chain -0.0; the products of the elements equal to 0
+    #   are re-formed and their sign restored. No other element can differ.
+    #
+    # NumPy's baseline build rounds each multiply and each add on its own
+    # (no fused multiply-add), the chain the index-order loop makes. (Where
+    # two NaNs meet, the loop picks the payload by an element's position.)
+    n = blocks[0].shape[0]
+    inner, width = b.shape
+    if width == 1:
+        b = np.concatenate([b, np.zeros_like(b)], axis=1)
+    out = np.empty((n, b.shape[1]), dtype=b.dtype)
+    scratch = np.empty((min(n, _ROW_BLOCK), inner), dtype=b.dtype)
+    for r0 in range(0, n, _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, n)
+        a = _concat_rows(blocks, slice(r0, r1), scratch[: r1 - r0])
+        np.einsum("ik,kj->ij", a, b, out=out[r0:r1], optimize=False)
+    # -0.0 where an element is 0 and each of its products is -0.0, re-formed
+    # for at most _MATMUL_BLOCK products at a time
+    i, j = np.divmod(np.flatnonzero(out[:, :width] == 0), width)
+    step = max(1, _MATMUL_BLOCK // inner)
+    for e0 in range(0, len(i), step):
+        ii, jj = i[e0 : e0 + step], j[e0 : e0 + step]
+        products = _concat_rows(blocks, ii, np.empty((len(ii), inner), b.dtype)) * b[:, jj].T
+        negative = ((products == 0) & np.signbit(products)).all(axis=1)
+        out[ii[negative], jj[negative]] = -0.0
+    return np.ascontiguousarray(out[:, :1]) if width == 1 else out
 
 
-def _rows_matmul(a, b):
-    # The 2-D x 2-D index-order loop, run one block at a time
-    # (_MATMUL_BLOCK output elements, which stay in L2 between updates)
-    # instead of streaming the whole output through memory once per
-    # contraction index. Inside a block the first product is written
-    # straight into the accumulator and every later one is added to it in
-    # index order, one in-place add per index, so each element still gets
-    # the same multiply-then-add chain, bit for bit.
-    #
-    # Every multiply is a scalar times a run, along the longer output axis.
-    # With no more rows than columns a block is whole rows of `out`: a[i, k]
-    # times the run b[k, :]. With more rows a block holds out[rows, cols].T
-    # for _MATMUL_RUN rows of `a`, copied once as a[rows].T, so the runs are
-    # a[rows, k] against the scalars b[k, cols], and it is written back
-    # transposed. Which operand supplies the run changes no product and no
-    # add, only how NumPy iterates over them. (Where two NaNs meet, NumPy's
-    # loops pick the payload by an element's position in the loop, in
-    # either layout.)
-    #
-    # A NumPy call costs about a microsecond however few elements it
-    # touches, so a small block forms the products of a chunk of
-    # contraction indices in one multiply, into a reused scratch of at
-    # most _MATMUL_BLOCK elements, and then adds them one index at a time.
-    # A product is rounded on its own whichever call forms it, so only the
-    # grouping of multiplies into calls changes, never a chain. A block of
-    # half _MATMUL_BLOCK or more keeps one multiply per index on 2-D
-    # slices, which ran faster there than one-index 3-D slices.
-    n, inner = a.shape
-    width = b.shape[1]
-    out = np.empty((n, width), dtype=np.result_type(a, b))
-    flip = n > width
-    if flip:
-        rows = min(n, _MATMUL_RUN)
-        cols = max(1, min(width, _MATMUL_BLOCK // rows))
-        a_runs = np.empty((inner, rows), dtype=a.dtype)
-        acc_block = np.empty((cols, rows), dtype=out.dtype)
-    else:
-        rows, cols = max(1, _MATMUL_BLOCK // max(1, width)), width
-    size = min(rows, n) * cols  # elements in the largest block
-    work = np.empty(max(size, min(_MATMUL_BLOCK, (inner - 1) * size)), dtype=out.dtype)
-    for r0 in range(0, n, rows):
-        blk = a[r0 : r0 + rows]
-        if flip:
-            np.copyto(a_runs[:, : len(blk)], blk.T)
-            x = a_runs[:, None, : len(blk)]  # (inner, 1, rows): a run per k
-        else:
-            x = blk.T[:, :, None]  # (inner, rows, 1): a scalar per row
-        for c0 in range(0, width, cols):
-            bc = b[:, c0 : c0 + cols]
-            o = out[r0 : r0 + rows, c0 : c0 + cols]
-            if flip:
-                y = bc[:, :, None]  # (inner, cols, 1): a scalar per column
-                acc = acc_block[: o.shape[1], : o.shape[0]]
-            else:
-                y = bc[:, None]  # (inner, 1, cols): a run per k
-                acc = o
-            np.multiply(x[0], y[0], out=acc)
-            chunk = _MATMUL_BLOCK // acc.size  # indices whose products fit in `work`
-            if chunk < 2:
-                t = work[: acc.size].reshape(acc.shape)
-                for k in range(1, inner):
-                    np.multiply(x[k], y[k], out=t)
-                    acc += t
-            else:
-                for k0 in range(1, inner, chunk):
-                    k1 = min(k0 + chunk, inner)
-                    prods = work[: (k1 - k0) * acc.size].reshape((k1 - k0,) + acc.shape)
-                    np.multiply(x[k0:k1], y[k0:k1], out=prods)
-                    for t in prods:
-                        acc += t
-            if flip:
-                o[...] = acc.T
+def _concat_rows(blocks, rows, out):
+    # concatenate(blocks, axis=1)[rows], a Gathered block's rows gathered by
+    # its indices; a lone array block is sliced, the rest fill `out`
+    if len(blocks) == 1 and not isinstance(blocks[0], Gathered):
+        return blocks[0][rows]
+    c0 = 0
+    for x in blocks:
+        c1 = c0 + x.shape[1]
+        out[:, c0:c1] = x.rows[x.indices[rows]] if isinstance(x, Gathered) else x[rows]
+        c0 = c1
     return out
 
 
@@ -577,60 +535,10 @@ def _runs(idx, m, r) -> bool:
     return r >= 1 and len(idx) == m * r and bool((idx.reshape(m, r) == np.arange(m)[:, None]).all())
 
 
-def _takes(x, r, tiled=False):
+def _takes(x, r):
     # whether the 2-D Gathered x takes each of its rows r times in turn
-    # (`_runs`) or, tiled, runs through its r rows once per group of r
-    # (0,..,r-1, 0,..,r-1, ...: a stage's slot index). Only the indices are
-    # read, never the rows.
-    if not isinstance(x, Gathered) or x.ndim != 2 or r < 1:
-        return False
-    m, idx = x.rows.shape[0], x.indices
-    if tiled:
-        return m == r and len(idx) % r == 0 and bool((idx.reshape(-1, r) == np.arange(r)).all())
-    return _runs(idx, m, r)
-
-
-def _shared_matmul(blocks, b):
-    # concatenate(blocks, axis=1) @ b from the rows of Gathered blocks that
-    # declare sibling structure, every element's multiply-then-add chain
-    # unchanged; None for any other blocks. Each block after the first
-    # takes each of its rows r times in turn (r from the last block's row
-    # counts): one row per group of r siblings. The first does the same or
-    # tiles r rows: one row per slot. A rounded product depends only on its
-    # operands, so the first block's chain runs once per group or slot and
-    # is copied into each block of output, and each later block's products
-    # are formed once per group and added by broadcast in index order. A
-    # lone block that repeats has its chain repeated down the rows.
-    #
-    # A block of output accumulates slot-major, (r, groups, width), so a
-    # per-group product is added to r contiguous runs rather than broadcast
-    # row by row, and is copied back row-major once per block.
-    head, rest, last = blocks[0], blocks[1:], blocks[-1]
-    r = last.shape[0] // max(1, last.rows.shape[0]) if isinstance(last, Gathered) else 0
-    within = _takes(head, r)
-    if not (within or rest and _takes(head, r, tiled=True)) or not all(_takes(x, r) for x in rest):
-        return None
-    n, width = head.shape[0], b.shape[1]
-    first = _rows_matmul(head.rows, b[: head.shape[1]])
-    if not rest:
-        return np.repeat(first, r, axis=0)
-    # one row per group, the same in every slot, or one per slot
-    first = np.broadcast_to(first[None] if within else first[:, None], (r, n // r, width))
-    columns = [(x.rows, j) for x in rest for j in range(x.shape[1])]
-    out = np.empty((n, width), dtype=first.dtype)
-    out3 = out.reshape(n // r, r, width)
-    per_block = max(1, _MATMUL_BLOCK // max(1, r * width))  # groups per block
-    acc_block = np.empty((r, min(per_block, n // r), width), dtype=out.dtype)
-    t_block = np.empty(acc_block.shape[1:], dtype=out.dtype)
-    for g0 in range(0, n // r, per_block):
-        g1 = min(g0 + per_block, n // r)
-        acc, t = acc_block[:, : g1 - g0], t_block[: g1 - g0]
-        acc[...] = first[:, g0:g1]
-        for (rows, j), row_b in zip(columns, b[head.shape[1] :]):
-            np.multiply(rows[g0:g1, j : j + 1], row_b, out=t)
-            acc += t
-        out3[g0:g1] = acc.transpose(1, 0, 2)
-    return out
+    # (`_runs`); only the indices are read, never the rows
+    return isinstance(x, Gathered) and x.ndim == 2 and _runs(x.indices, x.rows.shape[0], r)
 
 
 def _vjp_matmul(grad, arrays, saved, attrs):
@@ -1216,9 +1124,9 @@ def linear(x, w, b, leaky: bool = False):
     as wide as `w`. `x` may be a list of 2-D column blocks with one row
     count, read as `concat(x, axis=1)` with that concat's gradients; the
     entry's inputs are then the blocks, then `w` and `b`, and no
-    concatenated copy is kept. `gather_rows` blocks whose indices repeat
-    each parent row r times (the first may instead tile r slot rows) have
-    each product formed once per parent or slot, and are never gathered.
+    concatenated copy is kept; the kernel gathers `gather_rows` blocks a
+    row block at a time. A lone `gather_rows` block whose indices repeat
+    each parent row r times has its product formed once per parent.
     """
     attrs = {"leaky": True} if leaky else {}
     blocks = tuple(x) if isinstance(x, (list, tuple)) else (x,)

@@ -12,14 +12,15 @@ no closer or tied point. Skipping changes the cost, never the result.
 
 from __future__ import annotations
 
-import numpy as np
+import contextlib
 
-from .autodiff import _small_ufunc_buffer
+import numpy as np
 
 NORM_EPS = 1e-12  # divisor clamp for degenerate clouds
 DEFAULT_LEAF_SIZE = 512  # target block size
 
 _QUERY_BLOCK = 256
+_UFUNC_BUFSIZE = 64  # ufunc buffer elements inside the block scan
 
 _CENTROID_TOL = 1e-5
 _RADIUS_TOL = 1e-5
@@ -131,6 +132,25 @@ def _exhaustive_nn(queries: np.ndarray, columns):
         d2 += np.square(term, out=term)
     idx = np.argmin(d2, axis=1)  # first occurrence: lowest index on ties
     return idx, d2[np.arange(d2.shape[0]), idx]
+
+
+@contextlib.contextmanager
+def _small_ufunc_buffer():
+    # The block scan subtracts a query column from a row of targets, a
+    # stride-0 broadcast. NumPy's ufunc iterator copies such operands
+    # through its buffer (8192 elements by default) several rows at a time;
+    # a buffer of _UFUNC_BUFSIZE elements sends them to the inner loop
+    # almost directly. The size only decides how elementwise work is cut
+    # into pieces. Inside run only elementwise arithmetic, compares, copies
+    # and exact reductions (min, max, argmin), never a float sum, whose
+    # pairwise blocking can follow the buffer; so no value depends on it.
+    # NumPy 1.x keeps the size per thread rather than per context, hence
+    # the explicit restore.
+    previous = np.setbufsize(_UFUNC_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(previous)
 
 
 class NearestNeighborIndex:

@@ -243,12 +243,12 @@ def extract_substructure(s, h, params: Parameters) -> ad.Tensor:
 
     Takes one point, s (3,) with h (U,), or one per row, s (n, 3) with
     h (n, U). Each row is bit-identical to the one-point call: `s @ Ms^T`
-    forms the products of `Ms @ s` and adds them in the same order. Past
-    the root, h is the previous stage's child representations, a gather of
-    each parent's row once per sibling: `h @ Mh^T` reads that declared
-    structure, computes each parent's row once and repeats it, with the
-    same bytes. It is one `rep_update` entry on the tape, which keeps only
-    the output.
+    forms the products of `Ms @ s` and adds them in the same order, on
+    the fixed-order kernel. Past the root, h is the previous stage's child
+    representations, a gather of each parent's row once per sibling:
+    `h @ Mh^T` reads that declared structure, computes each parent's row
+    once and repeats it, with the same bytes. It is one `rep_update` entry
+    on the tape, which keeps only the output.
     """
     s = _as_tensor(s, params.dtype)
     h = _as_tensor(h, params.dtype)
@@ -264,14 +264,14 @@ def _expand_stage(points, reps, scales, stage: int, params: Parameters):
     points (n,3), reps (n,U), scales (n,1) -> child triple plus the parent
     index per child. Children of point i occupy slots [i*k, (i+1)*k).
 
-    Sibling work is shared through declared structure, bit for bit: the
-    child reps gather the parents' updated rows by the parent index (each
-    row k times in turn) and the embeddings gather the k slot rows tiled
-    over the parents, and neither builds its per-child copy. exp.l0 reads
-    the blocks `[embeds, child_reps]` by those indices, forming each
-    embedding product once per slot and each rep product once per parent;
-    only the adds run per sibling. The next stage's `h @ Mh^T` runs once
-    per parent the same way.
+    Sibling rows are declared, never copied in full: the child reps gather
+    the parents' updated rows by the parent index (each row k times in
+    turn) and the embeddings gather the k slot rows tiled over the parents.
+    exp.l0 reads the blocks `[embeds, child_reps]` as their concatenation,
+    which its kernel gathers one row block at a time, so every sibling's
+    row has its own chain and no joined per-child copy exists. The next
+    stage's `h @ Mh^T` reads the parent index and runs once per parent,
+    its rows repeated to the siblings, bit for bit.
 
     The three inputs may be Stacks, one row block per shape of a forest;
     the embedding gather and the offset floor are then made per shape.

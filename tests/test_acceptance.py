@@ -341,7 +341,7 @@ def overfit_run():
 
 
 def test_criterion_5_overfit_experiment(overfit_run):
-    """Ten 64-point shapes, 64-leaf generator: mean reconstruction CD
+    """Ten 24-point shapes, 64-leaf generator: mean reconstruction CD
     under 1e-3 in at most 2000 epochs and 10 CPU minutes; ancestor
     segmentation of the table reaches purity 0.8 at stage 1."""
     dataset, params, log, elapsed = overfit_run

@@ -1,5 +1,6 @@
 import os
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,26 +68,25 @@ def _with_nans(a):
     return a
 
 
-def _first_block_size(n, m):
-    # output elements in the first block of an (n, ?) @ (?, m) product:
-    # whole rows when n <= m, else _MATMUL_RUN rows by as many columns as fit
-    if n > m:
-        run = min(n, ad._MATMUL_RUN)
-        return run * max(1, min(m, ad._MATMUL_BLOCK // run))
-    return min(n, max(1, ad._MATMUL_BLOCK // m)) * m
+def _odd_offset(x):
+    # a copy of x as a view that starts one element into its buffer, so its
+    # rows sit off every SIMD alignment
+    buf = np.empty(x.size + 1, dtype=x.dtype)
+    view = buf[1:].reshape(x.shape)
+    view[...] = x
+    return view
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("m", [1, 3, 257])
+@pytest.mark.parametrize("m", [1, 3, 15, 16, 17, 33, 257])
 def test_blocked_matmul_is_byte_equal_to_index_order_loop(dtype, m):
-    # row counts on both sides of m (which orientation runs), on the edges
-    # of a block of whole output rows and of a transposed block of
-    # _MATMUL_RUN rows, and over several of each
+    # row counts on the edges of an einsum row block and over several of
+    # them, widths on SIMD tails and a one-column b (which einsum alone
+    # would sum in another order), -0.0 products, and operands that start
+    # at an odd element offset
     rng = np.random.default_rng(m)
-    rows = max(1, ad._MATMUL_BLOCK // m)  # rows per block of whole rows
-    run = ad._MATMUL_RUN  # rows per transposed block
-    sizes = {0, 1, m - 1, m, m + 1, rows - 1, rows, rows + 1, 3 * rows + 7,
-             run - 1, run, run + 1, 3 * run + 7}
+    block = ad._ROW_BLOCK
+    sizes = {0, 1, m - 1, m, m + 1, block - 1, block, block + 1, 3 * block + 7}
     for n in sorted(sizes):
         for inner in (1, 2, 17):
             for nans in (False, True):
@@ -100,35 +100,60 @@ def test_blocked_matmul_is_byte_equal_to_index_order_loop(dtype, m):
                 ref = _matmul_index_order(a, b)
                 assert out.dtype == ref.dtype and out.shape == ref.shape
                 assert out.tobytes() == ref.tobytes(), (n, inner, nans)
+                odd, _ = ad._fwd_matmul([_odd_offset(a), _odd_offset(b)], {})
+                assert odd.tobytes() == ref.tobytes(), (n, inner, nans)
                 col, _ = ad._fwd_matmul([a, b[:, -1].copy()], {})  # 1-D b
                 assert col.tobytes() == ref[:, -1].tobytes(), (n, inner, nans)
                 if n:
                     row, _ = ad._fwd_matmul([a[-1].copy(), b], {})  # 1-D a
                     assert row.tobytes() == ref[-1].tobytes(), (n, inner, nans)
-    # contraction lengths on the edges of a chunk of products formed in one
-    # multiply, for a small block and a mid-size one (4096 elements or so)
-    for n in (2, 4096 // m + 1):
-        chunk = ad._MATMUL_BLOCK // _first_block_size(n, m)
-        assert chunk > 1, n
-        for inner in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+    # long contraction axes, where a reordered sum would show
+    for n in (1, 2, block + 1):
+        for inner in (64, 256, 1000):
             a = _with_zeros(rng.normal(size=(n, inner)).astype(dtype))
             b = rng.normal(size=(inner, m)).astype(dtype)
             out, _ = ad._fwd_matmul([a, b], {})
-            assert out.tobytes() == _matmul_index_order(a, b).tobytes(), (n, inner)
+            ref = _matmul_index_order(a, b)
+            assert out.tobytes() == ref.tobytes(), (n, inner)
+            odd, _ = ad._fwd_matmul([_odd_offset(a), _odd_offset(b)], {})
+            assert odd.tobytes() == ref.tobytes(), (n, inner)
     # every product -0.0: each add keeps -0.0, where a sum started at +0.0
-    # would give +0.0
-    for n, inner in ((2, 40), (4096 // m + 1, 40)):
+    # would give +0.0; on one row, across row blocks, and beside rows that
+    # sum to +0.0 from products of both signs
+    for n, inner in ((1, 40), (2, 40), (block + 1, 40)):
         a = np.full((n, inner), -0.0, dtype=dtype)
         b = np.abs(rng.normal(size=(inner, m))).astype(dtype) + 0.5
         out, _ = ad._fwd_matmul([a, b], {})
         assert np.all(out == 0.0) and np.signbit(out).all(), (n, inner)
-    # a one-element output, whose chunk axis a reduction would sum pairwise
+        a[-1, 1] = 0.0  # one +0.0 product ends the -0.0 chain of the last row
+        out, _ = ad._fwd_matmul([a, b], {})
+        assert np.signbit(out[:-1]).all() and not np.signbit(out[-1]).any(), (n, inner)
+    # one row against one column: a one-element output
     if m == 1:
         for inner in (9, 17, 100, 1000):
             a = rng.normal(size=(1, inner)).astype(dtype)
             b = rng.normal(size=(inner, 1)).astype(dtype)
             out, _ = ad._fwd_matmul([a, b], {})
             assert out.tobytes() == _matmul_index_order(a, b).tobytes(), inner
+            vec, _ = ad._fwd_matmul([a[0].copy(), b[:, 0].copy()], {})
+            assert vec.tobytes() == out.tobytes(), inner
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_matmul_rounds_every_multiply_and_add_on_its_own(dtype):
+    # rows [1, x] against [[c], [x]] with c = -fl(x * x): the chain
+    # c + fl(x * x) is exactly 0, where a fused multiply-add keeps the
+    # rounding error of x * x (2**-24 for float32's x = 1 + 2**-12). A NumPy
+    # build whose einsum loop fuses would change the bytes of every chain,
+    # and fails here
+    x = dtype(1 + 2.0 ** -(np.finfo(dtype).nmant // 2 + 1))
+    c = -(x * x)
+    assert Fraction(float(x)) ** 2 != Fraction(float(x * x))  # x * x rounds
+    a = np.array([[1, x]] * 3, dtype=dtype)
+    b = np.array([[c], [x]], dtype=dtype)
+    for bb in (b, np.repeat(b, 2, axis=1)):
+        out, _ = ad._fwd_matmul([a, bb], {})
+        assert out.tobytes() == np.zeros_like(out).tobytes(), bb.shape
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -138,15 +163,13 @@ def test_single_nan_keeps_its_payload_in_every_kernel_path(dtype):
     rng = np.random.default_rng(31)
     payload = _QUIET_NAN[np.dtype(dtype).itemsize] | 5
     utype = f"u{np.dtype(dtype).itemsize}"
-    plain = {  # (n, inner, m): the path each shape takes
-        "chunked whole rows": (3, 40, 5),
-        "chunked transposed": (300, 40, 3),
-        "whole rows, one multiply per index": (16, 5, 4096),
-        "transposed, one multiply per index": (4096, 5, 32),
+    plain = {  # (n, inner, m)
+        "one row block": (3, 40, 5),
+        "several row blocks": (300, 40, 3),
+        "one column": (70, 40, 1),
+        "wide": (16, 5, 4096),
     }
     for name, (n, inner, m) in plain.items():
-        chunk = ad._MATMUL_BLOCK // _first_block_size(n, m)
-        assert (chunk > 1) == name.startswith("chunked"), name
         for operand, (i, j) in (("a", (n // 2, inner // 2)), ("b", (inner // 2, m // 2))):
             a = rng.normal(size=(n, inner)).astype(dtype)
             b = rng.normal(size=(inner, m)).astype(dtype)
@@ -157,8 +180,8 @@ def test_single_nan_keeps_its_payload_in_every_kernel_path(dtype):
             assert (hit.view(utype) == payload).all(), (name, operand)
             assert np.isfinite(out).sum() == out.size - hit.size, (name, operand)
     # declared: one NaN value in the rows of each kind of gathered column
-    # block, first and later, in layouts whose products are shared and in
-    # layouts gathered in full
+    # block, first and later, in the layout whose products are shared and
+    # in layouts gathered one row block at a time
     r, groups = 4, 6
     for kinds in ("aw", "aww", "w", "a", "wa", "nw"):
         for i, kind in enumerate(kinds):
@@ -174,93 +197,28 @@ def test_single_nan_keeps_its_payload_in_every_kernel_path(dtype):
 
 def test_matmul_row_is_independent_of_batch():
     # a row's bytes do not depend on the batch around it: computed alone
-    # (2-D and 1-D, one row runs along the columns), at any position in a
-    # batch spanning several transposed blocks, in a batch short enough to
-    # run along the columns, or after the batch is permuted
+    # (2-D and 1-D), at any position in a batch spanning several row
+    # blocks, in a batch cut short inside a block, or after the batch is
+    # permuted; widths on SIMD tails and one column
     rng = np.random.default_rng(21)
-    w = ad.Tensor(rng.normal(size=(37, 257)).astype(np.float32))
-    rows, run = ad._MATMUL_BLOCK // 257, ad._MATMUL_RUN
-    batch = _with_zeros(rng.normal(size=(3 * run + 5, 37)).astype(np.float32))
-    full = ad.matmul(ad.Tensor(batch), w).data
-    positions = (0, rows - 1, rows, run - 1, run, 2 * run + 3, len(batch) - 1)
-    for i in positions:
-        row = batch[i]
-        assert ad.matmul(ad.Tensor(row[None]), w).data.tobytes() == full[i].tobytes()
-        assert ad.matmul(ad.Tensor(row), w).data.tobytes() == full[i].tobytes()
-        for j in positions:
-            moved = batch[::-1].copy()
-            moved[j] = row
-            assert ad.matmul(ad.Tensor(moved), w).data[j].tobytes() == full[i].tobytes()
-    for size in (rows + 1, 257, 258):  # whole-row blocks, then transposed
-        assert ad.matmul(ad.Tensor(batch[:size]), w).data.tobytes() == full[:size].tobytes()
-    perm = rng.permutation(len(batch))
-    assert ad.matmul(ad.Tensor(batch[perm]), w).data.tobytes() == full[perm].tobytes()
-
-
-def test_matmul_kernels_run_with_the_small_buffer_and_restore_it(monkeypatch):
-    # every matmul kernel and the nearest-neighbour block scan see the small
-    # ufunc buffer, and the caller's size comes back afterwards, also when
-    # the kernel raises
-    from pointtree import geometry
-
-    seen = []
-
-    def spy(module, name):
-        real = getattr(module, name)
-
-        def wrapped(*args):
-            seen.append((name, np.getbufsize()))
-            return real(*args)
-
-        monkeypatch.setattr(module, name, wrapped)
-
-    spy(ad, "_rows_matmul")
-    spy(ad, "_shared_matmul")
-    spy(geometry, "_exhaustive_nn")
-    rng = np.random.default_rng(23)
-    a = ad.Tensor(rng.normal(size=(8, 5)).astype(np.float32))
-    b = ad.Tensor(rng.normal(size=(5, 3)).astype(np.float32))
-    outer = np.getbufsize()
-    try:
-        np.setbufsize(4096)  # any caller's size, not only the default
-        ad.matmul(a, b)
-        ad.linear(ad.gather_rows(a, np.repeat(np.arange(8), 2)), b,
-                  ad.Tensor(np.zeros(3, np.float32)))
-        ad.matmul(ad.Tensor(a.data[0]), b)
-        geometry.nearest_neighbors(a.data[:, :3], b.data)
-        assert np.getbufsize() == 4096
-    finally:
-        np.setbufsize(outer)
-    assert {name for name, _ in seen} == {"_rows_matmul", "_shared_matmul", "_exhaustive_nn"}
-    assert all(size == ad._UFUNC_BUFSIZE for _, size in seen), seen
-
-    def fail(*args):
-        raise ad.ShapeMismatchError("raised inside the kernel")
-
-    monkeypatch.setattr(ad, "_rows_matmul", fail)
-    with pytest.raises(ad.ShapeMismatchError, match="inside the kernel"):
-        ad.matmul(a, b)
-    assert np.getbufsize() == outer
-
-
-def test_matmul_buffer_size_is_restored_in_a_worker_thread():
-    from concurrent.futures import ThreadPoolExecutor
-
-    rng = np.random.default_rng(29)
-    a = ad.Tensor(rng.normal(size=(300, 7)).astype(np.float32))
-    b = ad.Tensor(rng.normal(size=(7, 9)).astype(np.float32))
-    outer = np.getbufsize()
-
-    def work():
-        before = np.getbufsize()
-        out = ad.matmul(a, b).data
-        return before, np.getbufsize(), out
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        before, after, out = pool.submit(work).result()
-    assert before == after
-    assert np.getbufsize() == outer
-    assert out.tobytes() == ad.matmul(a, b).data.tobytes()
+    block = ad._ROW_BLOCK
+    batch = _with_zeros(rng.normal(size=(3 * block + 5, 37)).astype(np.float32))
+    positions = (0, block - 1, block, 2 * block + 3, len(batch) - 1)
+    for width in (1, 15, 16, 17, 33, 257):
+        w = ad.Tensor(rng.normal(size=(37, width)).astype(np.float32))
+        full = ad.matmul(ad.Tensor(batch), w).data
+        for i in positions:
+            row = batch[i]
+            assert ad.matmul(ad.Tensor(row[None]), w).data.tobytes() == full[i].tobytes()
+            assert ad.matmul(ad.Tensor(row), w).data.tobytes() == full[i].tobytes()
+            for j in positions:
+                moved = batch[::-1].copy()
+                moved[j] = row
+                assert ad.matmul(ad.Tensor(moved), w).data[j].tobytes() == full[i].tobytes()
+        for size in (1, block - 1, block + 1, 2 * block):
+            assert ad.matmul(ad.Tensor(batch[:size]), w).data.tobytes() == full[:size].tobytes()
+        perm = rng.permutation(len(batch))
+        assert ad.matmul(ad.Tensor(batch[perm]), w).data.tobytes() == full[perm].tobytes()
 
 
 def _declared(rng, kinds, groups, r, dtype, width=2):
@@ -287,28 +245,29 @@ def _dense_blocks(blocks):
     return np.concatenate([x.data for x in blocks], axis=1)
 
 
-_SHARED_LAYOUTS = ("aw", "aww", "ww", "w")  # block layouts whose products are shared
+_SHARED_LAYOUTS = ("w",)  # block layouts whose products are shared
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("r", [1, 2, 4, 8])
 def test_grouped_matmul_is_byte_equal_to_index_order_loop(dtype, r, monkeypatch):
-    # gathered column blocks in every layout whose products the declared
-    # path shares and in layouts gathered in full, over group counts on the
-    # edges of an output block, against the index-order loop over the
-    # gathered blocks. The rows every sibling reads hold -0.0, a subnormal
-    # and a NaN row; r = 1 is a stage of one child per point. Only a shared
-    # layout runs the row kernel on fewer rows than the output has
+    # gathered column blocks in the layout whose products the declared
+    # path shares (a lone block of parent rows, as `h @ Mh^T` reads) and in
+    # layouts gathered one row block at a time, over group counts on the
+    # edges of a row block, against the index-order loop over the gathered
+    # blocks. The rows every sibling reads hold -0.0, a subnormal and a NaN
+    # row; r = 1 is a stage of one child per point. Only the shared layout
+    # runs the row kernel on fewer rows than the output has
     rng = np.random.default_rng(59 + r)
     m = 257
-    per_block = max(1, ad._MATMUL_BLOCK // (r * m))  # groups per row block
-    orders = [*_SHARED_LAYOUTS, "a", "wa", "awa", "n", "nw", "an", "wn"]
+    per_block = max(1, ad._ROW_BLOCK // r)  # groups per row block
+    orders = [*_SHARED_LAYOUTS, "aw", "aww", "ww", "a", "wa", "awa", "n", "nw", "an", "wn"]
     rows_seen = []
     rows_matmul = ad._rows_matmul
 
-    def spy(a, b):
-        rows_seen.append(len(a))
-        return rows_matmul(a, b)
+    def spy(blocks, b):
+        rows_seen.append(blocks[0].shape[0])
+        return rows_matmul(blocks, b)
 
     monkeypatch.setattr(ad, "_rows_matmul", spy)
     for groups in (1, 2, per_block - 1, per_block, per_block + 1, 2 * per_block + 3):
@@ -333,9 +292,9 @@ def test_grouped_matmul_is_byte_equal_to_index_order_loop(dtype, r, monkeypatch)
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_grouped_matmul_never_merges_unequal_bits(dtype, monkeypatch):
-    # the declared path reads indices, never rows: parent or slot rows one
-    # element apart, 0.0 against -0.0, or NaNs with different payloads keep
-    # their own products; and rows bit-equal within each group share
+    # the kernel reads indices, never compares rows: parent or slot rows
+    # one element apart, 0.0 against -0.0, or NaNs with different payloads
+    # keep their own products; and rows bit-equal within each group share
     # nothing unless their indices declare it
     rng = np.random.default_rng(61)
     r, groups, kinds = 4, 9, "aw"
@@ -362,7 +321,8 @@ def test_grouped_matmul_never_merges_unequal_bits(dtype, monkeypatch):
     rows_seen = []
     rows_matmul = ad._rows_matmul
     monkeypatch.setattr(ad, "_rows_matmul",
-                        lambda a, b: rows_seen.append(len(a)) or rows_matmul(a, b))
+                        lambda blocks, b: rows_seen.append(blocks[0].shape[0])
+                        or rows_matmul(blocks, b))
     dense = _dense_blocks(_declared(rng, kinds, groups, r, dtype))
     for block in (dense, ad.gather_rows(ad.Tensor(dense), np.arange(groups * r))):
         rows_seen.clear()
@@ -558,8 +518,8 @@ def test_block_linear_is_byte_equal_to_concat_then_linear(dtype, k, leaky):
     # b, and replay, shape by shape and as one Stack of three shapes. The
     # first block tiles k slot rows that every shape shares and the second
     # takes each parent row k times in turn, a stage's [embeddings, parent
-    # reps], so the layer runs the declared kernel; k = 1 is a stage of one
-    # child per point. The rows hold -0.0, a subnormal and a NaN, and
+    # reps], which the kernel gathers a row block at a time; k = 1 is a
+    # stage of one child per point. The rows hold -0.0, a subnormal and a NaN, and
     # w[:, 0] = 0 with b[0] the negative subnormal of least magnitude puts
     # a leaky output of -0.0 over a negative pre-activation. The block
     # layer records one entry fewer per shape, and its tape holds exactly
@@ -668,21 +628,25 @@ def test_rep_update_is_byte_equal_to_tanh_of_two_matmuls(dtype, k, monkeypatch):
         data = [o.data.tobytes() for o in outs] + [g.data.tobytes() for g in grads.values()]
         return data, len(tape), tape_bytes(tape)
 
-    kernel, shared = ad._shared_matmul, []
+    kernel, seen = ad._rows_matmul, []
 
     def spy(blocks, b):
-        out = kernel(blocks, b)
-        if out is not None:
-            shared.append(blocks[0])
-        return out
+        gathered = any(isinstance(x, ad.Gathered) for x in blocks)
+        seen.append((blocks[0].shape[0], b.shape[0], gathered))
+        return kernel(blocks, b)
 
-    monkeypatch.setattr(ad, "_shared_matmul", spy)
+    monkeypatch.setattr(ad, "_rows_matmul", spy)
     kept = 3 * sum(rows) * u * np.dtype(dtype).itemsize  # two products and their sum
     for stacked, point in ((False, False), (True, False), (False, True)):
-        shared.clear()
+        seen.clear()
         data, entries, held = run(ad.rep_update, stacked, point)
-        assert bool(shared) == (not point)
-        assert all(a.shape[1] == u for a in shared)  # h's rows, never s's
+        # h @ mh.T runs once per parent row, on the rows themselves: in the
+        # forward, over the whole Stack when stacked, then in each shape's
+        # replay
+        per_shape = [1 if point else r // k for r in rows]
+        parents = ([sum(rows) // k] if stacked else per_shape) + per_shape
+        assert [n for n, inner, _ in seen if inner == u] == parents, (stacked, point)
+        assert not any(gathered for *_, gathered in seen)
         ref_data, ref_entries, ref_held = run(_rep_update_chain, stacked, point)
         assert data == ref_data, (stacked, point)
         assert entries == ref_entries - 3 * len(rows)

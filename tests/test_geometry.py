@@ -196,6 +196,61 @@ def test_kdtree_handles_all_identical_points():
     np.testing.assert_allclose(got_d, 18.75)
 
 
+def test_nearest_neighbour_scan_runs_with_the_small_buffer_and_restores_it(monkeypatch):
+    # the block scan sees the small ufunc buffer, and the caller's size
+    # comes back afterwards, also when the scan raises
+    seen = []
+    scan = geometry._exhaustive_nn
+
+    def spy(*args):
+        seen.append(np.getbufsize())
+        return scan(*args)
+
+    monkeypatch.setattr(geometry, "_exhaustive_nn", spy)
+    rng = np.random.default_rng(23)
+    q = rng.normal(size=(8, 3)).astype(np.float32)
+    t = rng.normal(size=(5, 3)).astype(np.float32)
+    outer = np.getbufsize()
+    try:
+        np.setbufsize(4096)  # any caller's size, not only the default
+        expected = nn_oracle(q, t)
+        idx, d2 = nearest_neighbors(q, t)
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(outer)
+    assert seen and all(size == geometry._UFUNC_BUFSIZE for size in seen), seen
+    assert idx.tolist() == expected[0].tolist() and d2.tobytes() == expected[1].tobytes()
+
+    def fail(*args):
+        raise ValueError("raised inside the scan")
+
+    monkeypatch.setattr(geometry, "_exhaustive_nn", fail)
+    with pytest.raises(ValueError, match="inside the scan"):
+        nearest_neighbors(q, t)
+    assert np.getbufsize() == outer
+
+
+def test_scan_buffer_size_is_restored_in_a_worker_thread():
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = np.random.default_rng(29)
+    q = rng.normal(size=(300, 3)).astype(np.float32)
+    t = rng.normal(size=(70, 3)).astype(np.float32)
+    outer = np.getbufsize()
+
+    def work():
+        before = np.getbufsize()
+        out = nearest_neighbors(q, t)
+        return before, np.getbufsize(), out
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        before, after, (idx, d2) = pool.submit(work).result()
+    assert before == after
+    assert np.getbufsize() == outer
+    ref_idx, ref_d2 = nearest_neighbors(q, t)
+    assert idx.tobytes() == ref_idx.tobytes() and d2.tobytes() == ref_d2.tobytes()
+
+
 @pytest.mark.parametrize(
     "query_dtype, target_dtype",
     [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)],

@@ -278,24 +278,26 @@ def test_shared_sibling_rows_leave_every_generate_stage_unchanged(monkeypatch):
 def test_sibling_groups_share_every_rep_column(monkeypatch):
     # a gather whose indices stop declaring the model's layout would quietly
     # fall back to full-cost products with the same bytes; pin that every
-    # stage's exp.l0 and h @ Mh^T past the root run the declared kernel on
-    # the layout the stage's branching factor gives
+    # stage's h @ Mh^T past the root runs once per parent, on the parents'
+    # rows, and that exp.l0 reads its two gathered blocks (the slot rows
+    # tiled over the parents, the parents' reps each taken k times in turn)
+    # a row block at a time, never a gathered copy
     config = m.preset("2048")
     params = m.init_parameters(config, seed=5)
     z = np.random.default_rng(53).normal(size=512).astype(np.float32)
     seen = []
-    kernel = ad._shared_matmul
+    kernel = ad._rows_matmul
 
     def record(blocks, b):
-        out = kernel(blocks, b)
-        seen.append((blocks, b.shape, out is not None))
-        return out
+        seen.append((blocks, b.shape))
+        return kernel(blocks, b)
 
-    monkeypatch.setattr(ad, "_shared_matmul", record)
+    monkeypatch.setattr(ad, "_rows_matmul", record)
     # one shape, then a forest of three expanded as one Stack per stage
     rng = np.random.default_rng(59)
     latents = [z] + [rng.normal(size=512).astype(np.float32) for _ in range(2)]
     l0_shape, u = params["exp.l0.w"].shape, config.latent_width
+    sizes = config.stage_sizes()
     for roots in (1, 3):
         seen.clear()
         if roots == 1:
@@ -303,17 +305,20 @@ def test_sibling_groups_share_every_rep_column(monkeypatch):
         else:
             with ad.shape_tapes(roots) as tapes:
                 m.expansion_graph(ad.stack([ad.Tensor(x) for x in latents], tapes), params)
-        l0 = [(blocks, ran) for blocks, shape, ran in seen if shape == l0_shape]
-        mh = [(blocks, ran) for blocks, shape, ran in seen if shape == (u, u)]
-        assert [ran for _, ran in l0] == [True] * config.stage_count
-        assert [ran for _, ran in mh] == [False] + [True] * (config.stage_count - 1)
-        assert [a[0].shape[0] for a, _ in l0] == [roots * n for n in config.stage_sizes()[1:]]
-        for (embeds, reps), k in zip((a for a, _ in l0), config.k_schedule):
+        l0 = [blocks for blocks, shape in seen if shape == l0_shape]
+        mh = [blocks for blocks, shape in seen if shape == (u, u)]
+        assert [len(b) for b in l0] == [2] * config.stage_count
+        assert [a[0].shape[0] for a in l0] == [roots * n for n in sizes[1:]]
+        for (embeds, reps), n, k in zip(l0, sizes, config.k_schedule):
+            assert isinstance(embeds, ad.Gathered) and isinstance(reps, ad.Gathered)
             assert [embeds.shape[1], reps.shape[1]] == [config.embed_width, u]
-            assert ad._takes(embeds, k, tiled=True) and ad._takes(reps, k)
-        assert not isinstance(mh[0][0][0], ad.Gathered)  # the roots' codes
-        for ((h,), _), k in zip(mh[1:], config.k_schedule):
-            assert ad._takes(h, k)
+            assert (embeds.indices == np.tile(np.arange(k), roots * n)).all()
+            assert len(reps.rows) == roots * n and ad._takes(reps, k)
+        # the roots' codes, then each stage's parents: the row count of the
+        # stage before, where the update's output has a row per point
+        assert [len(a) for a in mh] == [1] * config.stage_count
+        assert not any(isinstance(a[0], ad.Gathered) for a in mh)
+        assert [a[0].shape[0] for a in mh] == [roots * n for n in [1] + sizes[:-2]]
 
 
 def test_recorded_expansions_still_read_every_siblings_rep():
