@@ -1,8 +1,8 @@
 """A tour of the tape-based reverse-mode differentiation core.
 
-Builds a tiny computation, records it on a tape, and walks the tape
-backwards for exact gradients. Ends by replaying the tape and checking
-one gradient against finite differences.
+Builds a tiny computation from the model's own layer primitive, records
+it on a tape, and walks the tape backwards for exact gradients. Ends by
+replaying the tape and checking one gradient against finite differences.
 """
 
 import numpy as np
@@ -15,10 +15,12 @@ def main():
 
     # leaves: anything we want gradients for is marked requires_grad
     w = ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    b = ad.Tensor(rng.standard_normal(4), requires_grad=True)
     x = ad.Tensor(rng.standard_normal((5, 3)))
 
     with ad.Tape() as tape:
-        h = ad.tanh(ad.matmul(x, w))  # (5, 4)
+        # one model layer: x @ w, the bias row, a leaky ReLU, as one entry
+        h = ad.linear(x, w, b, leaky=True)  # (5, 4)
         pooled = ad.max_reduce(h, axis=0)  # strongest point per feature
         loss = ad.tensor_sum(ad.square(pooled))
 
@@ -37,7 +39,7 @@ def main():
         saved = w.data[probe]
         w.data[probe] = value
         with ad.Tape():
-            out = ad.tensor_sum(ad.square(ad.max_reduce(ad.tanh(ad.matmul(x, w)), axis=0)))
+            out = ad.tensor_sum(ad.square(ad.max_reduce(ad.linear(x, w, b, leaky=True), axis=0)))
         w.data[probe] = saved
         return float(out.data)
 

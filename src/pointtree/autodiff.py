@@ -16,52 +16,54 @@ Scope is deliberately small:
 * no higher-order derivatives, no in-place mutation of tensors that are on
   a tape.
 
-One deliberate trade: matmul does not call BLAS in the forward direction.
-It accumulates in index order along the contraction axis, so each output
-element's value is independent of the other array extents and of row
-position. That costs throughput but makes batched computation
-bit-identical to per-row computation, which turns several model guarantees
-(exact permutation invariance, exact isolated path replay) from
-approximate into exact. The loop is NumPy's einsum ("ik,kj->ij", never
-BLAS), called once per block of _ROW_BLOCK rows: it keeps the contraction
-index outside each output row, so every element gets its multiply-then-add
-chain in index order, each step rounded on its own. Two of einsum's ways
-are mended, and change no other byte: a one-column product gets a zero
-second column, which keeps einsum from summing along the contraction axis
-in another order, and an element whose every product is -0.0 gets back the
--0.0 that einsum's +0.0 start loses. Gradients still use BLAS, on one
-thread while `backward` runs: they only need determinism at fixed shapes.
+One deliberate trade: the products in linear and rep_update do not call
+BLAS in the forward direction. They accumulate in index order along the
+contraction axis, so each output element's value is independent of the
+other array extents and of row position. That costs throughput but makes
+batched computation bit-identical to per-row computation, which turns
+several model guarantees (exact permutation invariance, exact isolated path
+replay) from approximate into exact. The loop is NumPy's einsum
+("ik,kj->ij", never BLAS), called once per block of _ROW_BLOCK rows: it
+keeps the contraction index outside each output row, so every element gets
+its multiply-then-add chain in index order, each step rounded on its own.
+Two of einsum's ways are mended, and change no other byte: a one-column
+product gets a zero second column, which keeps einsum from summing along
+the contraction axis in another order, and an element whose every product
+is -0.0 gets back the -0.0 that einsum's +0.0 start loses. Gradients still
+use BLAS, on one thread while `backward` runs: they only need determinism
+at fixed shapes.
+
+The primitives are the ones the model runs, and no more. A model layer,
+x @ w then a bias row then an optional leaky ReLU, is one `linear`
+primitive: the three steps' roundings in their order, their three vjps
+back to back, and one tape entry that keeps the output and the
+pre-activation's sign, packed one bit per element, instead of three
+arrays. Its input may come as column blocks, read as if concatenated along
+axis 1 (a stage's embeddings beside its parents' representations); only
+the vjp builds the concatenation, transiently, and frees it before forming
+the input's gradient. The generator's representation update,
+tanh(s @ ms^T + h @ mh^T), is one `rep_update` primitive in the same way:
+each product against a contiguous copy of its matrix's transpose, the sum
+and the tanh in place, four vjps back to back, and one entry that keeps
+only the output. A max-pool over the rows of a 2-D tensor is
+`max_reduce(x, axis=0)`, which records no transposed copy.
 
 gather_rows returns a `Gathered` tensor that holds the input's array and
 the indices; reading its `data` gathers afresh, with the same bytes every
 time. So a stage's parent representations exist once, not once per
-sibling. linear, rep_update and matmul never gather a Gathered operand in
-full: the kernel gathers one row block at a time, column block beside
-column block. A lone operand whose indices take each row r times in turn
-(a stage's parent index, as `h @ Mh^T` reads it) is declared sibling
+sibling. linear and rep_update never gather a Gathered operand in full:
+the kernel gathers one row block at a time, column block beside column
+block. A lone operand whose indices take each row r times in turn (a
+stage's parent index, as `h @ Mh^T` reads it) is declared sibling
 structure: its product is formed once per row and repeated, the bytes of
 the gathered product. Only indices are read, never float bits.
-
-A model layer, matmul then a bias row then an optional leaky ReLU, runs as
-one `linear` primitive: the three steps' roundings in their order, the
-three vjps back to back, and one tape entry that keeps the output and the
-pre-activation's sign, packed one bit per element, instead of three arrays.
-Its input may come as column blocks, read as if concatenated along axis 1
-(a stage's embeddings beside its parents' representations); only the vjp
-builds the concatenation, transiently, and frees it before forming the
-input's gradient. A max-pool over the rows of a 2-D tensor is
-`max_reduce(x, axis=0)`, which records no transposed copy. The
-generator's representation update, tanh(s @ ms^T + h @ mh^T), is one
-`rep_update` primitive in the same way: the two products with the
-`transpose_b` rounding of matmul, added and then passed through tanh in
-place, four vjps back to back, and one entry that keeps only the output.
 
 Transients are bounded by a block. linear applies its bias, sign bits and
 leaky ReLU in place one block of whole rows at a time, and axis-0
 max_reduce reduces a contiguous transposed copy of one slab of columns at
 a time, each at most _MATMUL_BLOCK elements (or one row or column); the
-matmul kernel gathers its operand _ROW_BLOCK rows at a time. So no forward
-makes a second output-sized array, and each byte is the one the
+product kernel gathers its operand _ROW_BLOCK rows at a time. So no
+forward makes a second output-sized array, and each byte is the one the
 whole-array steps give.
 
 A tape may be consumed by `backward` any number of times; it is a pure
@@ -71,15 +73,15 @@ Several shapes can be computed as one `Stack` (their tensors stacked along
 axis 0, one tape per shape): a primitive runs once over all rows and
 records one entry per shape on that shape's tape, the entry a call on that
 shape's rows alone would record. Only row-separable kinds accept a Stack:
-matmul (a 2-D Stack first operand, the other plain), linear (every column
-block a 2-D Stack over the same shapes and rows, w and b plain), rep_update
-(s and h 2-D Stacks over the same shapes and rows, ms and mh plain), the
-elementwise kinds against a Stack of the same shapes or a plain row,
-last-axis norm and max_reduce of a 2-D Stack, concat along axis 1, reshape
-that keeps each shape's rows whole, and gather_rows whose indices take each
-shape's rows from that shape, in shape order; a gathered Stack is a
-`Gathered` too. transpose, sum, mean, axis-0 concat, axis-0 max_reduce and
-a reduction of a 1-D Stack raise: they would mix shapes.
+linear (every column block a 2-D Stack over the same shapes and rows, w
+and b plain), rep_update (s and h 2-D Stacks over the same shapes and
+rows, ms and mh plain), the elementwise kinds against a Stack of the same
+shapes or a plain row, last-axis norm and max_reduce of a 2-D Stack,
+concat along axis 1, reshape that keeps each shape's rows whole, and
+gather_rows whose indices take each shape's rows from that shape, in shape
+order; a gathered Stack is a `Gathered` too. sum, mean, axis-0 concat,
+axis-0 max_reduce and a reduction of a 1-D Stack raise: they would mix
+shapes.
 """
 
 from __future__ import annotations
@@ -92,9 +94,9 @@ import os
 
 import numpy as np
 
-LEAKY_SLOPE = 0.2  # fixed negative slope for leaky_relu
-_MATMUL_BLOCK = 65536  # elements per matmul, linear or max_reduce block (256 KB of float32)
-_ROW_BLOCK = 32  # rows of `a` per einsum call in the fixed-order matmul
+LEAKY_SLOPE = 0.2  # negative slope of linear's leaky ReLU
+_MATMUL_BLOCK = 65536  # elements per product, linear or max_reduce block (256 KB of float32)
+_ROW_BLOCK = 32  # rows of `a` per einsum call in the fixed-order product
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -420,56 +422,46 @@ def _vjp_scale(grad, arrays, saved, attrs):
     return (grad * a.dtype.type(attrs["factor"]),)
 
 
-def _fwd_matmul(arrays, attrs):
-    # Accumulates strictly in index order along the contraction axis
-    # (`_rows_matmul`). Each output element is then a fixed chain of
-    # multiply-then-add roundings that depends only on the participating
-    # operand values, never on the other extents or on row position. Batched
-    # products therefore agree bit-for-bit with their per-row counterparts,
-    # which several structural guarantees of the generator lean on (exact
-    # encoder permutation invariance, exact isolated replay of one point's
-    # expansion path). BLAS would not give that.
-    #
-    # 1-D operands run as one-row or one-column 2-D products, which form the
-    # same chains. With `transpose_b` the product is a @ b.T, formed from a
-    # contiguous copy of b.T exactly as a separate transpose would have made
-    # it.
-    a, b = arrays
-    return _block_matmul([a], b, attrs), None
-
-
 def _dense(x):
     # an operand as an array: a Gathered's rows gathered in full
     return x.data if isinstance(x, Gathered) else x
 
 
-def _block_matmul(blocks, b, attrs):
-    # concatenate(blocks, axis=1) @ b. One block may be 1-D; several are 2-D
-    # with one row count. A lone Gathered block that takes each of its rows
-    # r times in turn (a stage's parent index) has its product formed once
-    # per row and repeated; every other operand is gathered and
-    # concatenated one row block at a time inside the kernel.
+def _block_matmul(kind, blocks, b, transpose_b=False):
+    # concatenate(blocks, axis=1) @ b, or @ b.T with `transpose_b`, for the
+    # primitive `kind`. b is 2-D; one block may be 1-D, several are 2-D with
+    # one row count. With `transpose_b` the product reads a contiguous copy
+    # of b.T. A lone Gathered block that takes each of its rows r times in
+    # turn (a stage's parent index) has its product formed once per row
+    # and repeated; every other operand is gathered and concatenated one
+    # row block at a time inside the kernel.
+    #
+    # Each output element is a fixed chain of multiply-then-add roundings
+    # in index order (`_rows_matmul`) that depends only on the participating
+    # operand values, never on the other extents or on row position, so
+    # batched products agree bit for bit with their per-row counterparts. A
+    # 1-D block runs as one row, which forms the same chains.
     a = blocks[0]
     arrays = (*blocks, b)
-    if attrs.get("transpose_b"):
-        if b.ndim != 2:
-            _shape_error("matmul", arrays, "a transposed b must be 2-D")
-        b = np.ascontiguousarray(b.T)
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        _shape_error("matmul", arrays, "operands must be 1-D or 2-D")
+    if b.ndim != 2:
+        _shape_error(kind, arrays, "the matrix must be 2-D")
+    if transpose_b:
+        b = b.T
+    if a.ndim not in (1, 2):
+        _shape_error(kind, arrays, "operands must be 1-D or 2-D")
     if len(blocks) > 1 and any(x.ndim != 2 or x.shape[0] != a.shape[0] for x in blocks):
-        _shape_error("matmul", arrays, "column blocks must be 2-D with equal row counts")
+        _shape_error(kind, arrays, "column blocks must be 2-D with equal row counts")
     inner = sum(x.shape[-1] for x in blocks)
     if inner != b.shape[0]:
-        _shape_error("matmul", arrays, "inner dimensions differ")
+        _shape_error(kind, arrays, "inner dimensions differ")
     if inner == 0:
-        _shape_error("matmul", arrays, "empty contraction axis")
-    b2 = np.ascontiguousarray(b.reshape(inner, -1))
+        _shape_error(kind, arrays, "empty contraction axis")
+    b = np.ascontiguousarray(b)
     r = len(a.indices) // len(a.rows) if isinstance(a, Gathered) and len(a.rows) else 0
     if len(blocks) == 1 and _takes(a, r):
-        out = np.repeat(_rows_matmul([a.rows], b2), r, axis=0)
+        out = np.repeat(_rows_matmul([a.rows], b), r, axis=0)
     else:
-        out = _rows_matmul([x if x.ndim == 2 else _dense(x).reshape(1, inner) for x in blocks], b2)
+        out = _rows_matmul([x if x.ndim == 2 else _dense(x).reshape(1, inner) for x in blocks], b)
     return out.reshape(a.shape[:-1] + b.shape[1:])
 
 
@@ -541,29 +533,25 @@ def _takes(x, r):
     return isinstance(x, Gathered) and x.ndim == 2 and _runs(x.indices, x.rows.shape[0], r)
 
 
-def _vjp_matmul(grad, arrays, saved, attrs):
-    a, b = arrays
-    if attrs.get("transpose_b"):
+def _vjp_matmul(grad, a, b, transpose_b=False):
+    # the gradients of a @ b for a 2-D b and a 1-D or 2-D a, on BLAS
+    if transpose_b:
         # the gradient of the copy b.T the forward used, then the copy a
-        # transpose's own vjp would make
-        ga, gbt = _vjp_matmul(grad, (a, np.ascontiguousarray(b.T)), saved, {})
+        # separate transpose's vjp would make
+        ga, gbt = _vjp_matmul(grad, a, np.ascontiguousarray(b.T))
         return ga, np.ascontiguousarray(gbt.T)
-    if a.ndim == 2 and b.ndim == 2:
+    if a.ndim == 2:
         return grad @ b.T, a.T @ grad
-    if a.ndim == 2 and b.ndim == 1:
-        return np.outer(grad, b), a.T @ grad
-    if a.ndim == 1 and b.ndim == 2:
-        return b @ grad, np.outer(a, grad)
-    return grad * b, grad * a  # 1-D @ 1-D, grad is scalar
+    return b @ grad, np.outer(a, grad)
 
 
 def _fwd_linear(arrays, attrs):
     # x @ w on the fixed-order kernel, then the bias row and the optional
     # leaky ReLU applied in place: each element gets exactly the bytes of
-    # leaky_relu(add(matmul(x, w), b)). `x` may arrive as several column
-    # blocks (arrays[:-2]), read as their concatenation along axis 1, each
-    # maybe a Gathered. Only the output and, when leaky, the sign
-    # of the pre-activation are kept for the vjp, packed eight elements to a
+    # the three steps, each rounded on its own. `x` may arrive as several
+    # column blocks (arrays[:-2]), read as their concatenation along axis 1,
+    # each maybe a Gathered. Only the output and, when leaky, the sign of
+    # the pre-activation are kept for the vjp, packed eight elements to a
     # byte along each row. The sign comes from the pre-activation: a tiny
     # negative value times the slope can round to -0.0, which reads as
     # non-negative.
@@ -582,7 +570,7 @@ def _fwd_linear(arrays, attrs):
     *blocks, w, b = arrays
     if not blocks or w.ndim != 2 or b.shape != w.shape[1:]:
         _shape_error("linear", arrays, "needs x, a 2-D w and b a row as wide as w")
-    out = _block_matmul(blocks, w, attrs)
+    out = _block_matmul("linear", blocks, w)
     if not attrs.get("leaky"):
         out += b
         return out, None
@@ -605,11 +593,12 @@ def _leaky_slopes(keep, dtype):
 
 
 def _vjp_linear(grad, arrays, saved, attrs):
-    # the vjps of leaky_relu, add and matmul in turn, as the three entries
-    # would have run them back to back. Several column blocks are written
-    # once into the concatenation the BLAS products read, a block of
-    # repeated parent rows by broadcast from them; their gradients are
-    # column views of gx, the values concat's vjp would copy out.
+    # the vjps of the leaky ReLU, the bias add and the product in turn, as
+    # three separate steps would run them back to back. Several column
+    # blocks are written once into the concatenation the BLAS products
+    # read, a block of repeated parent rows by broadcast from them; their
+    # gradients are column views of gx, the values a concat's vjp would
+    # copy out.
     #
     # The gradient is multiplied into the array of slopes, never into
     # `grad`, which add's vjp may have handed to another input too; and the
@@ -620,7 +609,7 @@ def _vjp_linear(grad, arrays, saved, attrs):
         grad = np.multiply(grad, slopes, out=slopes)
     gb = _unbroadcast(grad, b.shape)
     if len(blocks) == 1:
-        return (*_vjp_matmul(grad, (_dense(blocks[0]), w), None, {}), gb)
+        return (*_vjp_matmul(grad, _dense(blocks[0]), w), gb)
     x = np.empty((grad.shape[0], w.shape[0]), dtype=w.dtype)
     edges = np.cumsum([0] + [blk.shape[1] for blk in blocks]).tolist()
     for blk, c0, c1 in zip(blocks, edges, edges[1:]):
@@ -636,13 +625,13 @@ def _vjp_linear(grad, arrays, saved, attrs):
 
 
 def _fwd_rep_update(arrays, attrs):
-    # tanh(s @ ms.T + h @ mh.T): the two fixed-order products, both with
-    # `transpose_b`, then the add and the tanh in place, so each element
-    # gets the bytes of tanh(add(matmul(s, ms), matmul(h, mh))). Only the
+    # tanh(s @ ms.T + h @ mh.T): the two fixed-order products, each against
+    # a contiguous copy of its matrix's transpose, then the add and the tanh
+    # in place, so each element gets the bytes of the four steps. Only the
     # output is kept, which tanh's vjp reads.
     s, h, ms, mh = arrays
-    out = _block_matmul([s], ms, {"transpose_b": True})
-    shared = _block_matmul([h], mh, {"transpose_b": True})
+    out = _block_matmul("rep_update", [s], ms, transpose_b=True)
+    shared = _block_matmul("rep_update", [h], mh, transpose_b=True)
     if out.shape != shared.shape:
         _shape_error("rep_update", arrays, "s @ ms.T and h @ mh.T differ in shape")
     out += shared
@@ -651,23 +640,20 @@ def _fwd_rep_update(arrays, attrs):
 
 
 def _vjp_rep_update(grad, arrays, saved, attrs):
-    # the vjps of tanh, add and the two matmuls, in the order the four
-    # entries ran them; add passes its gradient to both products unchanged
+    # the vjps of tanh, the add and the two products, in the order four
+    # separate steps would run them; the add passes its gradient to both
+    # products unchanged
     s, h, ms, mh = arrays
     s, h = _dense(s), _dense(h)
-    (grad,) = _vjp_tanh(grad, None, saved, None)
-    gh, gmh = _vjp_matmul(grad, (h, mh), None, {"transpose_b": True})
-    gs, gms = _vjp_matmul(grad, (s, ms), None, {"transpose_b": True})
+    grad = _vjp_tanh(grad, saved)
+    gh, gmh = _vjp_matmul(grad, h, mh, transpose_b=True)
+    gs, gms = _vjp_matmul(grad, s, ms, transpose_b=True)
     return gs, gh, gms, gmh
 
 
-def _fwd_tanh(arrays, attrs):
-    out = np.tanh(arrays[0])
-    return out, out
-
-
-def _vjp_tanh(grad, arrays, saved, attrs):
-    return (grad * (1.0 - saved * saved),)
+def _vjp_tanh(grad, out):
+    # the gradient through tanh, read from its output
+    return grad * (1.0 - out * out)
 
 
 def _fwd_sigmoid(arrays, attrs):
@@ -689,17 +675,6 @@ def _fwd_exp(arrays, attrs):
 
 def _vjp_exp(grad, arrays, saved, attrs):
     return (grad * saved,)
-
-
-def _fwd_leaky_relu(arrays, attrs):
-    x = arrays[0]
-    return np.where(x >= 0, x, x.dtype.type(LEAKY_SLOPE) * x), None
-
-
-def _vjp_leaky_relu(grad, arrays, saved, attrs):
-    x = arrays[0]
-    # slope 1 on the boundary x == 0
-    return (grad * _leaky_slopes((x >= 0).view(np.uint8), x.dtype),)
 
 
 def _fwd_square(arrays, attrs):
@@ -751,10 +726,10 @@ def _fwd_max_reduce(arrays, attrs):
     # array; ties route to the lowest index (argmax takes the first
     # occurrence). Axis 0 reduces contiguous copies of x.T, which the tape
     # never keeps: NumPy's strided and contiguous max reductions break a
-    # tie between 0.0 and -0.0 differently, and this keeps the bytes of
-    # max_reduce(transpose(x)). The copies are made one slab of columns at
-    # a time (at most _MATMUL_BLOCK elements, or one column); each column
-    # still reduces along one contiguous row.
+    # tie between 0.0 and -0.0 differently, and this keeps the bytes of a
+    # last-axis max_reduce of one contiguous copy of x.T. The copies are
+    # made one slab of columns at a time (at most _MATMUL_BLOCK elements, or
+    # one column); each column still reduces along one contiguous row.
     x = arrays[0]
     axis0 = attrs.get("axis", -1) == 0
     if axis0 and x.ndim != 2:
@@ -816,17 +791,6 @@ def _vjp_reshape(grad, arrays, saved, attrs):
     return (grad.reshape(arrays[0].shape),)
 
 
-def _fwd_transpose(arrays, attrs):
-    x = arrays[0]
-    if x.ndim != 2:
-        _shape_error("transpose", arrays, "operand must be 2-D")
-    return np.ascontiguousarray(x.T), None
-
-
-def _vjp_transpose(grad, arrays, saved, attrs):
-    return (np.ascontiguousarray(grad.T),)
-
-
 def _fwd_gather_rows(arrays, attrs):
     # what `replay` recomputes; apply_primitive checks the indices and
     # returns a Gathered instead
@@ -852,17 +816,14 @@ def _vjp_gather_rows(grad, arrays, saved, attrs):
 
 
 _REGISTRY = {
-    "matmul": (_fwd_matmul, _vjp_matmul),
     "linear": (_fwd_linear, _vjp_linear),
     "rep_update": (_fwd_rep_update, _vjp_rep_update),
     "add": (_fwd_add, _vjp_add),
     "mul": (_fwd_mul, _vjp_mul),
     "scale": (_fwd_scale, _vjp_scale),
     "div": (_fwd_div, _vjp_div),
-    "tanh": (_fwd_tanh, _vjp_tanh),
     "sigmoid": (_fwd_sigmoid, _vjp_sigmoid),
     "exp": (_fwd_exp, _vjp_exp),
-    "leaky_relu": (_fwd_leaky_relu, _vjp_leaky_relu),
     "square": (_fwd_square, _vjp_square),
     "norm": (_fwd_norm, _vjp_norm),
     "sum": (_fwd_sum, _vjp_sum),
@@ -870,7 +831,6 @@ _REGISTRY = {
     "max_reduce": (_fwd_max_reduce, _vjp_max_reduce),
     "concat": (_fwd_concat, _vjp_concat),
     "reshape": (_fwd_reshape, _vjp_reshape),
-    "transpose": (_fwd_transpose, _vjp_transpose),
     "gather_rows": (_fwd_gather_rows, _vjp_gather_rows),
 }
 
@@ -880,7 +840,7 @@ def apply_primitive(kind: str, inputs, **attrs) -> Tensor:
 
     Recording happens only when a tape is active and at least one input has
     `requires_grad`. Attribute arguments (`axis`, `shape`, `indices`,
-    `factor`, `transpose_b`, `leaky`) parameterize the primitive and are
+    `factor`, `leaky`) parameterize the primitive and are
     never differentiated. With a `Stack` among the inputs the primitive runs
     once for all its shapes and records on the shapes' own tapes instead.
     gather_rows returns a `Gathered` tensor.
@@ -917,7 +877,7 @@ def _operands(kind, inputs):
     # what a primitive's forward and vjp compute on: each input's data,
     # except that linear's column blocks and rep_update's s and h pass a
     # Gathered as it is, for its declared structure
-    split = _ROW_OPERANDS[kind] if kind in ("linear", "rep_update") else 0
+    split = _ROW_OPERANDS.get(kind, 0)
     rows = [t if isinstance(t, Gathered) else t.data for t in inputs[:split]]
     return rows + [t.data for t in inputs[split:]]
 
@@ -925,11 +885,11 @@ def _operands(kind, inputs):
 # kinds whose every output row comes from one input row (or one row block
 # of the leading axis), so a Stack's shapes stay apart
 _ROW_SEPARABLE = frozenset((
-    "matmul", "linear", "rep_update", "add", "mul", "scale", "div", "tanh", "sigmoid",
-    "exp", "leaky_relu", "square", "norm", "max_reduce", "concat", "reshape", "gather_rows",
+    "linear", "rep_update", "add", "mul", "scale", "div", "sigmoid", "exp", "square",
+    "norm", "max_reduce", "concat", "reshape", "gather_rows",
 ))
 # kinds with weights: inputs[:n] must be 2-D Stack rows and the rest plain
-_ROW_OPERANDS = {"matmul": 1, "linear": -2, "rep_update": 2}
+_ROW_OPERANDS = {"linear": -2, "rep_update": 2}
 
 
 def _apply_stacked(kind, inputs, arrays, attrs, fwd):
@@ -1105,23 +1065,15 @@ def _backward(loss, tape, leaves):
 # ---------------------------------------------------------------------------
 
 
-def matmul(a, b, transpose_b: bool = False):
-    """`a @ b`, or `a @ b.T` with `transpose_b`, on the fixed-order kernel.
-
-    `transpose_b` gives the bytes of `matmul(a, transpose(b))`, forward and
-    gradients, without recording the transpose.
-    """
-    attrs = {"transpose_b": True} if transpose_b else {}
-    return apply_primitive("matmul", (a, b), **attrs)
-
-
 def linear(x, w, b, leaky: bool = False):
-    """`add(matmul(x, w), b)`, then `leaky_relu` when `leaky`.
+    """`x @ w + b` on the fixed-order kernel, then a leaky ReLU of slope
+    LEAKY_SLOPE when `leaky`.
 
-    One primitive with the same bytes as that chain, forward and gradients,
-    but one tape entry that keeps only the output and, when leaky, the sign
-    of the pre-activation, one bit per element. `w` is 2-D and `b` one row
-    as wide as `w`. `x` may be a list of 2-D column blocks with one row
+    One primitive with the bytes of those steps done one after another,
+    each rounded on its own, forward and gradients, but one tape entry
+    that keeps only the output and, when leaky, the sign of the
+    pre-activation, one bit per element. `w` is 2-D and `b` one row as
+    wide as `w`. `x` may be a list of 2-D column blocks with one row
     count, read as `concat(x, axis=1)` with that concat's gradients; the
     entry's inputs are then the blocks, then `w` and `b`, and no
     concatenated copy is kept; the kernel gathers `gather_rows` blocks a
@@ -1134,13 +1086,15 @@ def linear(x, w, b, leaky: bool = False):
 
 
 def rep_update(s, h, ms, mh):
-    """`tanh(add(matmul(s, ms, transpose_b=True), matmul(h, mh,
-    transpose_b=True)))` as one primitive.
+    """`tanh(s @ ms.T + h @ mh.T)` as one primitive, both products on the
+    fixed-order kernel.
 
-    The same bytes as that chain, forward and gradients, but one tape entry
-    that keeps only the output. s and h are both 1-D, or both 2-D with one
-    row per point. An h gathered by repeating each parent row r times has
-    its product formed once per parent and repeated, and is never gathered.
+    The bytes of the four steps done one after another, each product
+    against a contiguous copy of its matrix's transpose, forward and
+    gradients, but one tape entry that keeps only the output. s and h are
+    both 1-D, or both 2-D with one row per point. An h gathered by
+    repeating each parent row r times has its product formed once per
+    parent and repeated, and is never gathered.
     """
     return apply_primitive("rep_update", (s, h, ms, mh))
 
@@ -1161,20 +1115,12 @@ def div(a, b):
     return apply_primitive("div", (a, b))
 
 
-def tanh(a):
-    return apply_primitive("tanh", (a,))
-
-
 def sigmoid(a):
     return apply_primitive("sigmoid", (a,))
 
 
 def exp(a):
     return apply_primitive("exp", (a,))
-
-
-def leaky_relu(a):
-    return apply_primitive("leaky_relu", (a,))
 
 
 def square(a):
@@ -1208,10 +1154,6 @@ def concat(tensors, axis: int = 0):
 
 def reshape(a, shape):
     return apply_primitive("reshape", (a,), shape=tuple(int(s) for s in shape))
-
-
-def transpose(a):
-    return apply_primitive("transpose", (a,))
 
 
 def gather_rows(a, indices):

@@ -14,8 +14,8 @@ Because children occupy contiguous output slots, the stages form an
 explicit tree; labelling leaves by their ancestor at a chosen stage yields
 an unsupervised part segmentation.
 
-Everything here is built from the autodiff primitives, whose matmul
-accumulates in fixed index order. Batched stage computation is therefore
+Everything here is built from the autodiff primitives, whose products
+accumulate in fixed index order. Batched stage computation is therefore
 bit-identical to expanding one point at a time, and the encoder is exactly
 permutation invariant, not approximately so.
 """

@@ -483,3 +483,68 @@ def test_expansion_graph_validates_latent_shape():
         m.expansion_graph(np.zeros(5), params)
     with pytest.raises(ValueError):
         m.encode(np.zeros((4, 2)), params)
+
+
+def _openblas_corename():
+    # the kernel family the OpenBLAS bundled in NumPy's wheel runs, or None
+    # when there is no such library or it lacks the call
+    import ctypes
+    import glob
+    import os
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+def inference_digest():
+    """sha256 over a table's plain and variational inference: every stage's
+    points and radii of the generated tree, and the Chamfer distance to the
+    table, from small configs at their initial weights."""
+    import hashlib
+
+    from pointtree.geometry import chamfer_distance
+
+    digest = hashlib.sha256()
+    table = dataio.synth_shape("table", 256, seed=5)
+    for vae in (False, True):
+        config = m.GeneratorConfig(k_schedule=(4, 4, 4), latent_width=32, embed_width=16,
+                                   mlp_hidden=(32, 32), vae_mode=vae)
+        params = m.init_parameters(config, seed=3)
+        code = m.encode(table, params)
+        trace = m.generate((code[0] if vae else code).data, params)
+        for stage in trace.stages:
+            digest.update(stage.points.tobytes() + stage.scales.tobytes())
+        digest.update(np.float64(chamfer_distance(trace.leaf_points(), table.points)[0]).tobytes())
+    return digest.hexdigest()
+
+
+def test_inference_bytes_are_equal_across_blas_kernel_families():
+    # the forward never calls BLAS: encoding, generation and Chamfer scoring
+    # give the same bytes when OpenBLAS runs another CPU family's kernels,
+    # which would round a BLAS product differently. Each family runs in a
+    # child process, since OpenBLAS picks its kernels when it loads
+    import os
+    import subprocess
+    import sys
+
+    if _openblas_corename() is None:
+        pytest.skip("NumPy's OpenBLAS does not report its kernel family")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    script = ("import test_model as t; "
+              "print(t._openblas_corename(), t.inference_digest())")
+    expected = inference_digest()
+    for family in ("Prescott", "Nehalem"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=family,
+                   PYTHONPATH=os.pathsep.join([tests, src, os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.run([sys.executable, "-c", script], env=env, cwd=tests,
+                               capture_output=True, text=True, timeout=120, check=True)
+        corename, digest = child.stdout.split()
+        assert digest == expected, (family, corename, _openblas_corename())

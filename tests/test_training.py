@@ -9,6 +9,7 @@ from pointtree import dataio, geometry, training
 from pointtree import model as m
 from gradcheck import check_param_grads
 from tapecheck import stored_arrays, tape_bytes, traced_peak
+import unfused
 
 
 def tiny_config(vae=False):
@@ -171,9 +172,10 @@ def test_forest_step_gradients_equal_the_unfused_chain(monkeypatch):
     # stage's exp.l0 and the next stage's h @ Mh^T. Their per-sibling
     # gradients are added first, and only then does the parent-index
     # gather sum them per parent. A recorded forest step must give every
-    # parameter gradient of the unfused chain byte for byte: the gathered
-    # representations read in full, then concat, matmul, add, leaky_relu
-    # and tanh as entries of their own
+    # parameter gradient of the unfused reference chain (`unfused`) byte for
+    # byte: the gathered representations read in full, then concat, the
+    # index-order product, add, leaky ReLU and tanh as entries of their
+    # own, shape by shape
     gen = m.GeneratorConfig(k_schedule=(3, 4, 2), latent_width=16, embed_width=8,
                             mlp_hidden=(24, 12))
     params = m.init_parameters(gen, seed=4)
@@ -187,23 +189,15 @@ def test_forest_step_gradients_equal_the_unfused_chain(monkeypatch):
         grads = ad.backward(loss, tape, leaves=leaves)
         return [grads[t].data.tobytes() for t in leaves], Counter(e.kind for e in tape.entries)
 
-    def linear(x, w, b, leaky=False):
-        x = ad.concat(list(x), axis=1) if isinstance(x, (list, tuple)) else x
-        y = ad.add(ad.matmul(x, w), b)
-        return ad.leaky_relu(y) if leaky else y
-
-    def rep_update(s, h, ms, mh):
-        products = ad.matmul(s, ms, transpose_b=True), ad.matmul(h, mh, transpose_b=True)
-        return ad.tanh(ad.add(*products))
-
     fused, kinds = step()
     assert kinds["rep_update"] == len(batch) * gen.stage_count
-    monkeypatch.setattr(ad, "linear", linear)
-    monkeypatch.setattr(ad, "rep_update", rep_update)
-    monkeypatch.setattr(ad, "_operands", lambda kind, inputs: [t.data for t in inputs])
-    unfused, kinds = step()
+    unfused.install(monkeypatch)
+    monkeypatch.setattr(ad, "linear", unfused.by_shape(unfused.linear_chain))
+    monkeypatch.setattr(ad, "rep_update", unfused.by_shape(unfused.rep_update_chain))
+    chain, kinds = step()
     assert kinds["linear"] == kinds["rep_update"] == 0 and kinds["concat"] > 0
-    assert fused == unfused
+    assert kinds["matmul"] > 0 and kinds["leaky_relu"] > 0 and kinds["tanh"] > 0
+    assert fused == chain
 
 
 @pytest.mark.parametrize("vae", [False, True])
@@ -233,9 +227,10 @@ def test_every_layer_records_one_linear_entry_per_shape(vae):
 
 @pytest.mark.parametrize("vae", [False, True])
 def test_step_tape_keeps_no_transposed_or_concatenated_layer_input(vae):
-    # the acceptance overfit setup: pooling records no transpose, no concat
-    # output feeds a layer, and each leaky layer keeps its sign mask packed
-    # eight elements to a byte along each row
+    # the acceptance overfit setup: max_reduce runs once per shape to pool
+    # and once per shape and stage for the offset floor, no concat output
+    # feeds a layer, and each leaky layer keeps its sign mask packed eight
+    # elements to a byte along each row
     gen = m.GeneratorConfig(k_schedule=(4, 4, 4), latent_width=64, embed_width=32,
                             mlp_hidden=(128, 128), vae_mode=vae)
     params = m.init_parameters(gen, seed=0)
@@ -243,7 +238,7 @@ def test_step_tape_keeps_no_transposed_or_concatenated_layer_input(vae):
     with ad.Tape() as tape:
         training.total_loss(params, batch, training.TrainConfig(), rng=np.random.default_rng(1))
     kinds = Counter(e.kind for e in tape.entries)
-    assert kinds["transpose"] == 0 and kinds["max_reduce"] == len(batch) * (1 + gen.stage_count)
+    assert kinds["max_reduce"] == len(batch) * (1 + gen.stage_count)
     concatenated = {id(e.output) for e in tape.entries if e.kind == "concat"}
     masks = 0
     for e in tape.entries:
@@ -641,3 +636,28 @@ def test_a_manifest_shape_no_array_can_hold_names_the_file(tmp_path, entry, shap
     huge.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + body)
     with pytest.raises(ValueError, match=re.escape(f"huge.rpgk: {message}")):
         training.load_checkpoint(huge)
+
+
+def test_the_model_applies_exactly_the_registered_kinds(monkeypatch):
+    # a plain and a variational training step with backward, and a
+    # generation from each, apply every kind in the registry and no other:
+    # a primitive the model stops using cannot stay behind unnoticed
+    applied = set()
+    apply = ad.apply_primitive
+
+    def spy(kind, inputs, **attrs):
+        applied.add(kind)
+        return apply(kind, inputs, **attrs)
+
+    monkeypatch.setattr(ad, "apply_primitive", spy)
+    batch = small_dataset(2, n_points=12)
+    for vae in (False, True):
+        gen = m.GeneratorConfig(k_schedule=(2, 3), latent_width=8, embed_width=4,
+                                mlp_hidden=(8,), vae_mode=vae)
+        params = m.init_parameters(gen, seed=0)
+        with ad.Tape() as tape:
+            loss, _ = training.total_loss(params, batch, training.TrainConfig(),
+                                          rng=np.random.default_rng(0))
+        ad.backward(loss, tape)
+        m.generate(np.zeros(gen.latent_width, dtype=np.float32), params)
+    assert applied == set(ad._REGISTRY)
