@@ -46,13 +46,13 @@ def main():
     # distance 0.25 in both directions, so CD = 0.25 + 0.25 = 0.5
     p = np.array([[0.0, 0, 0], [1.0, 0, 0]], dtype=np.float32)
     q = np.array([[0.5, 0, 0]], dtype=np.float32)
-    cd, _ = geometry.chamfer_distance(p, q)
+    cd = geometry.chamfer_distance(p, q)
     print(f"hand case A: CD = {cd} (expected 0.5)")
 
     # hand case 2: single points 5 apart (a 3-4-5 triangle), 25 each way
     a = np.array([[0.0, 0, 0]], dtype=np.float32)
     b = np.array([[3.0, 4.0, 0]], dtype=np.float32)
-    cd2, _ = geometry.chamfer_distance(a, b)
+    cd2 = geometry.chamfer_distance(a, b)
     print(f"hand case B: CD = {cd2} (expected 50.0)")
 
     # normalization maps any cloud into the unit ball, centered

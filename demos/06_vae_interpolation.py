@@ -47,10 +47,10 @@ def main():
     steps = dataio.interpolate_latents(mu_a.data, mu_b.data, steps=5)
     decoded = [model.generate(z, params).leaf_points() for z in steps]
 
-    endpoint_cd, _ = geometry.chamfer_distance(decoded[0], decoded[-1])
+    endpoint_cd = geometry.chamfer_distance(decoded[0], decoded[-1])
     print(f"endpoint CD {endpoint_cd:.4f}; consecutive steps:")
     for i in range(len(decoded) - 1):
-        cd, _ = geometry.chamfer_distance(decoded[i], decoded[i + 1])
+        cd = geometry.chamfer_distance(decoded[i], decoded[i + 1])
         print(f"  step {i} -> {i + 1}: CD {cd:.4f}")
     print("small consecutive jumps relative to the endpoint gap = smooth morph")
 

@@ -22,16 +22,19 @@ contraction axis, so each output element's value is independent of the
 other array extents and of row position. That costs throughput but makes
 batched computation bit-identical to per-row computation, which turns
 several model guarantees (exact permutation invariance, exact isolated path
-replay) from approximate into exact. The loop is NumPy's einsum
-("ik,kj->ij", never BLAS), called once per block of _ROW_BLOCK rows: it
-keeps the contraction index outside each output row, so every element gets
-its multiply-then-add chain in index order, each step rounded on its own.
-Two of einsum's ways are mended, and change no other byte: a one-column
-product gets a zero second column, which keeps einsum from summing along
-the contraction axis in another order, and an element whose every product
-is -0.0 gets back the -0.0 that einsum's +0.0 start loses. Gradients still
-use BLAS, on one thread while `backward` runs: they only need determinism
-at fixed shapes.
+replay) from approximate into exact. The loop is NumPy's einsum (never
+BLAS), called once per block of _ROW_BLOCK rows held transposed, as
+"ki,kj->ij": the contraction index is the outermost loop, so every element
+gets its multiply-then-add chain in index order, each step rounded on its
+own, while one row of the matrix and the block's output stay hot. Outputs
+narrower than a row block run as "ki,kj->ji" into a transposed tile, so the
+innermost loop runs over the block's rows instead of two or three columns;
+the chains are the same. Two of einsum's ways are mended, and change no
+other byte: a one-column product gets a zero second column, which keeps
+einsum from summing along the contraction axis in another order, and an
+element whose every product is -0.0 gets back the -0.0 that einsum's +0.0
+start loses. Gradients still use BLAS, on one thread while `backward`
+runs: they only need determinism at fixed shapes.
 
 The primitives are the ones the model runs, and no more. A model layer,
 x @ w then a bias row then an optional leaky ReLU, is one `linear`
@@ -53,15 +56,22 @@ the indices; reading its `data` gathers afresh, with the same bytes every
 time. So a stage's parent representations exist once, not once per
 sibling. linear and rep_update never gather a Gathered operand in full:
 the kernel gathers one row block at a time, column block beside column
-block. A lone operand whose indices take each row r times in turn (a
-stage's parent index, as `h @ Mh^T` reads it) is declared sibling
-structure: its product is formed once per row and repeated, the bytes of
-the gathered product. Only indices are read, never float bits.
+block. Two layouts are declared sibling structure, and keep the bytes of
+the gathered product. A lone operand whose indices take each row r times
+in turn (a stage's parent index, as `h @ Mh^T` reads it) has its product
+formed once per row and repeated. The blocks [slot rows tiled over the
+parents, the parents' rows each taken k times in turn] (exp.l0's input)
+form each slot's chain over the embedding columns once per stage, k rows
+rather than one per child, and every child's chain continues from its
+slot's prefix over its parent's row: a sum started at +0.0, as einsum's
+is, never holds -0.0, so 0 + 1 * prefix is the prefix exactly. Only
+indices are read, never float bits.
 
 Transients are bounded by a block. linear applies its bias, sign bits and
-leaky ReLU in place one block of whole rows at a time, and axis-0
-max_reduce reduces a contiguous transposed copy of one slab of columns at
-a time, each at most _MATMUL_BLOCK elements (or one row or column); the
+leaky ReLU in place one block of whole rows at a time; axis-0 max_reduce
+finds its indices one slab of rows at a time and re-reduces the columns
+whose max is 0 or NaN from contiguous copies, one slab of columns at a
+time; each is at most _MATMUL_BLOCK elements (or one row or column). The
 product kernel gathers its operand _ROW_BLOCK rows at a time. So no
 forward makes a second output-sized array, and each byte is the one the
 whole-array steps give.
@@ -431,16 +441,21 @@ def _block_matmul(kind, blocks, b, transpose_b=False):
     # concatenate(blocks, axis=1) @ b, or @ b.T with `transpose_b`, for the
     # primitive `kind`. b is 2-D; one block may be 1-D, several are 2-D with
     # one row count. With `transpose_b` the product reads a contiguous copy
-    # of b.T. A lone Gathered block that takes each of its rows r times in
-    # turn (a stage's parent index) has its product formed once per row
-    # and repeated; every other operand is gathered and concatenated one
-    # row block at a time inside the kernel.
+    # of b.T. Two layouts of Gathered blocks, read from the indices alone,
+    # are sibling structure: a lone block that takes each of its rows r
+    # times in turn (a stage's parent index) has its product formed once per
+    # row and repeated, and [slot rows tiled over m parents, the parents'
+    # rows each taken k times in turn] (`_slot_count`) forms each slot's
+    # chain over its own columns once and continues every child's chain
+    # from it (`_rows_matmul`'s prefix). Every other operand is gathered and
+    # concatenated one row block at a time inside the kernel.
     #
-    # Each output element is a fixed chain of multiply-then-add roundings
-    # in index order (`_rows_matmul`) that depends only on the participating
+    # Each output element is a fixed chain of multiply-then-add roundings in
+    # index order (`_rows_matmul`) that depends only on the participating
     # operand values, never on the other extents or on row position, so
     # batched products agree bit for bit with their per-row counterparts. A
-    # 1-D block runs as one row, which forms the same chains.
+    # 1-D block runs as one row, which forms the same chains. Zeros get
+    # their sign from the blocks as given (`_mend_zeros`).
     a = blocks[0]
     arrays = (*blocks, b)
     if b.ndim != 2:
@@ -460,65 +475,114 @@ def _block_matmul(kind, blocks, b, transpose_b=False):
     r = len(a.indices) // len(a.rows) if isinstance(a, Gathered) and len(a.rows) else 0
     if len(blocks) == 1 and _takes(a, r):
         out = np.repeat(_rows_matmul([a.rows], b), r, axis=0)
+    elif k := _slot_count(blocks):
+        e = a.shape[1]
+        out = _rows_matmul([blocks[1].rows], b[e:], _rows_matmul([a.rows[:k]], b[:e]))
     else:
-        out = _rows_matmul([x if x.ndim == 2 else _dense(x).reshape(1, inner) for x in blocks], b)
-    return out.reshape(a.shape[:-1] + b.shape[1:])
+        blocks = [x if x.ndim == 2 else _dense(x).reshape(1, inner) for x in blocks]
+        out = _rows_matmul(blocks, b)
+    return _mend_zeros(blocks, b, out).reshape(a.shape[:-1] + b.shape[1:])
 
 
-def _rows_matmul(blocks, b):
+def _rows_matmul(blocks, b, prefix=None):
     # concatenate(blocks, axis=1) @ b for 2-D blocks with one row count,
-    # each an array or a Gathered, through NumPy's einsum loop, one call per
-    # _ROW_BLOCK rows; unless `a` is one plain array, the blocks' rows are
-    # joined, gathered where declared, in one reused (_ROW_BLOCK, inner)
-    # scratch. einsum ("ik,kj->ij",
-    # never BLAS) keeps k outside each row of the output: every element
+    # each an array or a Gathered, on NumPy's einsum loop (never BLAS), one
+    # call per _ROW_BLOCK rows. Each row block is joined, gathered where
+    # declared, into a reused scratch held transposed, (inner, rows), and
+    # read as "ki,kj->ij": the contraction index k is the outermost loop,
+    # so one row of `b` and the block's output stay hot while every element
     # gets its multiply-then-add chain in index order from its row of `a`
-    # and its column of `b` alone, so a row's bytes do not depend on the
-    # rows beside it. Two of einsum's ways are mended here:
+    # and its column of `b` alone; a row's bytes do not depend on the rows
+    # beside it. A `b` narrower than a row block runs as "ki,kj->ji" into a
+    # (width, rows) tile, so the innermost loop runs over the block's rows
+    # rather than over two or three columns; the chains are the same.
     #
-    # * with one column in `b` its iterator runs k innermost and sums with a
-    #   SIMD reduction in another order, so `b` gets a zero second column
-    #   and only the first is kept;
-    # * it starts each sum at +0.0, so where every product is -0.0 it gives
-    #   +0.0 and the chain -0.0; the products of the elements equal to 0
-    #   are re-formed and their sign restored. No other element can differ.
+    # With `prefix` (k, width), row i gives the output rows i*k + s, whose
+    # chains continue from prefix[s]: the row is read as [1, row] against
+    # [prefix[s]; b]. einsum starts each sum at +0.0, and a sum started at
+    # +0.0 never holds -0.0, so 0 + 1 * prefix[s] is prefix[s] exactly, NaN
+    # payloads too, and each later step rounds as if the chain had run
+    # through the prefix's columns itself.
     #
-    # NumPy's baseline build rounds each multiply and each add on its own
-    # (no fused multiply-add), the chain the index-order loop makes. (Where
-    # two NaNs meet, the loop picks the payload by an element's position.)
+    # On one row against one column einsum would sum along k with a SIMD
+    # reduction in another order, so a one-column `b` gets a zero second
+    # column and only the first is kept. NumPy's baseline build rounds each
+    # multiply and each add on its own (no fused multiply-add), the chain
+    # the index-order loop makes. (Where two NaNs meet, the loop picks the
+    # payload by an element's position.)
     n = blocks[0].shape[0]
-    inner, width = b.shape
+    width = b.shape[1]
+    lead = 0 if prefix is None else 1
+    if lead:
+        b = np.concatenate([prefix[:1], b])  # row 0 takes each slot's prefix in turn
     if width == 1:
         b = np.concatenate([b, np.zeros_like(b)], axis=1)
-    out = np.empty((n, b.shape[1]), dtype=b.dtype)
-    scratch = np.empty((min(n, _ROW_BLOCK), inner), dtype=b.dtype)
+    slots = [None] if prefix is None else prefix
+    narrow = b.shape[1] < _ROW_BLOCK
+    out = np.empty((n, len(slots), b.shape[1]), dtype=b.dtype)
+    block = min(n, _ROW_BLOCK)
+    scratch = np.empty((len(b), block), dtype=b.dtype)
+    scratch[:lead] = 1
+    tile = np.empty((b.shape[1], block) if narrow else (block, b.shape[1]), dtype=b.dtype)
     for r0 in range(0, n, _ROW_BLOCK):
-        r1 = min(r0 + _ROW_BLOCK, n)
-        a = _concat_rows(blocks, slice(r0, r1), scratch[: r1 - r0])
-        np.einsum("ik,kj->ij", a, b, out=out[r0:r1], optimize=False)
-    # -0.0 where an element is 0 and each of its products is -0.0, re-formed
-    # for at most _MATMUL_BLOCK products at a time
-    i, j = np.divmod(np.flatnonzero(out[:, :width] == 0), width)
+        rows = min(_ROW_BLOCK, n - r0)
+        at = scratch[:, :rows]
+        _concat_rows(blocks, slice(r0, r0 + rows), at[lead:].T)
+        for s, p in enumerate(slots):
+            if lead:
+                b[0, :width] = p
+            if narrow:
+                np.einsum("ki,kj->ji", at, b, out=tile[:, :rows], optimize=False)
+                out[r0 : r0 + rows, s] = tile[:, :rows].T
+            elif lead:  # a slot's rows are strided in `out`: einsum fills a tile faster
+                np.einsum("ki,kj->ij", at, b, out=tile[:rows], optimize=False)
+                out[r0 : r0 + rows, s] = tile[:rows]
+            else:
+                np.einsum("ki,kj->ij", at, b, out=out[r0 : r0 + rows, 0], optimize=False)
+    out = out.reshape(-1, b.shape[1])
+    return np.ascontiguousarray(out[:, :1]) if width == 1 else out
+
+
+def _mend_zeros(blocks, b, out):
+    # einsum starts each sum at +0.0, so where every product is -0.0 it
+    # gives +0.0 and the chain -0.0: the products of the elements of `out`
+    # (concatenate(blocks, axis=1) @ b) equal to 0 are re-formed from the
+    # blocks, at most _MATMUL_BLOCK at a time, and -0.0 restored where each
+    # one is -0.0. No other element can differ.
+    inner, width = b.shape
+    i, j = np.divmod(np.flatnonzero(out == 0), width)
     step = max(1, _MATMUL_BLOCK // inner)
     for e0 in range(0, len(i), step):
         ii, jj = i[e0 : e0 + step], j[e0 : e0 + step]
         products = _concat_rows(blocks, ii, np.empty((len(ii), inner), b.dtype)) * b[:, jj].T
         negative = ((products == 0) & np.signbit(products)).all(axis=1)
         out[ii[negative], jj[negative]] = -0.0
-    return np.ascontiguousarray(out[:, :1]) if width == 1 else out
+    return out
 
 
 def _concat_rows(blocks, rows, out):
-    # concatenate(blocks, axis=1)[rows], a Gathered block's rows gathered by
-    # its indices; a lone array block is sliced, the rest fill `out`
-    if len(blocks) == 1 and not isinstance(blocks[0], Gathered):
-        return blocks[0][rows]
+    # concatenate(blocks, axis=1)[rows] into `out`, a Gathered block's rows
+    # gathered by its indices
     c0 = 0
     for x in blocks:
         c1 = c0 + x.shape[1]
         out[:, c0:c1] = x.rows[x.indices[rows]] if isinstance(x, Gathered) else x[rows]
         c0 = c1
     return out
+
+
+def _slot_count(blocks) -> int:
+    # k where the blocks are [slot rows tiled over m parents, the m parents'
+    # rows each taken k times in turn] (exp.l0's input), else 0; only the
+    # indices are read, never the rows
+    if len(blocks) != 2 or not all(isinstance(x, Gathered) for x in blocks):
+        return 0
+    slots, parents = blocks
+    m = len(parents.rows)
+    k = len(parents.indices) // m if m else 0
+    if not _takes(parents, k):
+        return 0
+    return k if bool((slots.indices.reshape(m, k) == np.arange(k)).all()) else 0
 
 
 def _runs(idx, m, r) -> bool:
@@ -724,12 +788,16 @@ def _vjp_mean(grad, arrays, saved, attrs):
 def _fwd_max_reduce(arrays, attrs):
     # the max along the last axis, or with axis 0 down each column of a 2-D
     # array; ties route to the lowest index (argmax takes the first
-    # occurrence). Axis 0 reduces contiguous copies of x.T, which the tape
-    # never keeps: NumPy's strided and contiguous max reductions break a
-    # tie between 0.0 and -0.0 differently, and this keeps the bytes of a
-    # last-axis max_reduce of one contiguous copy of x.T. The copies are
-    # made one slab of columns at a time (at most _MATMUL_BLOCK elements, or
-    # one column); each column still reduces along one contiguous row.
+    # occurrence). Axis 0 keeps the bytes of a last-axis max_reduce of one
+    # contiguous copy of x.T, which the tape never keeps. One max over the
+    # contiguous rows gives them wherever the max is unique in value; NumPy's
+    # strided and contiguous reductions break a tie between 0.0 and -0.0
+    # differently and may keep different NaNs, so the columns whose max is
+    # 0 or NaN are reduced again from their contiguous copy, one slab of
+    # columns at a time. The index is the first row equal to the max, found
+    # one slab of rows at a time; a NaN column takes its argmax from the
+    # copy. Each slab holds at most _MATMUL_BLOCK elements, or one row or
+    # column.
     x = arrays[0]
     axis0 = attrs.get("axis", -1) == 0
     if axis0 and x.ndim != 2:
@@ -738,13 +806,22 @@ def _fwd_max_reduce(arrays, attrs):
         _shape_error("max_reduce", arrays, "the reduced axis must be non-empty")
     if not axis0:
         return np.max(x, axis=-1), np.argmax(x, axis=-1)
-    step = max(1, _MATMUL_BLOCK // len(x))
-    out = np.empty(x.shape[1], dtype=x.dtype)
-    idx = np.empty(x.shape[1], dtype=np.intp)
-    for c0 in range(0, x.shape[1], step):
-        t = np.ascontiguousarray(x[:, c0 : c0 + step].T)
-        out[c0 : c0 + step] = np.max(t, axis=-1)
-        idx[c0 : c0 + step] = np.argmax(t, axis=-1)
+    n, width = x.shape
+    out = np.max(x, axis=0)
+    idx = np.full(width, n, dtype=np.intp)
+    columns = np.arange(width)
+    step = max(1, _MATMUL_BLOCK // width)
+    for r0 in range(0, n, step):
+        equal = x[r0 : r0 + step] == out
+        first = np.argmax(equal, axis=0)
+        np.minimum(idx, np.where(equal[first, columns], first + r0, n), out=idx)
+    redo = np.flatnonzero((out == 0) | np.isnan(out))
+    step = max(1, _MATMUL_BLOCK // n)
+    for c0 in range(0, len(redo), step):
+        cols = redo[c0 : c0 + step]
+        t = np.ascontiguousarray(x[:, cols].T)
+        out[cols] = np.max(t, axis=-1)
+        idx[cols] = np.argmax(t, axis=-1)
     return out, idx
 
 
@@ -1078,7 +1155,9 @@ def linear(x, w, b, leaky: bool = False):
     entry's inputs are then the blocks, then `w` and `b`, and no
     concatenated copy is kept; the kernel gathers `gather_rows` blocks a
     row block at a time. A lone `gather_rows` block whose indices repeat
-    each parent row r times has its product formed once per parent.
+    each parent row r times has its product formed once per parent, and
+    the blocks [slot rows tiled over the parents, parent rows each taken k
+    times in turn] form each slot's chain over its columns once.
     """
     attrs = {"leaky": True} if leaky else {}
     blocks = tuple(x) if isinstance(x, (list, tuple)) else (x,)

@@ -220,7 +220,7 @@ def _render_input(args, command, level=None):
 
 def _cmd_reconstruct(args) -> int:
     cloud, trace, _ = _render_input(args, "reconstruct")
-    cd = float(chamfer_distance(cloud.points, trace.leaf_points())[0])
+    cd = chamfer_distance(cloud.points, trace.leaf_points())
     print(f"reconstruction cd: {cd * 1e4:.6g} (x 1e4)")
     print(f"wrote {args.out}")
     return 0

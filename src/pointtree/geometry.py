@@ -231,14 +231,18 @@ def nearest_neighbors(queries, target):
     return NearestNeighborIndex(target).query(queries)
 
 
-def chamfer_distance(p, q):
-    """Symmetric mean of squared nearest-neighbour distances.
+def chamfer_matches(p, q):
+    """Both nearest-neighbour scans of a Chamfer distance.
 
-    Returns (value, (match_pq, match_qp)): match_pq[i] indexes the point of
-    `q` closest to p[i] and vice versa, so a caller can rebuild the loss
-    with frozen correspondences for gradient routing.
+    Returns ((match_pq, d2_pq), (match_qp, d2_qp)): match_pq[i] indexes the
+    point of `q` closest to p[i] and d2_pq[i] is its squared distance, and
+    vice versa. A caller takes what it needs: the distance its squared
+    distances, a loss its correspondences, frozen for gradient routing.
     """
-    idx_pq, d2_pq = nearest_neighbors(p, q)
-    idx_qp, d2_qp = nearest_neighbors(q, p)
-    value = float(np.mean(d2_pq) + np.mean(d2_qp))
-    return value, (idx_pq, idx_qp)
+    return nearest_neighbors(p, q), nearest_neighbors(q, p)
+
+
+def chamfer_distance(p, q) -> float:
+    """Symmetric mean of squared nearest-neighbour distances."""
+    (_, d2_pq), (_, d2_qp) = chamfer_matches(p, q)
+    return float(np.mean(d2_pq) + np.mean(d2_qp))

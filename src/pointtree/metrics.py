@@ -55,7 +55,7 @@ def cd_matrix(rows, cols, threads: int = 1) -> np.ndarray:
 
     def fill(cell):
         i, j = cell
-        out[i, j] = chamfer_distance(row_clouds[i], col_clouds[j])[0]
+        out[i, j] = chamfer_distance(row_clouds[i], col_clouds[j])
         if symmetric:
             out[j, i] = out[i, j]
 
@@ -160,7 +160,7 @@ def reconstruction_cd(dataset, reconstruct):
     list, mean), in natural units.
     """
     clouds = _clouds(dataset)
-    per_shape = [float(chamfer_distance(c, reconstruct(c))[0]) for c in clouds]
+    per_shape = [chamfer_distance(c, reconstruct(c)) for c in clouds]
     return per_shape, float(np.mean(per_shape))
 
 

@@ -267,11 +267,12 @@ def _expand_stage(points, reps, scales, stage: int, params: Parameters):
     Sibling rows are declared, never copied in full: the child reps gather
     the parents' updated rows by the parent index (each row k times in
     turn) and the embeddings gather the k slot rows tiled over the parents.
-    exp.l0 reads the blocks `[embeds, child_reps]` as their concatenation,
-    which its kernel gathers one row block at a time, so every sibling's
-    row has its own chain and no joined per-child copy exists. The next
-    stage's `h @ Mh^T` reads the parent index and runs once per parent,
-    its rows repeated to the siblings, bit for bit.
+    exp.l0 reads the blocks `[embeds, child_reps]` as their concatenation:
+    its kernel forms each slot's chain over the embedding columns once, on
+    the k slot rows, and continues every child's chain from its slot's
+    prefix over its parent's row, so no joined per-child copy exists. The
+    next stage's `h @ Mh^T` reads the parent index and runs once per
+    parent, its rows repeated to the siblings, bit for bit.
 
     The three inputs may be Stacks, one row block per shape of a forest;
     the embedding gather and the offset floor are then made per shape.

@@ -102,12 +102,12 @@ def chamfer_loss(pred: ad.Tensor, target_points) -> ad.Tensor:
     """Differentiable symmetric Chamfer distance against a fixed cloud.
 
     `pred` is an (n, 3) tensor on the tape; `target_points` is data.
-    Correspondences come from `geometry.chamfer_distance` and are frozen
+    Correspondences come from `geometry.chamfer_matches` and are frozen
     into gather indices, so the gradient is the exact subgradient of the
     min-based loss.
     """
     target = np.asarray(getattr(target_points, "points", target_points), dtype=pred.dtype)
-    _, (nearest_data, nearest_pred) = geometry.chamfer_distance(pred.data, target)
+    (nearest_data, _), (nearest_pred, _) = geometry.chamfer_matches(pred.data, target)
     target_const = ad.Tensor(target)
     # mean row-wise squared distance == mean over all entries times 3
     to_pred = ad.add(target_const, ad.scale(ad.gather_rows(pred, nearest_pred), -1.0))

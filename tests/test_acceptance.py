@@ -281,16 +281,16 @@ def test_criterion_3_geometry_oracle():
         np.testing.assert_array_equal(idx, want_idx)
         np.testing.assert_array_equal(d2, want_d2)
 
-        got_cd, _ = chamfer_distance(queries, target)
+        got_cd = chamfer_distance(queries, target)
         want_cd = _brute_nn(queries, target)[1].mean() + _brute_nn(target, queries)[1].mean()
         assert got_cd == want_cd
 
     p = np.array([[0.0, 0, 0], [1.0, 0, 0]], dtype=np.float32)
     q = np.array([[0.5, 0, 0]], dtype=np.float32)
-    assert chamfer_distance(p, q)[0] == 0.5
+    assert chamfer_distance(p, q) == 0.5
     a = np.array([[0.0, 0, 0]])
     b = np.array([[3.0, 4.0, 0]])
-    assert chamfer_distance(a, b)[0] == 50.0
+    assert chamfer_distance(a, b) == 50.0
     print("\ncriterion 3 geometry oracle: PASS "
           "(100 exact pairs; hand cases 0.5 and 50.0)")
 
@@ -311,7 +311,7 @@ def test_criterion_4_metrics_oracle():
         ref = [rng.standard_normal((int(rng.integers(8, 65)), 3)) for _ in range(n_ref)]
         gen = [rng.standard_normal((int(rng.integers(8, 65)), 3)) for _ in range(n_gen)]
 
-        cd = [[chamfer_distance(r, g)[0] for g in gen] for r in ref]
+        cd = [[chamfer_distance(r, g) for g in gen] for r in ref]
         want_mmd = float(np.mean([min(row) for row in cd]))
         matched = {int(np.argmin(col)) for col in zip(*cd)}
         want_cov = len(matched) / n_ref
@@ -324,7 +324,7 @@ def test_criterion_4_metrics_oracle():
             for j, cj in enumerate(union):
                 if i == j:
                     continue
-                d = chamfer_distance(ci, cj)[0]
+                d = chamfer_distance(ci, cj)
                 if best_d is None or d < best_d:
                     best, best_d = j, d
             hits += labels[best] == labels[i]
@@ -411,9 +411,9 @@ def test_criterion_6_vae_sanity(vae_run):
     mu_b, _ = model.encode(dataset[OVERFIT_TABLE_INDEX], params)
     steps = dataio.interpolate_latents(mu_a.data, mu_b.data, steps=5)
     decoded = [model.generate(z, params).leaf_points() for z in steps]
-    endpoint_cd = chamfer_distance(decoded[0], decoded[-1])[0]
+    endpoint_cd = chamfer_distance(decoded[0], decoded[-1])
     consecutive = [
-        chamfer_distance(decoded[i], decoded[i + 1])[0]
+        chamfer_distance(decoded[i], decoded[i + 1])
         for i in range(len(decoded) - 1)
     ]
     assert all(c < endpoint_cd for c in consecutive), (consecutive, endpoint_cd)

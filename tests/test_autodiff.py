@@ -75,12 +75,13 @@ def _odd_offset(x):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("m", [1, 3, 15, 16, 17, 33, 257])
+@pytest.mark.parametrize("m", [1, 2, 3, 15, 16, 17, 31, 32, 33, 257])
 def test_blocked_matmul_is_byte_equal_to_index_order_loop(dtype, m):
     # row counts on the edges of an einsum row block and over several of
-    # them, widths on SIMD tails and a one-column b (which einsum alone
-    # would sum in another order), -0.0 products, and operands that start
-    # at an odd element offset
+    # them, widths on SIMD tails, on both sides of the narrow form's
+    # crossover at _ROW_BLOCK and a one-column b (which einsum alone would
+    # sum in another order), -0.0 products, and operands that start at an
+    # odd element offset
     rng = np.random.default_rng(m)
     block = ad._ROW_BLOCK
     sizes = {0, 1, m - 1, m, m + 1, block - 1, block, block + 1, 3 * block + 7}
@@ -142,15 +143,22 @@ def test_matmul_rounds_every_multiply_and_add_on_its_own(dtype):
     # c + fl(x * x) is exactly 0, where a fused multiply-add keeps the
     # rounding error of x * x (2**-24 for float32's x = 1 + 2**-12). A NumPy
     # build whose einsum loop fuses would change the bytes of every chain,
-    # and fails here
+    # and fails here: in the narrow "->ji" form (one and two columns), the
+    # wide "->ij" form, and the slot path, whose chain continues from the
+    # prefix c through the product 1 * c
     x = dtype(1 + 2.0 ** -(np.finfo(dtype).nmant // 2 + 1))
     c = -(x * x)
     assert Fraction(float(x)) ** 2 != Fraction(float(x * x))  # x * x rounds
     a = np.array([[1, x]] * 3, dtype=dtype)
     b = np.array([[c], [x]], dtype=dtype)
-    for bb in (b, np.repeat(b, 2, axis=1)):
-        out = _product([a], bb)
-        assert out.tobytes() == np.zeros_like(out).tobytes(), bb.shape
+    slots = ad.gather_rows(ad.Tensor(np.ones((2, 1), dtype=dtype)), np.tile([0, 1], 3))
+    parents = ad.gather_rows(ad.Tensor(np.full((3, 1), x, dtype=dtype)), np.repeat(np.arange(3), 2))
+    assert ad._slot_count([slots, parents]) == 2
+    for width in (1, 2, ad._ROW_BLOCK + 1):
+        bb = np.repeat(b, width, axis=1)
+        for blocks in ([a], [slots, parents]):
+            out = _product(blocks, bb)
+            assert out.tobytes() == np.zeros_like(out).tobytes(), (width, len(blocks))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -201,7 +209,7 @@ def test_matmul_row_is_independent_of_batch():
     block = ad._ROW_BLOCK
     batch = _with_zeros(rng.normal(size=(3 * block + 5, 37)).astype(np.float32))
     positions = (0, block - 1, block, 2 * block + 3, len(batch) - 1)
-    for width in (1, 15, 16, 17, 33, 257):
+    for width in (1, 2, 15, 16, 17, 31, 32, 33, 257):
         w = rng.normal(size=(37, width)).astype(np.float32)
         full = _product([batch], w)
         for i in positions:
@@ -242,7 +250,7 @@ def _dense_blocks(blocks):
     return np.concatenate([x.data for x in blocks], axis=1)
 
 
-_SHARED_LAYOUTS = ("w",)  # block layouts whose products are shared
+_SHARED_LAYOUTS = ("w", "aw")  # block layouts whose products are shared
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -258,13 +266,13 @@ def test_grouped_matmul_is_byte_equal_to_index_order_loop(dtype, r, monkeypatch)
     rng = np.random.default_rng(59 + r)
     m = 257
     per_block = max(1, ad._ROW_BLOCK // r)  # groups per row block
-    orders = [*_SHARED_LAYOUTS, "aw", "aww", "ww", "a", "wa", "awa", "n", "nw", "an", "wn"]
+    orders = [*_SHARED_LAYOUTS, "aww", "ww", "a", "wa", "awa", "n", "nw", "an", "wn"]
     rows_seen = []
     rows_matmul = ad._rows_matmul
 
-    def spy(blocks, b):
+    def spy(blocks, b, prefix=None):
         rows_seen.append(blocks[0].shape[0])
-        return rows_matmul(blocks, b)
+        return rows_matmul(blocks, b, prefix)
 
     monkeypatch.setattr(ad, "_rows_matmul", spy)
     for groups in (1, 2, per_block - 1, per_block, per_block + 1, 2 * per_block + 3):
@@ -285,6 +293,59 @@ def test_grouped_matmul_is_byte_equal_to_index_order_loop(dtype, r, monkeypatch)
                 assert (max(rows_seen) < groups * r) == (kinds in _SHARED_LAYOUTS), kinds
             col = _product(blocks, b[:, :1].copy())  # a 1-column b
             assert col.tobytes() == ref[:, :1].tobytes(), (groups, kinds)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_slot_prefix_product_is_byte_equal_to_index_order_loop(dtype, k, monkeypatch):
+    # exp.l0's layout, [slot rows tiled over the parents, the parents' rows
+    # each taken k times in turn]: each slot's chain over its own columns
+    # is formed once, over the k slot rows, and every child's chain goes on
+    # from its slot's prefix over its parent's row. Against the index-order
+    # loop over the gathered blocks, for parent counts on the row-block
+    # edges, widths on both sides of the narrow form, and k = 1: plain
+    # values, a NaN embedding of its own payload, a chain whose every
+    # product is -0.0, and subnormal embeddings, parents and products
+    rng = np.random.default_rng(67 + k)
+    block = ad._ROW_BLOCK
+    e, u = 5, 7
+    payload = _QUIET_NAN[np.dtype(dtype).itemsize] | 9
+    utype = f"u{np.dtype(dtype).itemsize}"
+    tiny = np.finfo(dtype).smallest_subnormal
+    seen = []
+    rows_matmul = ad._rows_matmul
+
+    def spy(blocks, b, prefix=None):
+        seen.append((blocks[0].shape[0], prefix is not None))
+        return rows_matmul(blocks, b, prefix)
+
+    monkeypatch.setattr(ad, "_rows_matmul", spy)
+    for m in (1, 2, block - 1, block, block + 1, 2 * block + 3):
+        for width in (1, 2, 3, block - 1, block, block + 1, 257):
+            for case in ("plain", "nan", "negative zero", "subnormal"):
+                emb = rng.normal(size=(k + 1, e)).astype(dtype)  # the last row is never read
+                par = rng.normal(size=(m, u)).astype(dtype)
+                b = rng.normal(size=(e + u, width)).astype(dtype)
+                b[:, 0] = np.abs(b[:, 0]) + 0.5  # keeps -0.0 products in column 0
+                if case == "nan":
+                    emb.view(utype)[0, 1] = payload
+                elif case == "negative zero":
+                    emb[k - 1], par[m // 2] = -0.0, -0.0
+                elif case == "subnormal":
+                    emb[:, ::2], par[:, 1::3] = tiny, -tiny
+                    b[e - 1] = 0.25  # products below the smallest subnormal
+                blocks = [ad.gather_rows(ad.Tensor(emb), np.tile(np.arange(k), m)),
+                          ad.gather_rows(ad.Tensor(par), np.repeat(np.arange(m), k))]
+                seen.clear()
+                out = _product(blocks, b)
+                ref = _matmul_index_order(_dense_blocks(blocks), b)
+                assert out.shape == ref.shape and out.tobytes() == ref.tobytes(), (m, width, case)
+                assert seen == [(k, False), (m, True)]
+                if case == "nan":
+                    assert (out[::k].view(utype) == payload).all(), (m, width)
+                    assert np.isfinite(out).sum() == out.size - out[::k].size, (m, width)
+                elif case == "negative zero":
+                    assert np.signbit(out[m // 2 * k + k - 1, 0]), (m, width)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -803,10 +864,12 @@ def test_leaky_linear_transients_stay_within_a_block():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("rows, width", [(1000, 200), (8192, 9), (7, 9), (65537, 3)])
 def test_max_reduce_column_slabs_are_byte_equal_to_one_transposed_copy(dtype, rows, width):
-    # axis-0 max_reduce copies and reduces one slab of columns at a time;
-    # against one contiguous copy of x.T, with slabs of 65, 8, all and
-    # one column, columns whose maximum is a tie of 0.0 and -0.0, NaNs
-    # and subnormals on both sides of every slab edge
+    # axis-0 max_reduce finds its indices one slab of rows at a time (327,
+    # 7281, all and 21845 rows here) and re-reduces columns whose max is 0
+    # or NaN from copies one slab of columns at a time (65, 8, all and one
+    # column); against one contiguous copy of x.T, with columns whose
+    # maximum is a tie of 0.0 and -0.0, NaNs and subnormals on both sides
+    # of every slab edge
     rng = np.random.default_rng(rows)
     x = -np.abs(_edge_values(rng, (width, rows), dtype, ())).T.copy()
     x[:, ::3] = rng.choice(np.array([0.0, -0.0], dtype=dtype), size=x[:, ::3].shape)

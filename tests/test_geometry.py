@@ -7,6 +7,7 @@ from pointtree.geometry import (
     NearestNeighborIndex,
     PointCloud,
     chamfer_distance,
+    chamfer_matches,
     nearest_neighbors,
     normalize_cloud,
 )
@@ -394,18 +395,18 @@ def test_translation_covariance_of_assignments():
 def test_chamfer_hand_cases_exact():
     p = PointCloud(np.array([[0.0, 0, 0], [1.0, 0, 0]]))
     q = PointCloud(np.array([[0.0, 0, 0]]))
-    assert chamfer_distance(p, q)[0] == 0.5
+    assert chamfer_distance(p, q) == 0.5
     a = PointCloud(np.array([[0.0, 0, 0]]))
     b = PointCloud(np.array([[3.0, 4.0, 0]]))
-    assert chamfer_distance(a, b)[0] == 50.0
+    assert chamfer_distance(a, b) == 50.0
 
 
 def test_chamfer_self_is_zero_and_symmetric():
     rng = np.random.default_rng(19)
     p = rng.normal(size=(50, 3))
     q = rng.normal(size=(70, 3))
-    assert chamfer_distance(p, p)[0] == 0.0
-    assert chamfer_distance(p, q)[0] == chamfer_distance(q, p)[0]
+    assert chamfer_distance(p, p) == 0.0
+    assert chamfer_distance(p, q) == chamfer_distance(q, p)
 
 
 def test_chamfer_matches_oracle_and_returns_usable_matches():
@@ -413,8 +414,13 @@ def test_chamfer_matches_oracle_and_returns_usable_matches():
     for dtype in (np.float32, np.float64):
         p = rng.normal(size=(33, 3)).astype(dtype)
         q = rng.normal(size=(57, 3)).astype(dtype)
-        value, (m_pq, m_qp) = chamfer_distance(p, q)
+        value = chamfer_distance(p, q)
         assert value == cd_oracle(p, q)
+        (m_pq, d2_pq), (m_qp, d2_qp) = chamfer_matches(p, q)
+        assert value == float(np.mean(d2_pq) + np.mean(d2_qp))
+        for match, d2, (a, b) in ((m_pq, d2_pq, (p, q)), (m_qp, d2_qp, (q, p))):
+            idx, dist = nearest_neighbors(a, b)
+            assert match.tobytes() == idx.tobytes() and d2.tobytes() == dist.tobytes()
         rebuilt = float(
             np.mean(((p - q[m_pq]) ** 2).sum(axis=1))
             + np.mean(((q - p[m_qp]) ** 2).sum(axis=1))

@@ -12,14 +12,14 @@ def random_set(rng, n_clouds, n_points=24):
 def mmd_oracle(ref, gen):
     total = 0.0
     for r in ref:
-        total += min(chamfer_distance(r, g)[0] for g in gen)
+        total += min(chamfer_distance(r, g) for g in gen)
     return total / len(ref)
 
 
 def coverage_oracle(ref, gen):
     matched = set()
     for g in gen:
-        dists = [chamfer_distance(g, r)[0] for r in ref]
+        dists = [chamfer_distance(g, r) for r in ref]
         best = 0
         for i in range(1, len(dists)):
             if dists[i] < dists[best]:
@@ -37,7 +37,7 @@ def one_nna_oracle(ref, gen):
         for j, other in enumerate(union):
             if j == i:
                 continue
-            d = chamfer_distance(cloud, other)[0]
+            d = chamfer_distance(cloud, other)
             if d < best_d:
                 best_d, best_j = d, j
         correct += labels[best_j] == labels[i]
@@ -128,7 +128,7 @@ def counting_chamfer(monkeypatch):
 def test_union_matrix_computes_each_distinct_pair_once(monkeypatch):
     rng = np.random.default_rng(8)
     clouds = random_set(rng, 7)
-    full = np.array([[chamfer_distance(p, q)[0] for q in clouds] for p in clouds])
+    full = np.array([[chamfer_distance(p, q) for q in clouds] for p in clouds])
     calls = counting_chamfer(monkeypatch)
     matrix = metrics.cd_matrix(clouds, clouds)
     assert len(calls) == 7 * 6 // 2

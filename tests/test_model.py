@@ -279,24 +279,25 @@ def test_sibling_groups_share_every_rep_column(monkeypatch):
     # a gather whose indices stop declaring the model's layout would quietly
     # fall back to full-cost products with the same bytes; pin that every
     # stage's h @ Mh^T past the root runs once per parent, on the parents'
-    # rows, and that exp.l0 reads its two gathered blocks (the slot rows
-    # tiled over the parents, the parents' reps each taken k times in turn)
-    # a row block at a time, never a gathered copy
+    # rows, and that exp.l0 forms each slot's embedding chain once, over the
+    # k slot rows, then continues every child's chain from its slot's prefix
+    # over the parents' rows, never over a gathered copy
     config = m.preset("2048")
     params = m.init_parameters(config, seed=5)
     z = np.random.default_rng(53).normal(size=512).astype(np.float32)
     seen = []
     kernel = ad._rows_matmul
 
-    def record(blocks, b):
-        seen.append((blocks, b.shape))
-        return kernel(blocks, b)
+    def record(blocks, b, prefix=None):
+        seen.append((blocks, b.shape, prefix))
+        return kernel(blocks, b, prefix)
 
     monkeypatch.setattr(ad, "_rows_matmul", record)
     # one shape, then a forest of three expanded as one Stack per stage
     rng = np.random.default_rng(59)
     latents = [z] + [rng.normal(size=512).astype(np.float32) for _ in range(2)]
-    l0_shape, u = params["exp.l0.w"].shape, config.latent_width
+    e, u = config.embed_width, config.latent_width
+    width = params["exp.l0.w"].shape[1]
     sizes = config.stage_sizes()
     for roots in (1, 3):
         seen.clear()
@@ -305,15 +306,17 @@ def test_sibling_groups_share_every_rep_column(monkeypatch):
         else:
             with ad.shape_tapes(roots) as tapes:
                 m.expansion_graph(ad.stack([ad.Tensor(x) for x in latents], tapes), params)
-        l0 = [blocks for blocks, shape in seen if shape == l0_shape]
-        mh = [blocks for blocks, shape in seen if shape == (u, u)]
-        assert [len(b) for b in l0] == [2] * config.stage_count
-        assert [a[0].shape[0] for a in l0] == [roots * n for n in sizes[1:]]
-        for (embeds, reps), n, k in zip(l0, sizes, config.k_schedule):
-            assert isinstance(embeds, ad.Gathered) and isinstance(reps, ad.Gathered)
-            assert [embeds.shape[1], reps.shape[1]] == [config.embed_width, u]
-            assert (embeds.indices == np.tile(np.arange(k), roots * n)).all()
-            assert len(reps.rows) == roots * n and ad._takes(reps, k)
+        assert not any(shape == (e + u, width) for _, shape, _ in seen)
+        prefixes = [blocks for blocks, shape, _ in seen if shape == (e, width)]
+        continued = [(blocks, p) for blocks, shape, p in seen if shape == (u, width)]
+        assert len(prefixes) == len(continued) == config.stage_count
+        for stage, k in enumerate(config.k_schedule):
+            (slots,), ((parents,), prefix) = prefixes[stage], continued[stage]
+            emb = params[f"emb.d{stage}"].data
+            assert slots.shape == (k, e) and np.shares_memory(slots, emb)
+            assert not isinstance(parents, ad.Gathered)
+            assert parents.shape == (roots * sizes[stage], u) and prefix.shape == (k, width)
+        mh = [blocks for blocks, shape, _ in seen if shape == (u, u)]
         # the roots' codes, then each stage's parents: the row count of the
         # stage before, where the update's output has a row per point
         assert [len(a) for a in mh] == [1] * config.stage_count
@@ -521,7 +524,7 @@ def inference_digest():
         trace = m.generate((code[0] if vae else code).data, params)
         for stage in trace.stages:
             digest.update(stage.points.tobytes() + stage.scales.tobytes())
-        digest.update(np.float64(chamfer_distance(trace.leaf_points(), table.points)[0]).tobytes())
+        digest.update(np.float64(chamfer_distance(trace.leaf_points(), table.points)).tobytes())
     return digest.hexdigest()
 
 
