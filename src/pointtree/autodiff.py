@@ -10,9 +10,10 @@ Scope is deliberately small:
 
 * float32 (training default) and float64 (verification) only, never mixed
   inside one operation;
-* broadcasting is row-vs-matrix only (a (w,) operand against an (n, w)
-  one, which is how a bias row joins a batch); anything else batched is
-  expressed with explicit stacked matrices or `gather_rows`;
+* operands take the forms the model applies and no others: add, mul and
+  div take two of one shape (no broadcasting; a bias row joins a batch
+  only inside `linear`), norm and max_reduce reduce a 2-D operand, and
+  concat joins 2-D operands side by side, along axis 1;
 * no higher-order derivatives, no in-place mutation of tensors that are on
   a tape.
 
@@ -82,15 +83,13 @@ record, not a one-shot resource.
 Several shapes can be computed as one `Stack` (their tensors stacked along
 axis 0, one tape per shape): a primitive runs once over all rows and
 records one entry per shape on that shape's tape, the entry a call on that
-shape's rows alone would record. Only row-separable kinds accept a Stack:
-linear (every column block a 2-D Stack over the same shapes and rows, w
-and b plain), rep_update (s and h 2-D Stacks over the same shapes and
-rows, ms and mh plain), the elementwise kinds against a Stack of the same
-shapes or a plain row, last-axis norm and max_reduce of a 2-D Stack,
-concat along axis 1, reshape that keeps each shape's rows whole, and
-gather_rows whose indices take each shape's rows from that shape, in shape
-order; a gathered Stack is a `Gathered` too. sum, mean, axis-0 concat,
-axis-0 max_reduce and a reduction of a 1-D Stack raise: they would mix
+shape's rows alone would record. Only row-separable kinds accept a Stack,
+and then every operand is a Stack over the same shapes and rows, except
+the weights of linear (w, b) and rep_update (ms, mh), which are plain;
+linear's column blocks and rep_update's s and h are 2-D. A reshape must
+keep each shape's rows whole, and gather_rows's indices must take each
+shape's rows from that shape, in shape order; a gathered Stack is a
+`Gathered` too. sum, mean and axis-0 max_reduce raise: they would mix
 shapes.
 """
 
@@ -122,20 +121,15 @@ class UnknownPrimitiveError(ValueError):
 class Tensor:
     """Dense real array with an optional gradient-tracking flag.
 
-    `data` is always a contiguous numpy array of float32 or float64.
-    Python lists and integer arrays are converted to float32 unless an
-    explicit dtype is given or the input is already float64.
+    `data` is always a contiguous numpy array of float32 or float64. Any
+    other input (Python lists, integer or float16 arrays) becomes float32.
     """
 
     __slots__ = ("data", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype)
-            if not np.issubdtype(arr.dtype, np.floating):
-                raise TypeError(f"Tensor requires a float dtype, got {arr.dtype}")
-        elif arr.dtype not in _FLOAT_DTYPES:
+        if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float32)
         # ascontiguousarray would promote 0-d arrays to shape (1,)
         self.data = arr if arr.flags["C_CONTIGUOUS"] else np.ascontiguousarray(arr)
@@ -363,23 +357,18 @@ def _check_dtypes(kind, arrays):
         raise TypeError(f"{kind}: mixed dtypes {sorted(str(d) for d in dts)}")
 
 
-def _binary_out_shape(kind, a, b):
-    if a.shape == b.shape:
-        return a.shape
-    if a.ndim == 2 and b.shape == a.shape[1:]:
-        return a.shape
-    if b.ndim == 2 and a.shape == b.shape[1:]:
-        return b.shape
-    _shape_error(kind, (a, b), "shapes must match, or one operand must be a row of the other")
+def _same_shape(kind, a, b):
+    if a.shape != b.shape:
+        _shape_error(kind, (a, b), "operands must have one shape")
 
 
 def _unbroadcast(grad, shape):
-    # reduce a full-shape (n, w) gradient back onto a (w,) row operand.
-    # Rows add in index order, not pairwise, the order a gather_rows scatter
-    # would use. On a C-contiguous grad at least two wide the axis-0 reduce
-    # adds whole rows into the accumulator one after another; a (n, 1) or
-    # other-ordered grad would reduce along its contiguous axis pairwise, so
-    # it takes the last row of a cumsum instead
+    # linear's bias gradient: a full-shape (n, w) gradient reduced onto its
+    # (w,) row. Rows add in index order, not pairwise, the order a
+    # gather_rows scatter would use. On a C-contiguous grad at least two
+    # wide the axis-0 reduce adds whole rows into the accumulator one after
+    # another; a (n, 1) or other-ordered grad would reduce along its
+    # contiguous axis pairwise, so it takes the last row of a cumsum instead
     if grad.shape == shape:
         return grad
     if shape[0] > 1 and grad.flags["C_CONTIGUOUS"]:
@@ -389,37 +378,34 @@ def _unbroadcast(grad, shape):
 
 def _fwd_add(arrays, attrs):
     a, b = arrays
-    _binary_out_shape("add", a, b)
+    _same_shape("add", a, b)
     return a + b, None
 
 
 def _vjp_add(grad, arrays, saved, attrs):
-    a, b = arrays
-    return _unbroadcast(grad, a.shape), _unbroadcast(grad, b.shape)
+    return grad, grad
 
 
 def _fwd_mul(arrays, attrs):
     a, b = arrays
-    _binary_out_shape("mul", a, b)
+    _same_shape("mul", a, b)
     return a * b, None
 
 
 def _vjp_mul(grad, arrays, saved, attrs):
     a, b = arrays
-    return _unbroadcast(grad * b, a.shape), _unbroadcast(grad * a, b.shape)
+    return grad * b, grad * a
 
 
 def _fwd_div(arrays, attrs):
     a, b = arrays
-    _binary_out_shape("div", a, b)
+    _same_shape("div", a, b)
     return a / b, None
 
 
 def _vjp_div(grad, arrays, saved, attrs):
     a, b = arrays
-    ga = _unbroadcast(grad / b, a.shape)
-    gb = _unbroadcast(-grad * a / (b * b), b.shape)
-    return ga, gb
+    return grad / b, -grad * a / (b * b)
 
 
 def _fwd_scale(arrays, attrs):
@@ -752,8 +738,8 @@ def _vjp_square(grad, arrays, saved, attrs):
 
 def _fwd_norm(arrays, attrs):
     x = arrays[0]
-    if x.ndim == 0:
-        _shape_error("norm", arrays, "operand must have at least one axis")
+    if x.ndim != 2:
+        _shape_error("norm", arrays, "operand must be 2-D")
     out = np.sqrt(np.sum(x * x, axis=-1))
     return out, out
 
@@ -764,7 +750,7 @@ def _vjp_norm(grad, arrays, saved, attrs):
     # subgradient 0 where the norm vanishes
     safe = np.where(n > 0, n, 1.0)
     coef = np.where(n > 0, grad / safe, 0.0)
-    return (coef[..., np.newaxis] * x if x.ndim > 1 or n.ndim > 0 else coef * x,)
+    return (coef[:, np.newaxis] * x,)
 
 
 def _fwd_sum(arrays, attrs):
@@ -786,8 +772,8 @@ def _vjp_mean(grad, arrays, saved, attrs):
 
 
 def _fwd_max_reduce(arrays, attrs):
-    # the max along the last axis, or with axis 0 down each column of a 2-D
-    # array; ties route to the lowest index (argmax takes the first
+    # the max along each row of a 2-D array, or with axis 0 down each
+    # column; ties route to the lowest index (argmax takes the first
     # occurrence). Axis 0 keeps the bytes of a last-axis max_reduce of one
     # contiguous copy of x.T, which the tape never keeps. One max over the
     # contiguous rows gives them wherever the max is unique in value; NumPy's
@@ -800,9 +786,9 @@ def _fwd_max_reduce(arrays, attrs):
     # column.
     x = arrays[0]
     axis0 = attrs.get("axis", -1) == 0
-    if axis0 and x.ndim != 2:
-        _shape_error("max_reduce", arrays, "axis 0 needs a 2-D operand")
-    if x.ndim == 0 or x.shape[0 if axis0 else -1] == 0:
+    if x.ndim != 2:
+        _shape_error("max_reduce", arrays, "operand must be 2-D")
+    if x.shape[0 if axis0 else 1] == 0:
         _shape_error("max_reduce", arrays, "the reduced axis must be non-empty")
     if not axis0:
         return np.max(x, axis=-1), np.argmax(x, axis=-1)
@@ -835,25 +821,15 @@ def _vjp_max_reduce(grad, arrays, saved, attrs):
 
 
 def _fwd_concat(arrays, attrs):
-    axis = attrs["axis"]
-    nd = arrays[0].ndim
-    for a in arrays:
-        if a.ndim != nd:
-            _shape_error("concat", arrays, "operands must share rank")
-    if not 0 <= axis < nd:
-        _shape_error("concat", arrays, f"axis {axis} out of range for rank {nd}")
-    ref = list(arrays[0].shape)
-    for a in arrays:
-        s = list(a.shape)
-        s[axis] = ref[axis] = 0
-        if s != ref:
-            _shape_error("concat", arrays, "extents differ off the concat axis")
-    return np.concatenate(arrays, axis=axis), [a.shape[axis] for a in arrays]
+    # 2-D operands side by side, along axis 1
+    if any(a.ndim != 2 or a.shape[0] != arrays[0].shape[0] for a in arrays):
+        _shape_error("concat", arrays, "operands must be 2-D with equal row counts")
+    return np.concatenate(arrays, axis=1), [a.shape[1] for a in arrays]
 
 
 def _vjp_concat(grad, arrays, saved, attrs):
     offsets = np.cumsum(saved)[:-1]
-    return tuple(np.ascontiguousarray(g) for g in np.split(grad, offsets, axis=attrs["axis"]))
+    return tuple(np.ascontiguousarray(g) for g in np.split(grad, offsets, axis=1))
 
 
 def _fwd_reshape(arrays, attrs):
@@ -965,7 +941,8 @@ _ROW_SEPARABLE = frozenset((
     "linear", "rep_update", "add", "mul", "scale", "div", "sigmoid", "exp", "square",
     "norm", "max_reduce", "concat", "reshape", "gather_rows",
 ))
-# kinds with weights: inputs[:n] must be 2-D Stack rows and the rest plain
+# kinds with weights: on a Stack, inputs[:n] are 2-D Stacks and the rest,
+# the weights, plain
 _ROW_OPERANDS = {"linear": -2, "rep_update": 2}
 
 
@@ -984,25 +961,18 @@ def _apply_stacked(kind, inputs, arrays, attrs, fwd):
 
     if kind not in _ROW_SEPARABLE:
         mixes("not a row-separable kind")
-    for t in inputs:
-        if isinstance(t, Stack):
-            if t.tapes is not ref.tapes or [p.shape[0] for p in t.parts] != rows:
-                mixes("operands stack different shapes or row counts")
-        elif kind == "concat":
-            mixes("every concatenated operand must be a Stack")
-        elif kind not in _ROW_OPERANDS and t.shape != ref.shape[1:]:
-            mixes("a plain operand may only be a row")
-    if kind in _ROW_OPERANDS:
-        split = _ROW_OPERANDS[kind]
-        rows_ok = all(isinstance(t, Stack) and t.ndim == 2 for t in inputs[:split])
-        if not rows_ok or any(isinstance(t, Stack) for t in inputs[split:]):
-            mixes(f"{kind} needs 2-D Stack row operands and plain weights")
-    elif kind in ("norm", "max_reduce") and ref.ndim < 2:
-        mixes("a reduction of a 1-D stack")
-    elif kind == "max_reduce" and attrs.get("axis", -1) == 0:
+    split = _ROW_OPERANDS.get(kind, len(inputs))
+    for t in inputs[:split]:
+        if not isinstance(t, Stack) or t.tapes is not ref.tapes:
+            mixes("every operand but the weights must be a Stack of the same shapes")
+        if [p.shape[0] for p in t.parts] != rows:
+            mixes("operands stack different row counts")
+    if any(isinstance(t, Stack) for t in inputs[split:]):
+        mixes(f"{kind}'s weights must be plain")
+    if kind in _ROW_OPERANDS and any(t.ndim != 2 for t in inputs[:split]):
+        mixes(f"{kind} needs 2-D row operands")
+    if kind == "max_reduce" and attrs.get("axis", -1) == 0:
         mixes("axis-0 max_reduce")
-    elif kind == "concat" and attrs["axis"] == 0:
-        mixes("axis-0 concat")
 
     out_array, saved = (None, None) if kind == "gather_rows" else fwd(arrays, attrs)
     per_attrs = [attrs] * len(rows)
@@ -1151,7 +1121,7 @@ def linear(x, w, b, leaky: bool = False):
     that keeps only the output and, when leaky, the sign of the
     pre-activation, one bit per element. `w` is 2-D and `b` one row as
     wide as `w`. `x` may be a list of 2-D column blocks with one row
-    count, read as `concat(x, axis=1)` with that concat's gradients; the
+    count, read as `concat(x)` with that concat's gradients; the
     entry's inputs are then the blocks, then `w` and `b`, and no
     concatenated copy is kept; the kernel gathers `gather_rows` blocks a
     row block at a time. A lone `gather_rows` block whose indices repeat
@@ -1219,16 +1189,17 @@ def tensor_mean(a):
 
 
 def max_reduce(a, axis: int = -1):
-    """Max along the last axis, or down each column of a 2-D `a` with
-    `axis=0`; the gradient goes to the first maximal element."""
+    """Max along each row of a 2-D `a`, or down each column with `axis=0`;
+    the gradient goes to the first maximal element."""
     if axis not in (-1, 0):
         raise ShapeMismatchError(f"max_reduce: axis must be -1 or 0, got {axis}")
     attrs = {"axis": 0} if axis == 0 else {}
     return apply_primitive("max_reduce", (a,), **attrs)
 
 
-def concat(tensors, axis: int = 0):
-    return apply_primitive("concat", tensors, axis=int(axis))
+def concat(tensors):
+    """2-D tensors with equal row counts, side by side along axis 1."""
+    return apply_primitive("concat", tensors)
 
 
 def reshape(a, shape):

@@ -22,6 +22,7 @@ permutation invariant, not approximately so.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -43,8 +44,14 @@ class GeneratorConfig:
     vae_mode: bool = False
 
     def __post_init__(self):
-        self.k_schedule = tuple(int(k) for k in self.k_schedule)
-        self.mlp_hidden = tuple(int(w) for w in self.mlp_hidden)
+        # a checkpoint header arrives here unchecked: refuse what a config
+        # file refuses, rather than truncate 2.5 to 2 or keep 8.0 or 0
+        self.k_schedule = tuple(_integer("k_schedule entry", k) for k in self.k_schedule)
+        self.mlp_hidden = tuple(_integer("mlp_hidden width", w) for w in self.mlp_hidden)
+        self.latent_width = _integer("latent_width", self.latent_width)
+        self.embed_width = _integer("embed_width", self.embed_width)
+        if not isinstance(self.vae_mode, bool):
+            raise TypeError(f"vae_mode must be a bool, got {self.vae_mode!r}")
         if len(self.k_schedule) < 1:
             raise ValueError("k_schedule must name at least one stage")
         if any(k < 1 for k in self.k_schedule):
@@ -60,7 +67,7 @@ class GeneratorConfig:
 
     @property
     def leaf_count(self) -> int:
-        return int(np.prod(self.k_schedule, dtype=np.int64))
+        return self.stage_sizes()[-1]
 
     def stage_sizes(self) -> list:
         """Point count after each stage, length stage_count + 1, starts at 1."""
@@ -75,6 +82,13 @@ class GeneratorConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorConfig":
         return cls(**d)
+
+
+def _integer(name, value) -> int:
+    # an int, NumPy's included; never a bool, float or string
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 # named default architectures, keyed by their leaf count: the branching
@@ -305,10 +319,10 @@ def _expand_stage(points, reps, scales, stage: int, params: Parameters):
     floor = ad.each_shape(
         points, lambda p: ad.Tensor(np.full((p.shape[0], 1), OFFSET_NORM_FLOOR, dtype=dtype))
     )
-    clamped = ad.max_reduce(ad.concat([ad.reshape(ad.norm(offsets), (n, k)), floor], axis=1))
+    clamped = ad.max_reduce(ad.concat([ad.reshape(ad.norm(offsets), (n, k)), floor]))
     denom = ad.gather_rows(ad.reshape(clamped, (n, 1)), parent_idx)
-    denom3 = ad.concat([denom, denom, denom], axis=1)
-    radius3 = ad.concat([child_scales, child_scales, child_scales], axis=1)
+    denom3 = ad.concat([denom, denom, denom])
+    radius3 = ad.concat([child_scales, child_scales, child_scales])
     displacement = ad.mul(ad.div(offsets, denom3), radius3)
 
     child_points = ad.add(ad.gather_rows(points, parent_idx), displacement)

@@ -80,13 +80,13 @@ def check_grads(build, arrays, tol=REL_TOL, eps=FD_EPS):
     `build` takes a list of Tensors and returns a scalar Tensor. Returns the
     worst relative error over all inputs; asserts it is under `tol`.
     """
-    tensors = [ad.Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays]
+    tensors = [ad.Tensor(np.asarray(a, np.float64), requires_grad=True) for a in arrays]
     with ad.Tape() as tape:
         loss = build(tensors)
     grads = ad.backward(loss, tape, leaves=tensors)
 
     def forward_value(raw):
-        ts = [ad.Tensor(a, dtype=np.float64) for a in raw]
+        ts = [ad.Tensor(np.asarray(a, np.float64)) for a in raw]
         return build(ts).item()
 
     worst = 0.0

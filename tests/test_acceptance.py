@@ -124,7 +124,7 @@ def test_criterion_1_gradient_suite():
         ("sum", lambda ts: ad.tensor_sum(ts[0]), [rng.standard_normal((3, 3))]),
         ("mean", lambda ts: ad.tensor_mean(ts[0]), [rng.standard_normal((4, 2))]),
         ("max_reduce", lambda ts: ad.max_reduce(ts[0]), [distinct((4, 6))]),
-        ("concat", lambda ts: ad.concat([ts[0], ts[1]], axis=1),
+        ("concat", lambda ts: ad.concat([ts[0], ts[1]]),
          [rng.standard_normal((3, 2)), rng.standard_normal((3, 4))]),
         ("reshape", lambda ts: ad.reshape(ts[0], (2, 6)), [rng.standard_normal((3, 4))]),
         ("gather_rows", lambda ts: ad.gather_rows(ts[0], gathers),
@@ -146,7 +146,7 @@ def test_criterion_1_gradient_suite():
     ))
     worst = max(worst, check_param_grads(
         lambda p: proj(model.extract_substructure(
-            ad.Tensor(s0, dtype=np.float64), ad.Tensor(h0, dtype=np.float64), p)),
+            ad.Tensor(np.asarray(s0, np.float64)), ad.Tensor(np.asarray(h0, np.float64)), p)),
         params, rng, coords_per_tensor=3,
     ))
 
@@ -157,7 +157,7 @@ def test_criterion_1_gradient_suite():
     worst = max(worst, check_grads(expand_proj, [s0, h0]))
     worst = max(worst, check_param_grads(
         lambda p: proj(model.expand_point(
-            ad.Tensor(s0, dtype=np.float64), ad.Tensor(h0, dtype=np.float64),
+            ad.Tensor(np.asarray(s0, np.float64)), ad.Tensor(np.asarray(h0, np.float64)),
             0.7, 0, p)[0]),
         params, rng, coords_per_tensor=3,
     ))

@@ -7,6 +7,7 @@ files on disk, and byte-level reproducibility.
 
 import json
 import os
+import struct
 import subprocess
 import sys
 import weakref
@@ -264,6 +265,23 @@ def test_inspect_rejects_trailing_bytes(plain_ckpt, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {padded}: 4 trailing bytes after the last manifest slab\n"
+
+
+def test_inspect_rejects_header_values_a_config_file_rejects(plain_ckpt, tmp_path, capsys):
+    # a crafted header whose generator holds a float width, an int
+    # vae_mode or a fractional branching factor fails to load, naming the key
+    raw = plain_ckpt.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 8)
+    for key, value in (("latent_width", 8.0), ("vae_mode", 0), ("k_schedule", [2.5, 2])):
+        header = json.loads(raw[12 : 12 + header_len].decode())
+        header["generator"][key] = value
+        blob = json.dumps(header, separators=(",", ":")).encode()
+        crafted = tmp_path / "crafted.rpgk"
+        crafted.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + header_len :])
+        assert cli.main(["inspect", "--ckpt", str(crafted)]) == 2, key
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "checkpoint header key 'generator'" in captured.err and key in captured.err
 
 
 # ---------------------------------------------------------------------------

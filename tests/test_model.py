@@ -46,6 +46,16 @@ def test_config_validation_and_presets():
     assert big.latent_width == 512 and big.embed_width == 64
     assert m.preset("3125").leaf_count == 3125
     assert m.preset("3125").k_schedule == (5, 5, 5, 5, 5)
+    huge = m.GeneratorConfig(k_schedule=(2**32, 2**32))  # Python ints never wrap
+    assert huge.leaf_count == huge.stage_sizes()[-1] == 2**64
+    # what a config file refuses: no float, bool or string for an integer
+    # field (2.5 must not truncate to 2), and only a bool for vae_mode
+    for bad in ({"latent_width": 8.0}, {"embed_width": True}, {"k_schedule": (2.5, 2)},
+                {"k_schedule": "22"}, {"mlp_hidden": (8, False)}, {"vae_mode": 0}):
+        with pytest.raises(TypeError):
+            m.GeneratorConfig(**bad)
+    assert m.GeneratorConfig(k_schedule=np.array([2, 3]), latent_width=np.int64(8)).to_dict() == \
+        m.GeneratorConfig(k_schedule=(2, 3), latent_width=8).to_dict()
 
 
 def test_init_is_deterministic_and_counts_add_up():
@@ -133,13 +143,13 @@ def test_substructure_gradients_match_finite_differences():
 
     def build(ts):
         out = m.extract_substructure(ts[0], ts[1], params)
-        return ad.tensor_sum(ad.mul(out, ad.Tensor(w, dtype=np.float64)))
+        return ad.tensor_sum(ad.mul(out, ad.Tensor(np.asarray(w, np.float64))))
 
     check_grads(build, [s0, h0])
 
     def loss_fn(p):
         out = m.extract_substructure(s0, h0, p)
-        return ad.tensor_sum(ad.mul(out, ad.Tensor(w, dtype=np.float64)))
+        return ad.tensor_sum(ad.mul(out, ad.Tensor(np.asarray(w, np.float64))))
 
     check_param_grads(loss_fn, params, rng)
 
@@ -474,7 +484,7 @@ def test_end_to_end_generation_gradients_match_finite_differences():
     def loss_fn(p):
         pts_per_stage, _, scales_per_stage, _ = m.expansion_graph(z, p)
         leaf = pts_per_stage[-1]
-        weighted = ad.mul(leaf, ad.Tensor(w, dtype=np.float64))
+        weighted = ad.mul(leaf, ad.Tensor(np.asarray(w, np.float64)))
         return ad.add(ad.tensor_sum(weighted), ad.tensor_mean(scales_per_stage[-1]))
 
     check_param_grads(loss_fn, params, rng)

@@ -4,10 +4,12 @@ their own.
 `linear` promises the bytes of x @ w, the bias add and a leaky ReLU done
 one after another, and `rep_update` those of two products against
 transposed matrices, their sum and tanh. The chains here run those steps as
-tape entries of test-local kinds (matmul, transpose, leaky_relu and tanh)
-that `install` registers for one test. Their forward product is the
-index-order loop below, one rank-1 update per contraction index, never the
-package's kernel; their vjps are plain NumPy. The kinds are not
+tape entries of test-local kinds (matmul, add_row, transpose, leaky_relu
+and tanh) that `install` registers for one test. Their forward product is
+the index-order loop below, one rank-1 update per contraction index, never
+the package's kernel; their vjps are plain NumPy, and add_row's sums the
+gradient's rows onto the bias one after another in a Python loop, sharing
+no code with linear's own bias gradient. The kinds are not
 row-separable, so over a Stack a chain runs shape by shape (`by_shape`).
 """
 
@@ -45,6 +47,20 @@ def _vjp_matmul(grad, arrays, saved, attrs):
     return grad @ b.T, a.T @ grad
 
 
+def _fwd_add_row(arrays, attrs):
+    a, b = arrays  # b is one row as wide as a, or a's own shape
+    return a + b, None
+
+
+def _vjp_add_row(grad, arrays, saved, attrs):
+    if grad.shape == arrays[1].shape:
+        return grad, grad
+    gb = grad[0].copy() if len(grad) else np.zeros_like(arrays[1])
+    for row in grad[1:]:  # in index order, each add rounded on its own
+        gb += row
+    return grad, gb
+
+
 def _fwd_transpose(arrays, attrs):
     return np.ascontiguousarray(arrays[0].T), None
 
@@ -74,6 +90,7 @@ def _vjp_tanh(grad, arrays, saved, attrs):
 
 KINDS = {
     "matmul": (_fwd_matmul, _vjp_matmul),
+    "add_row": (_fwd_add_row, _vjp_add_row),
     "transpose": (_fwd_transpose, _vjp_transpose),
     "leaky_relu": (_fwd_leaky_relu, _vjp_leaky_relu),
     "tanh": (_fwd_tanh, _vjp_tanh),
@@ -99,9 +116,10 @@ def tanh(a):
 
 
 def linear_chain(x, w, b, leaky=False):
-    """matmul, add and leaky_relu entries; column blocks are concatenated."""
-    x = ad.concat(list(x), axis=1) if isinstance(x, (list, tuple)) else x
-    y = ad.add(matmul(x, w), b)
+    """matmul, add_row and leaky_relu entries; column blocks are
+    concatenated."""
+    x = ad.concat(list(x)) if isinstance(x, (list, tuple)) else x
+    y = ad.apply_primitive("add_row", (matmul(x, w), b))
     return ad.apply_primitive("leaky_relu", (y,)) if leaky else y
 
 
