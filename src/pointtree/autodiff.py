@@ -423,18 +423,18 @@ def _dense(x):
     return x.data if isinstance(x, Gathered) else x
 
 
-def _block_matmul(kind, blocks, b, transpose_b=False):
-    # concatenate(blocks, axis=1) @ b, or @ b.T with `transpose_b`, for the
-    # primitive `kind`. b is 2-D; one block may be 1-D, several are 2-D with
-    # one row count. With `transpose_b` the product reads a contiguous copy
-    # of b.T. Two layouts of Gathered blocks, read from the indices alone,
-    # are sibling structure: a lone block that takes each of its rows r
-    # times in turn (a stage's parent index) has its product formed once per
-    # row and repeated, and [slot rows tiled over m parents, the parents'
-    # rows each taken k times in turn] (`_slot_count`) forms each slot's
-    # chain over its own columns once and continues every child's chain
-    # from it (`_rows_matmul`'s prefix). Every other operand is gathered and
-    # concatenated one row block at a time inside the kernel.
+def _block_matmul(kind, blocks, b):
+    # concatenate(blocks, axis=1) @ b for the primitive `kind`, reading a
+    # C-contiguous copy of b when b is a transposed view. b is 2-D; one
+    # block may be 1-D, several are 2-D with one row count. Two layouts of
+    # Gathered blocks, read from the indices alone, are sibling structure:
+    # a lone block that takes each of its rows r times in turn (a stage's
+    # parent index) has its product formed once per row and repeated, and
+    # [slot rows tiled over m parents, the parents' rows each taken k times
+    # in turn] (`_slot_count`) forms each slot's chain over its own columns
+    # once and continues every child's chain from it (`_rows_matmul`'s
+    # prefix). Every other operand is gathered and concatenated one row
+    # block at a time inside the kernel.
     #
     # Each output element is a fixed chain of multiply-then-add roundings in
     # index order (`_rows_matmul`) that depends only on the participating
@@ -446,8 +446,6 @@ def _block_matmul(kind, blocks, b, transpose_b=False):
     arrays = (*blocks, b)
     if b.ndim != 2:
         _shape_error(kind, arrays, "the matrix must be 2-D")
-    if transpose_b:
-        b = b.T
     if a.ndim not in (1, 2):
         _shape_error(kind, arrays, "operands must be 1-D or 2-D")
     if len(blocks) > 1 and any(x.ndim != 2 or x.shape[0] != a.shape[0] for x in blocks):
@@ -583,13 +581,8 @@ def _takes(x, r):
     return isinstance(x, Gathered) and x.ndim == 2 and _runs(x.indices, x.rows.shape[0], r)
 
 
-def _vjp_matmul(grad, a, b, transpose_b=False):
+def _vjp_matmul(grad, a, b):
     # the gradients of a @ b for a 2-D b and a 1-D or 2-D a, on BLAS
-    if transpose_b:
-        # the gradient of the copy b.T the forward used, then the copy a
-        # separate transpose's vjp would make
-        ga, gbt = _vjp_matmul(grad, a, np.ascontiguousarray(b.T))
-        return ga, np.ascontiguousarray(gbt.T)
     if a.ndim == 2:
         return grad @ b.T, a.T @ grad
     return b @ grad, np.outer(a, grad)
@@ -680,8 +673,8 @@ def _fwd_rep_update(arrays, attrs):
     # in place, so each element gets the bytes of the four steps. Only the
     # output is kept, which tanh's vjp reads.
     s, h, ms, mh = arrays
-    out = _block_matmul("rep_update", [s], ms, transpose_b=True)
-    shared = _block_matmul("rep_update", [h], mh, transpose_b=True)
+    out = _block_matmul("rep_update", [s], ms.T)
+    shared = _block_matmul("rep_update", [h], mh.T)
     if out.shape != shared.shape:
         _shape_error("rep_update", arrays, "s @ ms.T and h @ mh.T differ in shape")
     out += shared
@@ -692,13 +685,14 @@ def _fwd_rep_update(arrays, attrs):
 def _vjp_rep_update(grad, arrays, saved, attrs):
     # the vjps of tanh, the add and the two products, in the order four
     # separate steps would run them; the add passes its gradient to both
-    # products unchanged
+    # products unchanged. Each product's gradients are those of the copy
+    # m.T the forward read, then the copy a separate transpose's vjp makes
     s, h, ms, mh = arrays
     s, h = _dense(s), _dense(h)
     grad = _vjp_tanh(grad, saved)
-    gh, gmh = _vjp_matmul(grad, h, mh, transpose_b=True)
-    gs, gms = _vjp_matmul(grad, s, ms, transpose_b=True)
-    return gs, gh, gms, gmh
+    gh, gmh = _vjp_matmul(grad, h, np.ascontiguousarray(mh.T))
+    gs, gms = _vjp_matmul(grad, s, np.ascontiguousarray(ms.T))
+    return gs, gh, np.ascontiguousarray(gms.T), np.ascontiguousarray(gmh.T)
 
 
 def _vjp_tanh(grad, out):
@@ -822,6 +816,8 @@ def _vjp_max_reduce(grad, arrays, saved, attrs):
 
 def _fwd_concat(arrays, attrs):
     # 2-D operands side by side, along axis 1
+    if not arrays:
+        _shape_error("concat", arrays, "needs at least one operand")
     if any(a.ndim != 2 or a.shape[0] != arrays[0].shape[0] for a in arrays):
         _shape_error("concat", arrays, "operands must be 2-D with equal row counts")
     return np.concatenate(arrays, axis=1), [a.shape[1] for a in arrays]
@@ -930,6 +926,9 @@ def _operands(kind, inputs):
     # what a primitive's forward and vjp compute on: each input's data,
     # except that linear's column blocks and rep_update's s and h pass a
     # Gathered as it is, for its declared structure
+    for t in inputs:
+        if not isinstance(t, Tensor):
+            raise TypeError(f"{kind}: inputs must be Tensors, got {type(t).__name__}")
     split = _ROW_OPERANDS.get(kind, 0)
     rows = [t if isinstance(t, Gathered) else t.data for t in inputs[:split]]
     return rows + [t.data for t in inputs[split:]]

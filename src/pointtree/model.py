@@ -23,7 +23,8 @@ permutation invariant, not approximately so.
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -44,14 +45,7 @@ class GeneratorConfig:
     vae_mode: bool = False
 
     def __post_init__(self):
-        # a checkpoint header arrives here unchecked: refuse what a config
-        # file refuses, rather than truncate 2.5 to 2 or keep 8.0 or 0
-        self.k_schedule = tuple(_integer("k_schedule entry", k) for k in self.k_schedule)
-        self.mlp_hidden = tuple(_integer("mlp_hidden width", w) for w in self.mlp_hidden)
-        self.latent_width = _integer("latent_width", self.latent_width)
-        self.embed_width = _integer("embed_width", self.embed_width)
-        if not isinstance(self.vae_mode, bool):
-            raise TypeError(f"vae_mode must be a bool, got {self.vae_mode!r}")
+        check_field_types(self)
         if len(self.k_schedule) < 1:
             raise ValueError("k_schedule must name at least one stage")
         if any(k < 1 for k in self.k_schedule):
@@ -84,11 +78,41 @@ class GeneratorConfig:
         return cls(**d)
 
 
-def _integer(name, value) -> int:
-    # an int, NumPy's included; never a bool, float or string
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def check_field_types(config) -> None:
+    """Hold each field of the dataclass `config` to the type of its default.
+
+    A config file and a checkpoint header both arrive here unchecked. An
+    int field takes an int, NumPy's included, never a bool, float or
+    string, so 2.5 cannot truncate to 2. A float field takes a finite int
+    or Python float, never a bool or a NumPy float32, which JSON cannot
+    write and whose range check would run in float32; it keeps the value
+    as given, so a header written from it keeps its bytes. A bool field
+    takes a bool. A tuple field takes a list, tuple or 1-D array of ints
+    and stores a tuple.
+    """
+    for f in fields(config):
+        value, default = getattr(config, f.name), f.default
+        if isinstance(default, tuple):
+            if not isinstance(value, (list, tuple, np.ndarray)) or not all(map(_is_int, value)):
+                raise TypeError(f"{f.name} must be a list of ints, got {value!r}")
+            setattr(config, f.name, tuple(int(v) for v in value))
+        elif isinstance(default, bool):
+            if not isinstance(value, bool):
+                raise TypeError(f"{f.name} must be a bool, got {value!r}")
+        elif isinstance(default, int):
+            if not _is_int(value):
+                raise TypeError(f"{f.name} must be an int, got {value!r}")
+            setattr(config, f.name, int(value))
+        elif isinstance(value, bool) or not isinstance(value, (numbers.Integral, float)):
+            raise TypeError(f"{f.name} must be a float, got {value!r}")
+        elif not abs(value) <= sys.float_info.max:  # NaN fails too, and an int too large
+            raise ValueError(f"{f.name} must be a finite float")
+        else:  # a NumPy int is written as the int it holds
+            setattr(config, f.name, value if isinstance(value, float) else int(value))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 # named default architectures, keyed by their leaf count: the branching

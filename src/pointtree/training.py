@@ -24,8 +24,7 @@ import json
 import math
 import os
 import struct
-import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,7 +32,8 @@ from . import autodiff as ad
 from . import geometry
 from .dataio import atomic_write
 from .model import (  # noqa: F401  (perfbench/tracing.py wraps training.encode)
-    GeneratorConfig, Parameters, encode, encode_batch, expansion_graph, init_parameters,
+    GeneratorConfig, Parameters, check_field_types, encode, encode_batch, expansion_graph,
+    init_parameters, parameter_spec,
 )
 
 CHECKPOINT_MAGIC = b"RPGK"
@@ -57,13 +57,7 @@ class TrainConfig:
     save_every: int = 0  # checkpoint interval in epochs; 0 writes only the final one
 
     def __post_init__(self):
-        # every float field holds a finite float: NaN fails the comparison,
-        # and so does an int too large to convert. Each range check below is
-        # written so that NaN fails it too
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(f.default, float) and not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{f.name} must be a finite float")
+        check_field_types(self)
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be positive")
         if self.seed < 0:
@@ -296,22 +290,40 @@ def _train_step(params, batch, state, config, rng, epoch, batch_index):
 # magic "RPGK" | u32 version | u32 header length | header JSON (utf-8) |
 # payload of raw little-endian float32, one slab per manifest entry.
 # The header carries both configs, the optimizer step, and the manifest
-# (name, shape, byte offset). Optimizer moments are stored as extra
-# manifest entries named opt.m.<param> / opt.v.<param>. The payload ends
-# with the last slab; a file with bytes after it is rejected on load.
+# (name, shape, byte offset). The manifest is the layout the generator
+# config implies (`checkpoint_layout`): the parameters in `parameter_spec`
+# order, then, with optimizer state, every opt.m.<param> and every
+# opt.v.<param>, each slab right after the one before. A file loads only if
+# its manifest equals that layout, as canonical JSON, and its payload ends
+# with the last slab.
 # ---------------------------------------------------------------------------
 
 
+def checkpoint_layout(config: GeneratorConfig, has_optimizer: bool):
+    """The manifest a checkpoint of `config` holds, and its payload length.
+
+    One entry {"name", "shape", "offset"} per slab, the offset in bytes
+    from the start of the payload; shapes and offsets are Python ints.
+    """
+    slabs = [(name, shape) for name, shape, _, _ in parameter_spec(config)]
+    if has_optimizer:
+        slabs += [(f"opt.{m}.{name}", shape) for m in "mv" for name, shape in slabs]
+    manifest, offset = [], 0
+    for name, shape in slabs:
+        manifest.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += 4 * math.prod(shape)
+    return manifest, offset
+
+
 def save_checkpoint(path, params: Parameters, opt_state=None, train_config=None, step=0):
-    entries = [(name, tensor.data) for name, tensor in params.items()]
+    manifest, _ = checkpoint_layout(params.config, opt_state is not None)
+    arrays = [tensor.data for _, tensor in params.items()]
     if opt_state is not None:
-        entries += [(f"opt.m.{n}", opt_state.m[n]) for n in params.names()]
-        entries += [(f"opt.v.{n}", opt_state.v[n]) for n in params.names()]
-    manifest = []
-    offset = 0
-    for name, array in entries:
-        manifest.append({"name": name, "shape": list(array.shape), "offset": offset})
-        offset += 4 * array.size
+        arrays += [moments[n] for moments in (opt_state.m, opt_state.v) for n in params.names()]
+    for entry, array in zip(manifest, arrays):
+        if list(array.shape) != entry["shape"]:
+            raise ValueError(f"{entry['name']} has shape {array.shape}, "
+                             f"its config needs {tuple(entry['shape'])}")
     header = {
         "generator": params.config.to_dict(),
         "train": train_config.to_dict() if train_config is not None else None,
@@ -325,15 +337,16 @@ def save_checkpoint(path, params: Parameters, opt_state=None, train_config=None,
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for _, array in entries:  # each slab straight from its array, no joined payload
+        for array in arrays:  # each slab straight from its array, no joined payload
             fh.write(np.ascontiguousarray(array, dtype="<f4"))
 
 
 def load_checkpoint(path):
     """Restore (params, opt_state, train_config, step) from a checkpoint file.
 
-    The header is checked against the file's size before any array is made;
-    each slab is then read straight into its own array.
+    The manifest and the payload length are checked against the layout the
+    header's generator config implies before any array is made; each slab
+    is then read straight into its own array.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -349,70 +362,39 @@ def load_checkpoint(path):
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
             raise ValueError(f"{path}: header is not UTF-8 JSON: {exc}") from None
-        body_len = size - 12 - header_len
         config = _header_value(path, header, "generator", GeneratorConfig.from_dict)
         train_config = _header_value(
             path, header, "train", lambda d: None if d is None else TrainConfig.from_dict(d)
         )
         step = _header_value(path, header, "step", _of_type(int))
         has_optimizer = _header_value(path, header, "has_optimizer", _of_type(bool))
-        manifest = _header_value(path, header, "manifest", _manifest_entries)
-
-        # the slabs must tile the payload in manifest order, each name once, so
-        # no entry can read another's bytes or skip any
-        seen = set()
-        payload_end = 0
-        for name, shape, start in manifest:
-            if type(start) is not int or start != payload_end:
-                raise ValueError(
-                    f"{path}: manifest entry {name} starts at offset {start!r}, "
-                    f"expected {payload_end} (slabs must follow each other)"
-                )
-            if name in seen:
-                raise ValueError(f"{path}: manifest entry {name} appears twice")
-            seen.add(name)
-            payload_end = start + 4 * math.prod(shape)  # Python ints never wrap
-            if payload_end > body_len:
-                raise ValueError(f"{path}: truncated payload at {name}")
-        if body_len > payload_end:
+        manifest, payload_len = checkpoint_layout(config, has_optimizer)
+        found = _header_value(path, header, "manifest", _of_type(list))
+        if _canonical(found) != _canonical(manifest):
+            raise ValueError(f"{path}: {_first_difference(found, manifest)}")
+        body_len = size - 12 - header_len
+        if body_len < payload_len:
+            raise ValueError(f"{path}: truncated payload: {body_len} bytes, "
+                             f"the manifest needs {payload_len}")
+        if body_len > payload_len:
             raise ValueError(
-                f"{path}: {body_len - payload_end} trailing bytes after the last manifest slab"
+                f"{path}: {body_len - payload_len} trailing bytes after the last manifest slab"
             )
-        arrays = {}
-        for name, shape, _ in manifest:
-            try:  # an empty shape may still have a dimension NumPy cannot hold
-                arrays[name] = np.empty(shape, dtype="<f4")
-            except ValueError:
-                raise ValueError(f"{path}: manifest entry {name} has shape {list(shape)}, "
-                                 "too large for an array") from None
-            if fh.readinto(arrays[name]) != arrays[name].nbytes:  # the file shrank
-                raise ValueError(f"{path}: truncated payload at {name}")
+        arrays = []
+        for entry in manifest:
+            arrays.append(np.empty(entry["shape"], dtype="<f4"))
+            if fh.readinto(arrays[-1]) != arrays[-1].nbytes:  # the file shrank
+                raise ValueError(f"{path}: truncated payload at {entry['name']}")
 
-    from .model import parameter_spec
-
-    spec = parameter_spec(config)
-    names = [name for name, _, _, _ in spec]
-    if has_optimizer:
-        names += [f"opt.{m}.{n}" for m in "mv" for n in names]
-    missing = [name for name in names if name not in arrays]
-    if missing:
-        raise ValueError(f"{path}: checkpoint is missing {missing[0]}")
-    tensors = {}
-    for name, shape, _, _ in spec:
-        if arrays[name].shape != shape:
-            raise ValueError(
-                f"{path}: shape mismatch for {name}: file has {arrays[name].shape}, "
-                f"config needs {shape}"
-            )
-        tensors[name] = ad.Tensor(arrays[name], requires_grad=True)
-    params = Parameters(config, tensors)
-
+    count = len(manifest) // 3 if has_optimizer else len(manifest)
+    names = [entry["name"] for entry in manifest[:count]]
+    params = Parameters(
+        config, {n: ad.Tensor(a, requires_grad=True) for n, a in zip(names, arrays)}
+    )
     opt_state = None
-    if has_optimizer:
+    if has_optimizer:  # zip stops at the last name: m's slabs, then v's
         opt_state = OptimizerState(
-            m={n: arrays[f"opt.m.{n}"] for n in params.names()},
-            v={n: arrays[f"opt.v.{n}"] for n in params.names()},
-            step=step,
+            m=dict(zip(names, arrays[count:])), v=dict(zip(names, arrays[2 * count :])), step=step
         )
     return params, opt_state, train_config, step
 
@@ -434,15 +416,15 @@ def _of_type(kind):
     return check
 
 
-def _manifest_entries(entries):
-    # (name, shape, offset) per entry; the offsets are checked against the
-    # payload by the caller
-    out = []
-    for i, entry in enumerate(entries):
-        name, shape, offset = entry["name"], entry["shape"], entry["offset"]
-        if type(name) is not str or type(shape) is not list:
-            raise TypeError(f"entry {i} needs a string name and a shape list")
-        if not all(type(s) is int and s >= 0 for s in shape):
-            raise ValueError(f"entry {i} ({name}) has shape {shape}, not non-negative integers")
-        out.append((name, tuple(shape), offset))
-    return out
+def _canonical(value) -> str:
+    # compact JSON with sorted keys: 8, 8.0 and true differ, as they must
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _first_difference(found, manifest) -> str:
+    # names the first entry where a manifest leaves the layout
+    for i in range(max(len(found), len(manifest))):
+        got = _canonical(found[i]) if i < len(found) else "missing"
+        want = _canonical(manifest[i]) if i < len(manifest) else "nothing"
+        if got != want:
+            return f"manifest entry {i} is {got}, the config implies {want}"

@@ -1245,8 +1245,8 @@ def test_error_paths():
         ad.linear(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((4, 2))), ad.Tensor(np.ones(2)))
     with pytest.raises(ad.ShapeMismatchError):
         ad.linear(ad.Tensor(np.ones((2, 2, 2))), ad.Tensor(np.ones((2, 2))), ad.Tensor(np.ones(2)))
-    # concat joins 2-D operands with one row count, along axis 1
-    for shapes in (((2, 3), (3,)), ((3,), (3,)), ((2, 3), (3, 3)), ((2, 3), (2, 1, 3))):
+    # concat joins one or more 2-D operands with one row count, along axis 1
+    for shapes in (((2, 3), (3,)), ((3,), (3,)), ((2, 3), (3, 3)), ((2, 3), (2, 1, 3)), ()):
         with pytest.raises(ad.ShapeMismatchError, match=r"^concat\b"):
             ad.concat([ad.Tensor(np.ones(shape)) for shape in shapes])
     with pytest.raises(ad.ShapeMismatchError):
@@ -1255,6 +1255,19 @@ def test_error_paths():
         ad.gather_rows(f32, np.array([0, 3]))
     with pytest.raises(TypeError):
         ad.add(f32, f64)
+    # an ndarray's `data` is its buffer, so a raw array is refused before
+    # any forward reads it
+    x = ad.Tensor(np.ones((2, 2)))
+    raw = {
+        "add": lambda: ad.add(x, np.ones((2, 2))),
+        "mul": lambda: ad.mul(np.ones((2, 2)), x),
+        "scale": lambda: ad.scale(np.ones((2, 2)), 2.0),
+        "concat": lambda: ad.concat([x, np.ones((2, 2))]),
+        "linear": lambda: ad.linear(x, np.ones((2, 3)), ad.Tensor(np.ones(3))),
+    }
+    for kind, call in raw.items():
+        with pytest.raises(TypeError, match=rf"^{kind}: inputs must be Tensors, got ndarray"):
+            call()
     with pytest.raises(ValueError):
         ad.Tensor(np.ones((2, 2))).item()
 

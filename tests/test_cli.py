@@ -184,11 +184,11 @@ def test_config_unknown_section_rejected(tmp_path, capsys):
         ({"model": {}}, "unknown config sections"),
         ({"train": 3}, "config section 'train' must be a JSON object"),
         ({"generator": {"nope": 1}}, "generator.nope: unknown key"),
-        ({"generator": {"k_schedule": 5}}, "generator.k_schedule: expected a list of int, got 5"),
+        ({"generator": {"k_schedule": 5}}, "generator.k_schedule: k_schedule must be a list of ints, got 5"),
         ({"generator": {"k_schedule": [2, 0]}}, "generator.k_schedule: branching factors"),
-        ({"generator": {"vae_mode": 1}}, "generator.vae_mode: expected bool"),
-        ({"train": {"epochs": "x"}}, 'train.epochs: expected int, got "x"'),
-        ({"train": {"seed": 1.5}}, "train.seed: expected int, got 1.5"),
+        ({"generator": {"vae_mode": 1}}, "generator.vae_mode: vae_mode must be a bool, got 1"),
+        ({"train": {"epochs": "x"}}, "train.epochs: epochs must be an int, got 'x'"),
+        ({"train": {"seed": 1.5}}, "train.seed: seed must be an int, got 1.5"),
         ({"train": {"batch_size": 0}}, "train.batch_size: batch_size and epochs must be positive"),
         ({"train": {"save_every": -1}}, "train.save_every: save_every must be non-negative"),
         ({"train": {"weight_decay": -1.0}}, "train.weight_decay: weight_decay must be non-negative"),
@@ -268,20 +268,28 @@ def test_inspect_rejects_trailing_bytes(plain_ckpt, tmp_path, capsys):
 
 
 def test_inspect_rejects_header_values_a_config_file_rejects(plain_ckpt, tmp_path, capsys):
-    # a crafted header whose generator holds a float width, an int
-    # vae_mode or a fractional branching factor fails to load, naming the key
+    # a crafted header whose generator holds a float width, an int vae_mode
+    # or a fractional branching factor, or whose train section holds a
+    # float epoch count, a bool seed or a bool rate, fails to load, naming
+    # the file and the key
     raw = plain_ckpt.read_bytes()
     (header_len,) = struct.unpack_from("<I", raw, 8)
-    for key, value in (("latent_width", 8.0), ("vae_mode", 0), ("k_schedule", [2.5, 2])):
+    cases = (
+        ("generator", "latent_width", 8.0), ("generator", "vae_mode", 0),
+        ("generator", "k_schedule", [2.5, 2]), ("train", "epochs", 2.5),
+        ("train", "seed", True), ("train", "learning_rate", True),
+    )
+    for section, key, value in cases:
         header = json.loads(raw[12 : 12 + header_len].decode())
-        header["generator"][key] = value
+        header[section][key] = value
         blob = json.dumps(header, separators=(",", ":")).encode()
         crafted = tmp_path / "crafted.rpgk"
         crafted.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + header_len :])
         assert cli.main(["inspect", "--ckpt", str(crafted)]) == 2, key
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "checkpoint header key 'generator'" in captured.err and key in captured.err
+        assert captured.err.startswith(f"error: {crafted}: checkpoint header key {section!r}"), key
+        assert key in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,13 @@ def test_config_validation_and_presets():
             m.GeneratorConfig(**bad)
     assert m.GeneratorConfig(k_schedule=np.array([2, 3]), latent_width=np.int64(8)).to_dict() == \
         m.GeneratorConfig(k_schedule=(2, 3), latent_width=8).to_dict()
+    # TrainConfig's float fields refuse a NumPy float32, which JSON cannot
+    # write and whose range check runs in float32, where inf passes as
+    # finite; a NumPy int is kept as the int it holds
+    for bad in (np.float32(1e-3), np.float32("inf")):
+        with pytest.raises(TypeError, match="learning_rate must be a float"):
+            training.TrainConfig(learning_rate=bad)
+    assert type(training.TrainConfig(learning_rate=np.int64(1)).learning_rate) is int
 
 
 def test_init_is_deterministic_and_counts_add_up():

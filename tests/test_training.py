@@ -566,10 +566,20 @@ def test_checkpoint_error_paths(tmp_path):
     with pytest.raises(ValueError, match="enc.head.w"):
         training.load_checkpoint(mismatched)
 
+    # a tensor whose shape leaves its config's layout is refused on save,
+    # so no manifest misdescribes its slab
+    tensors = dict(params.items())
+    tensors["enc.pp0.w"] = ad.Tensor(params["enc.pp0.w"].data.T.copy())
+    with pytest.raises(ValueError, match=r"^enc.pp0.w has shape \(64, 3\)"):
+        training.save_checkpoint(tmp_path / "transposed.rpgk", m.Parameters(params.config, tensors))
+    assert not (tmp_path / "transposed.rpgk").exists()
+
 
 def test_checkpoint_manifest_must_tile_the_payload(tmp_path):
-    # every slab starts where the one before it ended, each name once; a
-    # manifest pointing enc.pp0.b at enc.pp0.w's bytes would load silently
+    # the manifest must be the layout the config implies: every slab starts
+    # where the one before it ended, each name once and in canonical order;
+    # a manifest pointing enc.pp0.b at enc.pp0.w's bytes, or swapping two
+    # names of one shape, would otherwise load silently
     import json
     import struct
 
@@ -581,11 +591,12 @@ def test_checkpoint_manifest_must_tile_the_payload(tmp_path):
     body = raw[12 + header_len :]
 
     def rewritten(edit):
+        # `edit` changes the manifest in place and may return bytes to append
         header = json.loads(raw[12 : 12 + header_len].decode())
-        edit(header["manifest"])
+        extra = edit(header["manifest"]) or b""
         blob = json.dumps(header, separators=(",", ":")).encode()
         out = tmp_path / "edited.rpgk"
-        out.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + body)
+        out.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + body + extra)
         return out
 
     def set_offset(i, offset):
@@ -594,13 +605,28 @@ def test_checkpoint_manifest_must_tile_the_payload(tmp_path):
     def duplicate(manifest):
         manifest[2]["name"] = manifest[0]["name"]
 
+    def junk(manifest):
+        manifest.append({"name": "junk", "shape": [1], "offset": len(body)})
+        return b"\0" * 4
+
+    def swap(manifest):
+        names = [entry["name"] for entry in manifest]
+        i, j = names.index("enc.head.b"), names.index("exp.l0.b")
+        assert manifest[i]["shape"] == manifest[j]["shape"]
+        manifest[i]["name"], manifest[j]["name"] = "exp.l0.b", "enc.head.b"
+
     second = json.loads(raw[12 : 12 + header_len].decode())["manifest"][1]
+    at_second = f'manifest entry 1 is {{"name":"{second["name"]}","offset":'
     cases = {
-        "overlapping": (set_offset(1, 0), f"{second['name']} starts at offset 0"),
-        "gapped": (set_offset(1, second["offset"] + 4), f"{second['name']} starts at offset"),
-        "negative": (set_offset(0, -4), "starts at offset -4, expected 0"),
-        "not an integer": (set_offset(1, float(second["offset"])), "expected"),
-        "duplicate": (duplicate, "enc.pp0.w appears twice"),
+        "overlapping": (set_offset(1, 0), at_second + "0,"),
+        "gapped": (set_offset(1, second["offset"] + 4), at_second + f'{second["offset"] + 4},'),
+        "negative": (set_offset(0, -4), 'manifest entry 0 is {"name":"enc.pp0.w","offset":-4,'),
+        "not an integer": (set_offset(1, float(second["offset"])),
+                           at_second + f'{float(second["offset"])},'),
+        "duplicate": (duplicate, 'manifest entry 2 is {"name":"enc.pp0.w"'),
+        "extra slab": (junk, '{"name":"junk","offset":%d,"shape":[1]}, the config implies nothing'
+                       % len(body)),
+        "swapped names": (swap, 'manifest entry 7 is {"name":"exp.l0.b"'),
     }
     for name, (edit, message) in cases.items():
         with pytest.raises(ValueError, match="edited.rpgk: manifest entry") as err:
@@ -610,14 +636,14 @@ def test_checkpoint_manifest_must_tile_the_payload(tmp_path):
     assert step == 3 and loaded["enc.pp0.b"].data.tobytes() == params["enc.pp0.b"].data.tobytes()
 
 
-@pytest.mark.parametrize("entry,shape,message", [
-    # 2**32 * 2**32 floats wrap to 0 in int64; sizes are checked against
-    # the file in Python ints before any array is made
-    (0, [2**32, 2**32], "truncated payload at enc.pp0.w"),
+@pytest.mark.parametrize("entry,shape,name", [
+    # 2**32 * 2**32 floats wrap to 0 in int64; the manifest is compared with
+    # the config's layout in Python ints before any array is made
+    (0, [2**32, 2**32], "enc.pp0.w"),
     # no bytes, but a dimension NumPy cannot make an array of
-    (-1, [0, 2**62], "manifest entry emb.d1 has shape [0, 4611686018427387904], too large"),
+    (-1, [0, 2**62], "emb.d1"),
 ])
-def test_a_manifest_shape_no_array_can_hold_names_the_file(tmp_path, entry, shape, message):
+def test_a_manifest_shape_no_array_can_hold_names_the_file(tmp_path, entry, shape, name):
     import json
     import math
     import re
@@ -635,7 +661,11 @@ def test_a_manifest_shape_no_array_can_hold_names_the_file(tmp_path, entry, shap
     blob = json.dumps(header, separators=(",", ":")).encode()
     huge = tmp_path / "huge.rpgk"
     huge.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + body)
-    with pytest.raises(ValueError, match=re.escape(f"huge.rpgk: {message}")):
+    index = entry % len(header["manifest"])
+    found = json.dumps(edited, sort_keys=True, separators=(",", ":"))
+    assert found.startswith(f'{{"name":"{name}"')
+    message = f"huge.rpgk: manifest entry {index} is {found}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         training.load_checkpoint(huge)
 
 
